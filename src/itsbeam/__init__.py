@@ -55,7 +55,6 @@ from .channel import (
     ChannelParams,
     UserDrop,
     aperture_response,
-    dump_channel,
     sample_channel,
     sample_direct_channel,
     sample_user_drop,
@@ -70,7 +69,6 @@ from .wmmse import (
     build_analog_subproblem,
     digital_precoder,
     dual_search,
-    dump_trace,
     optimize_phases,
     surrogate_objective,
     update_gamma,
@@ -126,7 +124,6 @@ __all__ = [
     "ChannelParams",
     "UserDrop",
     "aperture_response",
-    "dump_channel",
     "sample_channel",
     "sample_direct_channel",
     "sample_user_drop",
@@ -139,7 +136,6 @@ __all__ = [
     "build_analog_subproblem",
     "digital_precoder",
     "dual_search",
-    "dump_trace",
     "optimize_phases",
     "surrogate_objective",
     "update_gamma",

@@ -31,7 +31,6 @@ keeps the layout's feed horns, which pay a heavy penalty toward off-axis users.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,7 +50,6 @@ __all__ = [
     "cluster_channel_row",
     "sample_channel",
     "sample_direct_channel",
-    "dump_channel",
 ]
 
 
@@ -229,19 +227,6 @@ def sample_channel(
     return calibrate_rows(np.stack(rows), params)
 
 
-def direct_response(layout: ArrayLayout, direction, kappa: float) -> np.ndarray:
-    """Active-array response toward ``direction`` with per-antenna element gain.
-
-    Entry n is sqrt(G(theta_n)) * exp(j 2 pi / lambda * <p_n, direction>), where
-    theta_n is the angle between antenna n's boresight and the direction.
-    """
-    d = np.asarray(direction, dtype=float)
-    phase = (2.0 * np.pi / layout.wavelength) * (layout.active_positions @ d)
-    cos_theta = np.clip(layout.active_boresights @ d, -1.0, 1.0)
-    gain = antenna_gain(np.arccos(cos_theta), kappa)
-    return np.sqrt(gain) * np.exp(1j * phase)
-
-
 def sample_direct_channel(
     layout: ArrayLayout,
     drop: UserDrop,
@@ -272,17 +257,3 @@ def sample_direct_channel(
         rows.append(g @ (pattern * phases))
     return calibrate_rows(np.stack(rows), params, reference=np.stack(bare_rows))
 
-
-def dump_channel(path, channel: np.ndarray, drop: UserDrop) -> None:
-    """Write one sampled channel and its drop to a JSON file."""
-    payload = {
-        "distances": drop.distances.tolist(),
-        "azimuths": drop.azimuths.tolist(),
-        "elevations": drop.elevations.tolist(),
-        "positions": drop.positions.tolist(),
-        "channel_real": np.real(channel).tolist(),
-        "channel_imag": np.imag(channel).tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -113,26 +113,25 @@ def _check_transfer_magnitude() -> bool:
     return bool(np.all(np.abs(transfer) <= bound * (1 + 1e-12)))
 
 
-def _check_fp_identity(rng) -> bool:
-    inst = _random_instance(rng)
+def _random_point(rng, constraint=ConstraintKind.TRANSMITTED_POWER, scale=1.0):
+    """Random instance, phases and precoder, plus the FP auxiliaries at their optimum."""
+    inst = _random_instance(rng, constraint=constraint)
     phases = PhaseConfig(rng.uniform(0, 2 * np.pi, 16))
-    precoder = Precoder(
-        0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    )
+    precoder = Precoder(scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))))
     gamma = update_gamma(inst, phases, precoder)
-    y = update_y(inst, phases, precoder, gamma)
-    aux = AuxVariables(gamma=gamma, y=y)
+    aux = AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
+    return inst, phases, precoder, aux
+
+
+def _check_fp_identity(rng) -> bool:
+    inst, phases, precoder, aux = _random_point(rng, scale=0.5)
     f1 = surrogate_objective(inst, phases, precoder, aux)
     f0 = wsr(inst, phases, precoder)
     return abs(f1 - f0) <= 1e-9 * abs(f0)
 
 
 def _check_analog_gradient(rng) -> bool:
-    inst = _random_instance(rng)
-    phases = PhaseConfig(rng.uniform(0, 2 * np.pi, 16))
-    precoder = Precoder(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    gamma = update_gamma(inst, phases, precoder)
-    aux = AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
+    inst, phases, precoder, aux = _random_point(rng)
     sub = build_analog_subproblem(inst, precoder, aux)
     _, grad = analog_objective_and_gradient(sub, phases)
     step = 1e-6
@@ -148,15 +147,26 @@ def _check_analog_gradient(rng) -> bool:
     return True
 
 
+def _check_analog_factor(rng) -> bool:
+    inst, phases, precoder, aux = _random_point(rng)
+    sub = build_analog_subproblem(inst, precoder, aux)
+    psi, h, tb = phases.phasor(), inst.channel, inst.transfer @ precoder.matrix
+    quad = 0.0j  # psi^H U psi with U_mn = sum_k |y_k|^2 sum_i conj(a_kim) a_kin
+    for k in range(4):
+        for i in range(4):
+            for m in range(16):
+                for n in range(16):
+                    a_m, a_n = h[k, m] * tb[m, i], h[k, n] * tb[n, i]
+                    quad += abs(aux.y[k]) ** 2 * np.conj(psi[m] * a_m) * a_n * psi[n]
+    linear = 2.0 * np.real(np.vdot(psi, sub.linear_term))
+    error = abs(analog_objective(sub, phases) - (linear - quad.real))
+    return error <= 1e-10 * (abs(linear) + abs(quad))
+
+
 def _check_dual_feasibility(rng) -> bool:
     for constraint in ConstraintKind:
-        inst = _random_instance(rng, constraint=constraint)
-        phases = PhaseConfig(rng.uniform(0, 2 * np.pi, 16))
-        precoder = Precoder(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        gamma = update_gamma(inst, phases, precoder)
-        aux = AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
-        settings = SolverSettings()
-        prec, mu = dual_search(inst, phases, aux, settings)
+        inst, phases, _, aux = _random_point(rng, constraint=constraint)
+        prec, mu = dual_search(inst, phases, aux, SolverSettings())
         h = constraint_value(inst, phases, prec)
         if h > inst.power_budget * (1 + 1e-9):
             return False
@@ -232,6 +242,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
         ("geometry transfer magnitude bound", _check_transfer_magnitude),
         ("wmmse surrogate identity", lambda: _check_fp_identity(rng)),
         ("wmmse analog gradient vs finite differences", lambda: _check_analog_gradient(rng)),
+        ("wmmse analog factor vs dense quadratic form", lambda: _check_analog_factor(rng)),
         ("wmmse dual feasibility + slackness", lambda: _check_dual_feasibility(rng)),
         ("zfwf water-filling vs bisection oracle", lambda: _check_waterfill(rng)),
         ("zfwf zero interference", lambda: _check_zf(rng)),

@@ -21,8 +21,7 @@ in that order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "digital_precoder",
     "dual_search",
     "bcd_solve",
-    "dump_trace",
 ]
 
 _MIN_STEP = 1e-12
@@ -109,18 +107,27 @@ class AuxVariables:
 
 @dataclass(frozen=True)
 class AnalogSubproblem:
-    """Phase subproblem data: maximise 2 Re{psi^H nu} - psi^H U psi over |psi_m| = 1."""
+    """Phase subproblem data: maximise 2 Re{psi^H nu} - psi^H U psi over |psi_m| = 1.
 
-    linear_term: np.ndarray     # nu, (M,) complex
-    quadratic_term: np.ndarray  # U, (M, M) complex Hermitian PSD
+    U = A^H A is held as its K^2 x M factor A, so psi^H U psi = ||A psi||^2
+    and the solver never forms the M x M matrix U.
+    """
+
+    linear_term: np.ndarray  # nu, (M,) complex
+    factor: np.ndarray       # A, (R, M) complex, U = A^H A
 
     def __post_init__(self):
         nu = np.asarray(self.linear_term, dtype=complex)
-        u = np.asarray(self.quadratic_term, dtype=complex)
-        if nu.ndim != 1 or u.shape != (nu.size, nu.size):
+        a = np.asarray(self.factor, dtype=complex)
+        if nu.ndim != 1 or a.ndim != 2 or a.shape[1] != nu.size:
             raise SolverError("inconsistent subproblem shapes")
         object.__setattr__(self, "linear_term", nu)
-        object.__setattr__(self, "quadratic_term", u)
+        object.__setattr__(self, "factor", a)
+
+    @property
+    def quadratic_term(self) -> np.ndarray:
+        """U = A^H A, (M, M) Hermitian PSD; built on demand for tests and oracles."""
+        return self.factor.conj().T @ self.factor
 
 
 def _signal_terms(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder):
@@ -172,39 +179,49 @@ def build_analog_subproblem(
     precoder: Precoder,
     aux: AuxVariables,
 ) -> AnalogSubproblem:
-    """Collect the phase-dependent part of f1 into (nu, U).
+    """Collect the phase-dependent part of f1 into nu and the factor A of U.
 
     With a_{k,i} = h_k * (T b_i) elementwise (the per-element path from stream
     i to user k) and psi = exp(j phi), the phase-dependent terms of f1 are
     2 Re{psi^H nu} - psi^H U psi - sigma^2 sum_k |y_k|^2 where
 
         nu = sum_k sqrt(w_k (1 + gamma_k)) y_k conj(a_{k,k}),
-        U  = sum_k |y_k|^2 sum_i conj(a_{k,i}) a_{k,i}^T.
+        U  = sum_k |y_k|^2 sum_i conj(a_{k,i}) a_{k,i}^T = A^H A,
+
+    and A stacks the K^2 rows |y_k| a_{k,i}^T.
     """
     tb = inst.transfer @ precoder.matrix  # (M, K), column i = T b_i
     paths = inst.channel[:, np.newaxis, :] * tb.T[np.newaxis, :, :]  # (K, K, M), [k, i]
     scale = np.sqrt(inst.weights * (1.0 + aux.gamma))
     self_paths = paths[np.arange(inst.n_users), np.arange(inst.n_users)]  # (K, M)
     nu = (scale * aux.y) @ np.conj(self_paths)
-    weights_sq = np.abs(aux.y) ** 2
-    u = np.einsum("k,kim,kin->mn", weights_sq, np.conj(paths), paths, optimize=True)
-    return AnalogSubproblem(linear_term=nu, quadratic_term=u)
+    factor = np.abs(aux.y)[:, np.newaxis, np.newaxis] * paths
+    return AnalogSubproblem(linear_term=nu, factor=factor.reshape(-1, nu.size))
+
+
+def _objective_terms(sub: AnalogSubproblem, psi: np.ndarray):
+    """Return (f3, A psi) at phasor psi, with f3 = 2 Re{psi^H nu} - ||A psi||^2."""
+    a_psi = sub.factor @ psi
+    value = 2.0 * np.real(np.vdot(psi, sub.linear_term)) - np.real(np.vdot(a_psi, a_psi))
+    return float(value), a_psi
+
+
+def _gradient(sub: AnalogSubproblem, psi: np.ndarray, a_psi: np.ndarray) -> np.ndarray:
+    """grad_m = 2 Re{-j conj(psi_m) (nu - U psi)_m}, with U psi = A^H (A psi)."""
+    u_psi = np.conj(np.conj(a_psi) @ sub.factor)
+    return 2.0 * np.real(-1j * np.conj(psi) * (sub.linear_term - u_psi))
 
 
 def analog_objective(sub: AnalogSubproblem, phases: PhaseConfig) -> float:
     """f3(phi) = 2 Re{psi^H nu} - psi^H U psi at psi = exp(j phi)."""
-    psi = phases.phasor()
-    quad = np.real(np.vdot(psi, sub.quadratic_term @ psi))
-    return float(2.0 * np.real(np.vdot(psi, sub.linear_term)) - quad)
+    return _objective_terms(sub, phases.phasor())[0]
 
 
 def analog_objective_and_gradient(sub: AnalogSubproblem, phases: PhaseConfig):
     """Return (f3, grad f3) where grad_m = 2 Re{-j exp(-j phi_m) (nu - U psi)_m}."""
     psi = phases.phasor()
-    u_psi = sub.quadratic_term @ psi
-    value = float(2.0 * np.real(np.vdot(psi, sub.linear_term)) - np.real(np.vdot(psi, u_psi)))
-    grad = 2.0 * np.real(-1j * np.conj(psi) * (sub.linear_term - u_psi))
-    return value, grad
+    value, a_psi = _objective_terms(sub, psi)
+    return value, _gradient(sub, psi, a_psi)
 
 
 def _wrap(phases: np.ndarray) -> np.ndarray:
@@ -212,17 +229,26 @@ def _wrap(phases: np.ndarray) -> np.ndarray:
 
 
 def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettings):
-    """Projected gradient ascent with Armijo backtracking; returns (phases, steps, value)."""
+    """Projected gradient ascent with Armijo backtracking; returns (phases, steps, evals).
+
+    ``evals`` counts objective evaluations, rejected trial points included.  A
+    non-finite trial value never passes the Armijo test, so the phases
+    validated on return are finite.
+    """
     phi = _wrap(phases_init.phases)
-    value, grad = analog_objective_and_gradient(sub, PhaseConfig(phi))
-    steps = 0
+    psi = np.exp(1j * phi)
+    value, a_psi = _objective_terms(sub, psi)
+    steps, evals = 0, 1
     for _ in range(settings.pga_max_iters):
+        grad = _gradient(sub, psi, a_psi)
         grad_sq = float(grad @ grad)
         tau = settings.tau_init
         accepted = False
         while tau >= _MIN_STEP:
             candidate = _wrap(phi + tau * grad)
-            cand_value = analog_objective(sub, PhaseConfig(candidate))
+            cand_psi = np.exp(1j * candidate)
+            cand_value, cand_a_psi = _objective_terms(sub, cand_psi)
+            evals += 1
             if cand_value - value >= settings.armijo_zeta * tau * grad_sq:
                 accepted = True
                 break
@@ -230,12 +256,11 @@ def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettin
         if not accepted:
             break
         improvement = cand_value - value
-        phi = candidate
-        value, grad = analog_objective_and_gradient(sub, PhaseConfig(phi))
+        phi, psi, value, a_psi = candidate, cand_psi, cand_value, cand_a_psi
         steps += 1
         if improvement <= 0.0:
             break  # flat accept (zero gradient); nothing left to gain
-    return PhaseConfig(phi), steps, value
+    return PhaseConfig(phi), steps, evals
 
 
 def optimize_phases(
@@ -410,7 +435,8 @@ def bcd_solve(
     Stops once the weighted-sum-rate gain of an iteration drops to
     ``settings.bcd_epsilon`` or below, or after ``bcd_max_iters`` iterations.
     The returned trace holds (iteration, wsr) pairs starting at iteration 0
-    (the initial point); ``detail`` carries per-iteration diagnostics.
+    (the initial point); ``detail`` carries per-iteration diagnostics, among
+    them the phase block's accepted steps and objective evaluations.
     """
     # Recompute slack against this instance rather than trusting the value
     # stored on the init, which may have been produced for another budget.
@@ -426,10 +452,10 @@ def bcd_solve(
         gamma = update_gamma(inst, phases, precoder)
         y = update_y(inst, phases, precoder, gamma)
         aux = AuxVariables(gamma=gamma, y=y)
-        pga_steps = 0
+        pga_steps = phase_evals = 0
         if not settings.freeze_phases:
             sub = build_analog_subproblem(inst, precoder, aux)
-            phases, pga_steps, _ = _pga(sub, phases, settings)
+            phases, pga_steps, phase_evals = _pga(sub, phases, settings)
         precoder, mu = dual_search(inst, phases, aux, settings)
         new = wsr(inst, phases, precoder)
         trace.append((iteration, new))
@@ -440,6 +466,7 @@ def bcd_solve(
                 "surrogate": surrogate_objective(inst, phases, precoder, aux),
                 "mu": mu,
                 "pga_steps": pga_steps,
+                "phase_evals": phase_evals,
             }
         )
         gain = new - current
@@ -448,9 +475,3 @@ def bcd_solve(
             break
     return _solution_from_state(inst, phases, precoder, trace, detail)
 
-
-def dump_trace(detail, path) -> None:
-    """Write bcd_solve per-iteration diagnostics to a JSON file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(list(detail), fh, indent=2)
-        fh.write("\n")

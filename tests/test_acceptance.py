@@ -127,7 +127,7 @@ def test_criterion_03_gradient_oracle():
     for _ in range(100):
         nu = complex_normal(rng, m)
         a = complex_normal(rng, m, m) / np.sqrt(m)
-        sub = AnalogSubproblem(linear_term=nu, quadratic_term=a.conj().T @ a)
+        sub = AnalogSubproblem(linear_term=nu, factor=a)
         phi = rng.uniform(0.0, 2.0 * np.pi, m)
         _, grad = analog_objective_and_gradient(sub, PhaseConfig(phi))
         for i in range(m):

@@ -121,6 +121,26 @@ def test_analog_subproblem_hermitian_psd():
         assert np.linalg.eigvalsh(u)[0] > -1e-8 * np.linalg.norm(u)
 
 
+def test_analog_factor_matches_dense_quadratic_form():
+    # The factor A must reproduce U = sum_k |y_k|^2 sum_i conj(a_ki) a_ki^T,
+    # and the objective must equal 2 Re{psi^H nu} - psi^H U psi with that U.
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        m, n, k = 12, 3, 4
+        inst = make_instance(rng, m=m, n=n, k=k)
+        prec = random_precoder(rng, n, k)
+        aux = random_aux(rng, k)
+        sub = build_analog_subproblem(inst, prec, aux)
+        paths = inst.channel[:, np.newaxis, :] * (inst.transfer @ prec.matrix).T[np.newaxis]
+        u = np.einsum("k,kim,kin->mn", np.abs(aux.y) ** 2, np.conj(paths), paths)
+        assert np.linalg.norm(sub.quadratic_term - u) <= 1e-12 * np.linalg.norm(u)
+        phases = random_phases(rng, m)
+        psi = phases.phasor()
+        linear = 2.0 * np.real(np.vdot(psi, sub.linear_term))
+        quad = np.real(np.vdot(psi, u @ psi))
+        assert abs(analog_objective(sub, phases) - (linear - quad)) <= 1e-12 * (abs(linear) + quad)
+
+
 def test_subproblem_expansion_matches_surrogate():
     # The phase-dependent part of f1 is exactly 2 Re{psi^H nu} - psi^H U psi
     # minus the constant sigma^2 sum |y|^2.
@@ -163,7 +183,7 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_zero_at_aligned_phases():
     nu = np.array([2.5 + 0.0j, 0.0, 0.0])
-    sub = AnalogSubproblem(linear_term=nu, quadratic_term=np.zeros((3, 3), dtype=complex))
+    sub = AnalogSubproblem(linear_term=nu, factor=np.zeros((0, 3)))
     value, grad = analog_objective_and_gradient(sub, PhaseConfig(np.zeros(3)))
     assert abs(value - 5.0) < 1e-12
     assert np.allclose(grad, 0.0, atol=1e-12)
@@ -172,7 +192,7 @@ def test_gradient_zero_at_aligned_phases():
 def test_pga_linear_term_alignment():
     rng = np.random.default_rng(40)
     nu = complex_normal(rng, 8)
-    sub = AnalogSubproblem(linear_term=nu, quadratic_term=np.zeros((8, 8), dtype=complex))
+    sub = AnalogSubproblem(linear_term=nu, factor=np.zeros((0, 8)))
     phases = optimize_phases(sub, PhaseConfig(rng.uniform(0, 2 * np.pi, 8)), SolverSettings())
     best = 2.0 * float(np.sum(np.abs(nu)))
     assert analog_objective(sub, phases) > (1.0 - 1e-8) * best

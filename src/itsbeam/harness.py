@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelParams, sample_channel, sample_direct_channel, sample_user_drop
-from .errors import SolverError
+from .errors import BeamformingError, SolverError
 from .geometry import (
     GeometryConfig,
     IlluminationMode,
@@ -38,6 +38,7 @@ from .geometry import (
     build_transfer_matrix,
     characteristic_distance,
 )
+# sinr and constraint_value stay module attributes: call-site tracers wrap them here.
 from .model import (
     ConstraintKind,
     PhaseConfig,
@@ -260,7 +261,6 @@ def _resolve_sweep(spec: ExperimentSpec, sweep_value: float):
 def build_trial_instance(
     spec: ExperimentSpec,
     sweep_value: float,
-    trial_index: int,
     illumination: IlluminationMode,
     rng_channel: np.random.Generator,
 ):
@@ -303,19 +303,8 @@ def _bcd_init(inst, phases=None):
     blended = (1.0 - _REVIVAL_BLEND) * powers + _REVIVAL_BLEND * equal
     directions = zf_directions(effective_channel(inst, sol.phases))
     precoder = Precoder(directions * np.sqrt(blended)[np.newaxis, :])
-    s = sinr(inst, sol.phases, precoder)
-    se = np.log2(1.0 + s)
-    value = float(inst.weights @ se)
-    return Solution(
-        phases=sol.phases,
-        precoder=precoder,
-        sinr=s,
-        spectral_efficiency=se,
-        wsr=value,
-        constraint_slack=inst.power_budget - constraint_value(inst, sol.phases, precoder),
-        power_budget=inst.power_budget,
-        trace=((0, value),),
-        detail=dict(sol.detail, powers=blended.tolist(), revived=True),
+    return Solution.from_state(
+        inst, sol.phases, precoder, detail=dict(sol.detail, powers=blended.tolist(), revived=True)
     )
 
 
@@ -341,9 +330,7 @@ def _solve_for_method(spec, sweep_value, method, illumination, streams):
     effective_illumination = (
         IlluminationMode.FULL if method is Method.RANDOM_PHASES else illumination
     )
-    inst, layout, _ = build_trial_instance(
-        spec, sweep_value, 0, effective_illumination, rng_channel
-    )
+    inst, layout, _ = build_trial_instance(spec, sweep_value, effective_illumination, rng_channel)
     if method is Method.ZF_WF:
         return zfwf_solve(inst), spec.constraint
     if method is Method.WMMSE_BCD:
@@ -366,8 +353,9 @@ def run_trial(
 ) -> ResultRecord:
     """Run one (grid value, trial, method, illumination) cell.
 
-    Solver failures become records with NaN wsr rather than exceptions, so a
-    long sweep cannot be lost to a single bad trial.
+    Failures (any itsbeam error, or a numpy LinAlgError) become records with
+    NaN wsr and 0 iterations rather than exceptions, so a long sweep cannot be
+    lost to a single bad trial.
     """
     streams = _trial_streams(spec.base_seed, trial_index)
     start = time.perf_counter()
@@ -377,7 +365,7 @@ def run_trial(
         )
         value = solution.wsr
         iterations = int(solution.trace[-1][0])
-    except SolverError:
+    except (BeamformingError, np.linalg.LinAlgError):
         value = math.nan
         iterations = 0
         applied_constraint = (

@@ -184,6 +184,24 @@ class Solution:
         object.__setattr__(self, "sinr", s)
         object.__setattr__(self, "spectral_efficiency", se)
 
+    @classmethod
+    def from_state(cls, inst, phases, precoder, trace=None, detail=None) -> Solution:
+        """SINR, rates, WSR and slack at (phases, precoder); ``trace`` defaults to ((0, wsr),)."""
+        s = sinr(inst, phases, precoder)
+        se = np.log2(1.0 + s)
+        value = float(inst.weights @ se)
+        return cls(
+            phases=phases,
+            precoder=precoder,
+            sinr=s,
+            spectral_efficiency=se,
+            wsr=value,
+            constraint_slack=inst.power_budget - constraint_value(inst, phases, precoder),
+            power_budget=inst.power_budget,
+            trace=((0, value),) if trace is None else tuple(trace),
+            detail=detail,
+        )
+
 
 def _check_phases(inst: SystemInstance, phases: PhaseConfig) -> None:
     if phases.phases.shape != (inst.n_elements,):

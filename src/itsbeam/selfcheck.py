@@ -38,6 +38,7 @@ from .wmmse import (
     update_gamma,
     update_y,
 )
+from .wmmse import _power_curve, _precoder_system, _regularizer
 from .zfwf import waterfill, zfwf_solve
 from .harness import Method, default_experiment_spec, run_trial
 
@@ -175,6 +176,19 @@ def _check_dual_feasibility(rng) -> bool:
     return True
 
 
+def _check_dual_power_curve(rng) -> bool:
+    for constraint in ConstraintKind:
+        inst, phases, _, aux = _random_point(rng, constraint=constraint)
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+        reg = _regularizer(inst)
+        power = _power_curve(gram, rhs, reg)
+        for mu in np.logspace(-3, 3, 13):
+            prec = Precoder(np.linalg.solve(gram + mu * reg, rhs))
+            if abs(power(mu) - constraint_value(inst, phases, prec)) > 1e-10 * power(mu):
+                return False
+    return True
+
+
 def _check_waterfill(rng) -> bool:
     w = rng.uniform(0.5, 2.0, 4)
     a = rng.uniform(0.1, 3.0, 4)
@@ -247,6 +261,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
         ("zfwf water-filling vs bisection oracle", lambda: _check_waterfill(rng)),
         ("zfwf zero interference", lambda: _check_zf(rng)),
         ("bcd monotone ascent", lambda: _check_bcd_monotone(rng)),
+        ("wmmse dual power curve vs explicit solves", lambda: _check_dual_power_curve(rng)),
         ("harness trial determinism", _check_harness_determinism),
     ]
     all_ok = True

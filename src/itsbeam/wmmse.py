@@ -329,16 +329,29 @@ def digital_precoder(
     """
     if mu < 0:
         raise SolverError("mu must be nonnegative")
-    heff = effective_channel(inst, phases)
-    gram, rhs = _precoder_system(inst, heff, aux)
+    gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
     lhs = gram + mu * _regularizer(inst)
     lam = np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))
     if lam[0] <= lam[-1] * _RANK_RTOL:
         raise SolverError("singular precoder system: needs positive dual (mu > 0)")
-    matrix = np.linalg.solve(lhs, rhs)
-    if not np.all(np.isfinite(matrix)):
-        raise SolverError("singular precoder system: needs positive dual (mu > 0)")
-    return Precoder(matrix)
+    return Precoder(np.linalg.solve(lhs, rhs))
+
+
+def _power_curve(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray):
+    """h(mu) = tr(B^H reg B) at B = solve(gram + mu reg, rhs), in closed form for mu > 0.
+
+    With reg = L L^H and L^-1 gram L^-H = V diag(lam) V^H, B = L^-H V (lam + mu)^-1
+    V^H L^-1 rhs, so h(mu) = sum_j e_j / (lam_j + mu)^2 with e_j the squared norm
+    of row j of V^H L^-1 rhs.  h is the active constraint value of B for both kinds.
+    """
+    try:
+        chol = np.linalg.cholesky(reg)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("constraint curvature R is singular: no dual power curve") from exc
+    linv = np.linalg.inv(chol)
+    lam, vecs = np.linalg.eigh(linv @ gram @ linv.conj().T)
+    e = np.sum(np.abs(vecs.conj().T @ (linv @ rhs)) ** 2, axis=1)
+    return lambda mu: float(e @ (1.0 / (lam + mu) ** 2))
 
 
 def dual_search(
@@ -353,75 +366,52 @@ def dual_search(
     feasible it is returned directly; otherwise the power h(mu), which is
     non-increasing in mu, is bisected until the budget is met within
     ``dual_tolerance`` relative tolerance (tightened when mu is large so that
-    complementary slackness holds at the same tolerance).
+    complementary slackness holds at the same tolerance).  The bisection runs on
+    h(mu) = sum_j e_j / (lam_j + mu)^2 from one generalised eigendecomposition of
+    (gram, R) (``_power_curve``; Shi et al., "An Iteratively Weighted MMSE
+    Approach...", IEEE TSP 2011, eq. (15)), and the precoder is solved once, at
+    the accepted mu.
     """
     budget = inst.power_budget
     tol = settings.dual_tolerance * budget
-    heff = effective_channel(inst, phases)
-    gram, rhs = _precoder_system(inst, heff, aux)
+    gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
     reg = _regularizer(inst)
-
-    def power_at(mu: float):
-        matrix = np.linalg.solve(gram + mu * reg, rhs)
-        if not np.all(np.isfinite(matrix)):
-            raise SolverError("dual-regularised solve produced a non-finite precoder")
-        prec = Precoder(matrix)
-        return prec, constraint_value(inst, phases, prec)
 
     # The mu = 0 optimum needs rank-aware handling: users with y_k = 0 leave
     # the gram singular, and a naive solve then reports roundoff-level power
     # instead of the finite mu -> 0+ limit.
     prec0 = _limit_precoder(gram, rhs, reg)
-    h0 = constraint_value(inst, phases, prec0)
-    if h0 <= budget:
+    if constraint_value(inst, phases, prec0) <= budget:
         return prec0, 0.0
 
+    power_at = _power_curve(gram, rhs, reg)
     hi = 1.0
-    prec_hi, h_hi = power_at(hi)
+    h_hi = power_at(hi)
     doublings = 0
     while h_hi >= budget:
         hi *= 2.0
         doublings += 1
         if doublings > 200:
             raise SolverError("dual bracket expansion failed: power never fell below budget")
-        prec_hi, h_hi = power_at(hi)
+        h_hi = power_at(hi)
     lo = hi / 2.0 if doublings else 0.0
 
     for _ in range(settings.dual_max_iters):
         gap = budget - h_hi
         if gap <= tol and hi * gap <= tol:
-            return prec_hi, hi
+            matrix = np.linalg.solve(gram + hi * reg, rhs)
+            if not np.all(np.isfinite(matrix)):
+                raise SolverError("dual-regularised solve produced a non-finite precoder")
+            return Precoder(matrix), hi
         mid = 0.5 * (lo + hi)
-        prec_mid, h_mid = power_at(mid)
+        h_mid = power_at(mid)
         if h_mid > budget:
             lo = mid
         else:
-            hi, prec_hi, h_hi = mid, prec_mid, h_mid
+            hi, h_hi = mid, h_mid
     raise SolverError(
         f"dual bisection did not converge: bracket [{lo:.6e}, {hi:.6e}], "
         f"power gap {budget - h_hi:.3e}"
-    )
-
-
-def _solution_from_state(
-    inst: SystemInstance,
-    phases: PhaseConfig,
-    precoder: Precoder,
-    trace,
-    detail,
-) -> Solution:
-    s = sinr(inst, phases, precoder)
-    se = np.log2(1.0 + s)
-    return Solution(
-        phases=phases,
-        precoder=precoder,
-        sinr=s,
-        spectral_efficiency=se,
-        wsr=float(inst.weights @ se),
-        constraint_slack=inst.power_budget - constraint_value(inst, phases, precoder),
-        power_budget=inst.power_budget,
-        trace=tuple(trace),
-        detail=detail,
     )
 
 
@@ -473,5 +463,5 @@ def bcd_solve(
         current = new
         if gain <= settings.bcd_epsilon:
             break
-    return _solution_from_state(inst, phases, precoder, trace, detail)
+    return Solution.from_state(inst, phases, precoder, trace, detail)
 

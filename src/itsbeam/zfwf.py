@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
+# sinr and constraint_value stay module attributes: call-site tracers wrap them here.
 from .model import (
     ConstraintKind,
     PhaseConfig,
@@ -151,21 +152,9 @@ def zfwf_solve(inst: SystemInstance, phases: PhaseConfig | None = None) -> Solut
         costs = np.sum(np.abs(directions) ** 2, axis=0)
     alloc = waterfill(inst.weights, costs, inst.noise_power, inst.power_budget)
     precoder = Precoder(directions * np.sqrt(alloc.powers)[np.newaxis, :])
-    s = sinr(inst, phases, precoder)
-    se = np.log2(1.0 + s)
-    value = float(inst.weights @ se)
-    return Solution(
-        phases=phases,
-        precoder=precoder,
-        sinr=s,
-        spectral_efficiency=se,
-        wsr=value,
-        constraint_slack=inst.power_budget - constraint_value(inst, phases, precoder),
-        power_budget=inst.power_budget,
-        trace=((0, value),),
-        detail={
-            "water_level": alloc.water_level,
-            "chain_costs": alloc.chain_costs.tolist(),
-            "powers": alloc.powers.tolist(),
-        },
-    )
+    detail = {
+        "water_level": alloc.water_level,
+        "chain_costs": alloc.chain_costs.tolist(),
+        "powers": alloc.powers.tolist(),
+    }
+    return Solution.from_state(inst, phases, precoder, detail=detail)

@@ -11,6 +11,7 @@ from itsbeam import (
     ChannelParams,
     ConfigError,
     ConstraintKind,
+    DimensionMismatchError,
     GeometryConfig,
     IlluminationMode,
     Method,
@@ -34,6 +35,7 @@ from itsbeam import (
     write_results,
     write_summary,
 )
+import itsbeam.harness as harness
 from itsbeam.harness import SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, build_trial_instance
 
 
@@ -125,8 +127,8 @@ def test_common_random_numbers_across_methods():
     # Every surface method sees the same user drop and channel for a given
     # (seed, trial), so method comparisons are paired.
     spec = tiny_spec()
-    inst1, _, drop1 = build_trial_instance(spec, 30.0, 1, IlluminationMode.FULL, _trial_streams(0, 1)[0])
-    inst2, _, drop2 = build_trial_instance(spec, 30.0, 1, IlluminationMode.FULL, _trial_streams(0, 1)[0])
+    inst1, _, drop1 = build_trial_instance(spec, 30.0, IlluminationMode.FULL, _trial_streams(0, 1)[0])
+    inst2, _, drop2 = build_trial_instance(spec, 30.0, IlluminationMode.FULL, _trial_streams(0, 1)[0])
     assert np.array_equal(inst1.channel, inst2.channel)
     assert np.array_equal(drop1.distances, drop2.distances)
     assert np.array_equal(inst1.transfer, inst2.transfer)
@@ -254,6 +256,23 @@ def test_failed_trial_becomes_nan_record(tmp_path):
     write_summary(records, path)
     row = path.read_text().splitlines()[1].split(",")
     assert row[7] == "0" and row[8] == "1"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [np.linalg.LinAlgError("singular matrix"), DimensionMismatchError("constraint violated")],
+    ids=["LinAlgError", "DimensionMismatchError"],
+)
+def test_solver_exceptions_become_nan_records(monkeypatch, error):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(harness, "bcd_solve", failing_solve)
+    spec = tiny_spec(grid=[30.0], trials=1, methods=["wmmse_bcd"])
+    record = run_trial(spec, 30.0, 0, Method.WMMSE_BCD, IlluminationMode.FULL)
+    assert math.isnan(record.wsr)
+    assert record.iterations == 0
+    assert record.constraint == "tp"
 
 
 def test_bcd_init_revives_silenced_user():

@@ -30,7 +30,7 @@ from itsbeam import (
     wsr,
     zfwf_solve,
 )
-from itsbeam.wmmse import _limit_precoder, _precoder_system, _regularizer
+from itsbeam.wmmse import _limit_precoder, _power_curve, _precoder_system, _regularizer
 from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
 
 
@@ -376,6 +376,92 @@ def test_limit_precoder_matches_vanishing_mu():
         scale = np.linalg.norm(tiny)
         assert np.linalg.norm(limit - tiny) < 1e-4 * scale
         assert np.allclose(limit[:, 1], 0.0, atol=1e-12 * scale)
+
+
+def test_power_curve_matches_explicit_solves():
+    # h(mu) = sum_j e_j / (lam_j + mu)^2 equals the constraint value of the
+    # explicitly solved precoder, also when a silent user (y_k = 0) leaves the
+    # gram rank-deficient.
+    rng = np.random.default_rng(57)
+    for constraint in ConstraintKind:
+        for silent in (False, True):
+            inst = make_instance(rng, m=6, n=4, k=3, constraint=constraint)
+            phases = random_phases(rng, 6)
+            aux = random_aux(rng, 3)
+            if silent:
+                aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
+            gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+            reg = _regularizer(inst)
+            power = _power_curve(gram, rhs, reg)
+            for mu in np.logspace(-6, 6, 25):
+                explicit = constraint_value(
+                    inst, phases, Precoder(np.linalg.solve(gram + mu * reg, rhs))
+                )
+                assert abs(power(mu) - explicit) <= 1e-10 * explicit
+
+
+def bisection_oracle(inst, phases, aux, settings):
+    """The dual search as bisection over explicit solves, one per trial mu."""
+    budget = inst.power_budget
+    tol = settings.dual_tolerance * budget
+    gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+    reg = _regularizer(inst)
+
+    def power_at(mu):
+        prec = Precoder(np.linalg.solve(gram + mu * reg, rhs))
+        return prec, constraint_value(inst, phases, prec)
+
+    prec0 = _limit_precoder(gram, rhs, reg)
+    if constraint_value(inst, phases, prec0) <= budget:
+        return prec0, 0.0
+    hi = 1.0
+    prec_hi, h_hi = power_at(hi)
+    while h_hi >= budget:
+        hi *= 2.0
+        prec_hi, h_hi = power_at(hi)
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(settings.dual_max_iters):
+        gap = budget - h_hi
+        if gap <= tol and hi * gap <= tol:
+            return prec_hi, hi
+        mid = 0.5 * (lo + hi)
+        prec_mid, h_mid = power_at(mid)
+        if h_mid > budget:
+            lo = mid
+        else:
+            hi, prec_hi, h_hi = mid, prec_mid, h_mid
+    raise AssertionError("oracle bisection did not converge")
+
+
+def test_dual_search_matches_explicit_bisection():
+    rng = np.random.default_rng(58)
+    settings = SolverSettings()
+    for constraint in ConstraintKind:
+        active = 0
+        for _ in range(20):
+            budget = 10.0 ** rng.uniform(-2.0, 1.0)
+            inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint, power_budget=budget)
+            phases = random_phases(rng, 6)
+            aux = random_aux(rng, 3)
+            prec, mu = dual_search(inst, phases, aux, settings)
+            oracle_prec, oracle_mu = bisection_oracle(inst, phases, aux, settings)
+            assert abs(mu - oracle_mu) <= 1e-12 * oracle_mu
+            assert np.allclose(prec.matrix, oracle_prec.matrix, rtol=1e-12, atol=0)
+            active += mu > 0
+        assert active >= 10
+
+
+def test_dual_search_singular_curvature_is_solver_error():
+    # A dead RF chain makes R = T^H T singular under RP: no power curve exists.
+    rng = np.random.default_rng(59)
+    inst = make_instance(
+        rng, m=6, n=3, k=2, constraint=ConstraintKind.RADIATED_POWER, power_budget=1e-6
+    )
+    transfer = inst.transfer.copy()
+    transfer[:, 2] = 0.0
+    inst = replace(inst, transfer=transfer)
+    with pytest.raises(SolverError, match="curvature"):
+        dual_search(inst, random_phases(rng, 6), random_aux(rng, 2), SolverSettings())
 
 
 def test_bcd_ascent_property():

@@ -75,7 +75,7 @@ print("  powers (uW)   :", np.round(np.asarray(zf.detail["powers"]) * 1e6, 2))
 settings = SolverSettings()
 sol = bcd_solve(inst, settings, zf)
 iters = sol.trace[-1][0]
-capped = " (hit the iteration cap)" if iters == settings.bcd_max_iters else ""
+capped = " (hit the iteration cap)" if sol.detail[-1]["stop"] == "iteration_cap" else ""
 print()
 print(f"bcd wsr after {iters} iterations{capped}: {sol.wsr:.4f} bit/s/Hz")
 print("  per-user rate :", np.round(sol.spectral_efficiency, 3))

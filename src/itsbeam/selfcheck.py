@@ -216,7 +216,7 @@ def _check_zf(rng) -> bool:
     cross = heff @ solution.precoder.matrix
     diag = np.abs(np.diag(cross))
     off = np.abs(cross - np.diag(np.diag(cross)))
-    if np.any(off > 1e-6 * diag.min()):
+    if np.any(off > 1e-6 * diag.max()):
         return False
     return bool(
         np.allclose(

@@ -63,7 +63,9 @@ class SolverSettings:
 
     ``freeze_phases`` skips the analog block entirely, which turns the solver
     into plain digital WMMSE for fixed surface phases (used by the
-    random-phase and no-surface baselines).
+    random-phase and no-surface baselines).  ``tau_init`` is each phase-block
+    call's first trial step and largest step; later searches start at the last
+    accepted step (``_pga`` says when the steps match full backtracking).
     """
 
     bcd_epsilon: float = 1e-3
@@ -229,34 +231,48 @@ def _wrap(phases: np.ndarray) -> np.ndarray:
 
 
 def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettings):
-    """Projected gradient ascent with Armijo backtracking; returns (phases, steps, evals).
+    """Projected gradient ascent with Armijo line search; returns (phases, steps, evals).
 
-    ``evals`` counts objective evaluations, rejected trial points included.  A
-    non-finite trial value never passes the Armijo test, so the phases
-    validated on return are finite.
+    Trial steps sit on one ladder tau_init * shrink^k, k = 0, 1, ...  Each search
+    starts at the previous accepted k (the first at k = 0): a failing start
+    backtracks down the ladder, a passing one expands up it while trials pass
+    (Nocedal & Wright, Numerical Optimization, sec. 3.5).  The step is the one
+    full backtracking from tau_init takes unless a ladder step below that one
+    and at or above the start fails the test; then it is another Armijo step,
+    or none if no step at or below the start passes.  ``evals`` counts every
+    objective evaluation, rejected trials included.  A non-finite trial value
+    never passes the Armijo test, so the phases validated on return are finite.
     """
+    ladder, tau = [], settings.tau_init
+    while tau >= _MIN_STEP:
+        ladder.append(tau)
+        tau *= settings.armijo_shrink
     phi = _wrap(phases_init.phases)
     psi = np.exp(1j * phi)
     value, a_psi = _objective_terms(sub, psi)
-    steps, evals = 0, 1
+    steps, evals, start = 0, 1, 0
     for _ in range(settings.pga_max_iters):
         grad = _gradient(sub, psi, a_psi)
         grad_sq = float(grad @ grad)
-        tau = settings.tau_init
-        accepted = False
-        while tau >= _MIN_STEP:
-            candidate = _wrap(phi + tau * grad)
+        k, accepted = start, None
+        while 0 <= k < len(ladder):
+            candidate = _wrap(phi + ladder[k] * grad)
             cand_psi = np.exp(1j * candidate)
             cand_value, cand_a_psi = _objective_terms(sub, cand_psi)
             evals += 1
-            if cand_value - value >= settings.armijo_zeta * tau * grad_sq:
-                accepted = True
-                break
-            tau *= settings.armijo_shrink
-        if not accepted:
+            if cand_value - value >= settings.armijo_zeta * ladder[k] * grad_sq:
+                accepted = (k, candidate, cand_psi, cand_value, cand_a_psi)
+                if k > start:
+                    break  # first passing step below a failing start
+                k -= 1
+            elif accepted is not None:
+                break  # the step above the accepted one fails
+            else:
+                k += 1
+        if accepted is None:
             break
-        improvement = cand_value - value
-        phi, psi, value, a_psi = candidate, cand_psi, cand_value, cand_a_psi
+        start, phi, psi, new_value, a_psi = accepted
+        improvement, value = new_value - value, new_value
         steps += 1
         if improvement <= 0.0:
             break  # flat accept (zero gradient); nothing left to gain
@@ -423,7 +439,8 @@ def bcd_solve(
     """Run outer BCD iterations (gamma, y, phases, precoder) from a feasible start.
 
     Stops once the weighted-sum-rate gain of an iteration drops to
-    ``settings.bcd_epsilon`` or below, or after ``bcd_max_iters`` iterations.
+    ``settings.bcd_epsilon`` or below, or after ``bcd_max_iters`` iterations;
+    the last ``detail`` row's ``stop`` says which ("converged", "iteration_cap").
     The returned trace holds (iteration, wsr) pairs starting at iteration 0
     (the initial point); ``detail`` carries per-iteration diagnostics, among
     them the phase block's accepted steps and objective evaluations.
@@ -462,6 +479,9 @@ def bcd_solve(
         gain = new - current
         current = new
         if gain <= settings.bcd_epsilon:
+            detail[-1]["stop"] = "converged"
             break
+    else:
+        detail[-1]["stop"] = "iteration_cap"
     return Solution.from_state(inst, phases, precoder, trace, detail)
 

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from itsbeam import CSV_HEADER
+from itsbeam import CSV_HEADER, zfwf_solve
 from itsbeam.cli import main
+from itsbeam.selfcheck import _check_zf, _random_instance
 
 TINY_CONFIG = """
 system:
@@ -139,3 +141,11 @@ def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_selfcheck_zf_passes_with_a_user_switched_off():
+    # On this draw water-filling gives user 2 zero power, so its signal is 0
+    # and only roundoff interference remains in the cross-gain matrix.
+    powers = zfwf_solve(_random_instance(np.random.default_rng(1))).detail["powers"]
+    assert np.count_nonzero(powers) == 3
+    assert _check_zf(np.random.default_rng(1))

@@ -9,16 +9,19 @@ from itsbeam import (
     AnalogSubproblem,
     AuxVariables,
     ConstraintKind,
+    IlluminationMode,
     PhaseConfig,
     Precoder,
     SolverError,
     SolverSettings,
+    SweepKind,
     SystemInstance,
     analog_objective,
     analog_objective_and_gradient,
     bcd_solve,
     build_analog_subproblem,
     constraint_value,
+    default_experiment_spec,
     digital_precoder,
     dual_search,
     effective_channel,
@@ -30,7 +33,8 @@ from itsbeam import (
     wsr,
     zfwf_solve,
 )
-from itsbeam.wmmse import _limit_precoder, _power_curve, _precoder_system, _regularizer
+from itsbeam.harness import _bcd_init, _trial_streams, build_trial_instance
+from itsbeam.wmmse import _limit_precoder, _pga, _power_curve, _precoder_system, _regularizer
 from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
 
 
@@ -213,6 +217,93 @@ def test_pga_never_decreases_objective():
             new_value = analog_objective(sub, phases)
             assert new_value >= value - 1e-12
             value = new_value
+
+
+def step_ladder(settings):
+    ladder, tau = [], settings.tau_init
+    while tau >= 1e-12:
+        ladder.append(tau)
+        tau *= settings.armijo_shrink
+    return ladder
+
+
+def full_backtracking_pga(sub, phases_init, settings):
+    """The phase block with every Armijo search restarted at tau_init."""
+    phi = np.mod(phases_init.phases, 2.0 * np.pi)
+    value = analog_objective(sub, PhaseConfig(phi))
+    steps, evals = 0, 1
+    for _ in range(settings.pga_max_iters):
+        grad = analog_objective_and_gradient(sub, PhaseConfig(phi))[1]
+        grad_sq = float(grad @ grad)
+        for tau in step_ladder(settings):
+            candidate = np.mod(phi + tau * grad, 2.0 * np.pi)
+            cand_value = analog_objective(sub, PhaseConfig(candidate))
+            evals += 1
+            if cand_value - value >= settings.armijo_zeta * tau * grad_sq:
+                break
+        else:
+            break
+        improvement = cand_value - value
+        phi, value = candidate, cand_value
+        steps += 1
+        if improvement <= 0.0:
+            break
+    return PhaseConfig(phi), steps, evals
+
+
+def test_pga_matches_full_backtracking_on_reference_trials():
+    # Phase subproblems of the reference RP setup at 40 dBm, from the
+    # harness's zero-forcing start and two BCD iterations after it.
+    # Per subproblem the saving ranges from about 1.6x to 5x; the bound is on
+    # the total.
+    spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
+    settings = spec.solver
+    evals, oracle_evals = 0, 0
+    for trial in range(3):
+        rng = _trial_streams(spec.base_seed, trial)[0]
+        inst = build_trial_instance(spec, 40.0, IlluminationMode.FULL, rng)[0]
+        start = _bcd_init(inst)
+        phases, precoder = start.phases, start.precoder
+        for _ in range(3):
+            aux = optimal_aux(inst, phases, precoder)
+            sub = build_analog_subproblem(inst, precoder, aux)
+            new, steps, count = _pga(sub, phases, settings)
+            oracle, oracle_steps, oracle_count = full_backtracking_pga(sub, phases, settings)
+            assert np.array_equal(new.phases, oracle.phases)
+            assert steps == oracle_steps
+            evals, oracle_evals = evals + count, oracle_evals + oracle_count
+            phases = new
+            precoder = dual_search(inst, phases, aux, settings)[0]
+    assert 2 * evals <= oracle_evals
+
+
+def test_warm_started_steps_pass_armijo_and_never_descend():
+    # Calls capped at n steps replay the first n steps of the uncapped search,
+    # so step n is read off as the move from the (n-1)-step to the n-step result.
+    rng = np.random.default_rng(60)
+    settings = SolverSettings()
+    ladder = step_ladder(settings)
+    for _ in range(8):
+        inst = make_instance(rng, m=6, n=3, k=3)
+        sub = build_analog_subproblem(inst, random_precoder(rng, 3, 3), random_aux(rng, 3))
+        init = random_phases(rng, 6)
+        prev = PhaseConfig(np.mod(init.phases, 2.0 * np.pi))
+        for n in range(1, settings.pga_max_iters + 1):
+            value, grad = analog_objective_and_gradient(sub, prev)
+            phases, steps, _ = _pga(sub, init, replace(settings, pga_max_iters=n))
+            new_value = analog_objective(sub, phases)
+            assert new_value >= value
+            if steps < n:
+                assert np.array_equal(phases.phases, prev.phases)
+                break
+            taus = [
+                tau
+                for tau in ladder
+                if np.array_equal(np.mod(prev.phases + tau * grad, 2.0 * np.pi), phases.phases)
+            ]
+            assert taus, "the step is not a ladder step along the gradient"
+            assert new_value - value >= settings.armijo_zeta * taus[0] * float(grad @ grad)
+            prev = phases
 
 
 def test_digital_precoder_scalar_case():
@@ -503,6 +594,21 @@ def test_bcd_stopping_rule():
     assert values[-1] - values[-2] <= settings.bcd_epsilon
     again = bcd_solve(inst, settings, sol)
     assert again.wsr - sol.wsr <= settings.bcd_epsilon + 1e-9
+
+
+def test_bcd_stop_reason():
+    rng = np.random.default_rng(54)
+    inst = make_instance(rng, m=8, n=3, k=3, noise_power=0.1, power_budget=1.0)
+    init = zfwf_solve(inst)
+    capped = bcd_solve(inst, SolverSettings(bcd_epsilon=1e-9, bcd_max_iters=1), init)
+    assert capped.detail[-1]["stop"] == "iteration_cap"
+    settings = SolverSettings(bcd_epsilon=1e-2, bcd_max_iters=500)
+    converged = bcd_solve(inst, settings, init)
+    assert converged.detail[-1]["stop"] == "converged"
+    assert all("stop" not in row for row in converged.detail[:-1])
+    # Converging on the last allowed iteration is still a convergence.
+    at_cap = bcd_solve(inst, replace(settings, bcd_max_iters=len(converged.detail)), init)
+    assert at_cap.detail[-1]["stop"] == "converged"
 
 
 def test_bcd_freeze_phases():

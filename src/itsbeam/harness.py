@@ -386,11 +386,6 @@ def run_trial(
     )
 
 
-def _task_record(args) -> ResultRecord:
-    spec, sweep_value, trial_index, method, illumination = args
-    return run_trial(spec, sweep_value, trial_index, method, illumination)
-
-
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     """Run the full cross product grid x trials x methods x illuminations.
 
@@ -405,10 +400,10 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
         for illumination in spec.illuminations
     ]
     if workers <= 1:
-        return [_task_record(task) for task in tasks]
+        return [run_trial(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (8 * workers))
-        return list(pool.map(_task_record, tasks, chunksize=chunk))
+        return list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
 
 
 def write_results(records, path) -> None:

@@ -188,8 +188,7 @@ class Solution:
     def from_state(cls, inst, phases, precoder, trace=None, detail=None) -> Solution:
         """SINR, rates, WSR and slack at (phases, precoder); ``trace`` defaults to ((0, wsr),)."""
         s = sinr(inst, phases, precoder)
-        se = np.log2(1.0 + s)
-        value = float(inst.weights @ se)
+        se, value = _rates(inst, s)
         return cls(
             phases=phases,
             precoder=precoder,
@@ -224,6 +223,19 @@ def effective_channel(inst: SystemInstance, phases: PhaseConfig) -> np.ndarray:
     return (inst.channel * phases.phasor()[np.newaxis, :]) @ inst.transfer
 
 
+def _link_terms(inst: SystemInstance, cross: np.ndarray):
+    """SINR, F = diag(cross) and total = sum_i |cross[:, i]|^2 + sigma^2 at cross = heff @ B."""
+    gains = np.abs(cross) ** 2
+    signal, power = np.diag(gains), gains.sum(axis=1)
+    return signal / ((power - signal) + inst.noise_power), np.diag(cross), power + inst.noise_power
+
+
+def _rates(inst: SystemInstance, sinr_values: np.ndarray):
+    """Per-user rates log2(1 + SINR_k) and their weighted sum, the WSR."""
+    se = np.log2(1.0 + sinr_values)
+    return se, float(inst.weights @ se)
+
+
 def sinr(
     inst: SystemInstance,
     phases: PhaseConfig,
@@ -235,24 +247,18 @@ def sinr(
     SINR_k = |heff_k @ b_k|^2 / (sum_{i != k} |heff_k @ b_i|^2 + sigma^2).
     """
     _check_precoder(inst, precoder)
-    heff = effective_channel(inst, phases)
-    gains = np.abs(heff @ precoder.matrix) ** 2  # (K, K), [k, i] = |heff_k b_i|^2
-    signal = np.diag(gains)
-    interference = gains.sum(axis=1) - signal
-    values = signal / (interference + inst.noise_power)
-    if user is None:
-        return values
-    return float(values[user])
+    values = _link_terms(inst, effective_channel(inst, phases) @ precoder.matrix)[0]
+    return values if user is None else float(values[user])
 
 
 def spectral_efficiency(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> np.ndarray:
     """Per-user rate log2(1 + SINR_k), bits/s/Hz."""
-    return np.log2(1.0 + sinr(inst, phases, precoder))
+    return _rates(inst, sinr(inst, phases, precoder))[0]
 
 
 def wsr(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> float:
     """Weighted sum rate sum_k weights_k * log2(1 + SINR_k)."""
-    return float(inst.weights @ spectral_efficiency(inst, phases, precoder))
+    return _rates(inst, sinr(inst, phases, precoder))[1]
 
 
 def constraint_value(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> float:

@@ -26,12 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
+# wsr stays a module attribute: call-site tracers wrap it here.
 from .model import (
     ConstraintKind,
     PhaseConfig,
     Precoder,
     Solution,
     SystemInstance,
+    _link_terms,
+    _rates,
     constraint_value,
     effective_channel,
     sinr,
@@ -132,13 +135,18 @@ class AnalogSubproblem:
         return self.factor.conj().T @ self.factor
 
 
-def _signal_terms(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder):
-    """Return (F, total) with F_k = heff_k @ b_k and total_k = sum_i |heff_k b_i|^2 + sigma^2."""
-    heff = effective_channel(inst, phases)
-    cross = heff @ precoder.matrix  # (K, K), [k, i] = heff_k @ b_i
-    f = np.diag(cross)
-    total = np.sum(np.abs(cross) ** 2, axis=1) + inst.noise_power
-    return f, total
+def _y_update(inst: SystemInstance, gamma, f: np.ndarray, total: np.ndarray) -> np.ndarray:
+    return np.sqrt(inst.weights * (1.0 + np.asarray(gamma))) * f / total
+
+
+def _surrogate(inst: SystemInstance, aux: AuxVariables, f: np.ndarray, total: np.ndarray) -> float:
+    w, scale = inst.weights, np.sqrt(inst.weights * (1.0 + aux.gamma))
+    return float(
+        np.sum(w * np.log2(1.0 + aux.gamma))
+        - np.sum(w * aux.gamma)
+        + np.sum(2.0 * scale * np.real(np.conj(aux.y) * f))
+        - np.sum(np.abs(aux.y) ** 2 * total)
+    )
 
 
 def update_gamma(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> np.ndarray:
@@ -153,8 +161,8 @@ def update_y(
     gamma: np.ndarray,
 ) -> np.ndarray:
     """Closed-form y update: sqrt(w (1 + gamma)) F / (G + |F|^2)."""
-    f, total = _signal_terms(inst, phases, precoder)
-    return np.sqrt(inst.weights * (1.0 + np.asarray(gamma))) * f / total
+    cross = effective_channel(inst, phases) @ precoder.matrix
+    return _y_update(inst, gamma, *_link_terms(inst, cross)[1:])
 
 
 def surrogate_objective(
@@ -164,16 +172,8 @@ def surrogate_objective(
     aux: AuxVariables,
 ) -> float:
     """Evaluate f1 at an arbitrary point (bits/s/Hz scale)."""
-    f, total = _signal_terms(inst, phases, precoder)
-    w = inst.weights
-    scale = np.sqrt(w * (1.0 + aux.gamma))
-    value = (
-        np.sum(w * np.log2(1.0 + aux.gamma))
-        - np.sum(w * aux.gamma)
-        + np.sum(2.0 * scale * np.real(np.conj(aux.y) * f))
-        - np.sum(np.abs(aux.y) ** 2 * total)
-    )
-    return float(value)
+    cross = effective_channel(inst, phases) @ precoder.matrix
+    return _surrogate(inst, aux, *_link_terms(inst, cross)[1:])
 
 
 def build_analog_subproblem(
@@ -285,8 +285,7 @@ def optimize_phases(
     settings: SolverSettings,
 ) -> PhaseConfig:
     """Maximise the phase subproblem from ``phases_init``; never goes downhill."""
-    phases, _, _ = _pga(sub, phases_init, settings)
-    return phases
+    return _pga(sub, phases_init, settings)[0]
 
 
 def _regularizer(inst: SystemInstance) -> np.ndarray:
@@ -307,8 +306,12 @@ def _precoder_system(inst: SystemInstance, heff: np.ndarray, aux: AuxVariables):
 _RANK_RTOL = 1e-10
 
 
-def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> Precoder:
-    """mu -> 0+ limit of solve(gram + mu reg, rhs).
+def _gram_eigh(gram: np.ndarray):
+    return np.linalg.eigh(0.5 * (gram + gram.conj().T))
+
+
+def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray, eig=None) -> Precoder:
+    """mu -> 0+ limit of solve(gram + mu reg, rhs); ``eig`` is ``_gram_eigh(gram)`` if known.
 
     The gram matrix is PSD and the right-hand side lies in its range (both are
     built from the same weighted channel rows), so the limit exists even when
@@ -316,7 +319,7 @@ def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> Preco
     gain carry no objective value; the limit keeps them only insofar as they
     cancel constraint power: b_null = -(Z^H reg Z)^+ Z^H reg b_range.
     """
-    lam, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    lam, vecs = _gram_eigh(gram) if eig is None else eig
     lam_max = float(lam[-1]) if lam.size else 0.0
     keep = lam > max(lam_max, 0.0) * _RANK_RTOL
     if not np.any(keep):
@@ -353,21 +356,33 @@ def digital_precoder(
     return Precoder(np.linalg.solve(lhs, rhs))
 
 
-def _power_curve(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray):
+def _power_curve(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray, eig=None):
     """h(mu) = tr(B^H reg B) at B = solve(gram + mu reg, rhs), in closed form for mu > 0.
 
     With reg = L L^H and L^-1 gram L^-H = V diag(lam) V^H, B = L^-H V (lam + mu)^-1
     V^H L^-1 rhs, so h(mu) = sum_j e_j / (lam_j + mu)^2 with e_j the squared norm
     of row j of V^H L^-1 rhs.  h is the active constraint value of B for both kinds.
+    Under TP (reg = I), ``eig = _gram_eigh(gram)`` replaces the whitening.  h runs on
+    Python floats; a zero denominator gives inf (nan if e_j = 0), never an exception.
     """
-    try:
-        chol = np.linalg.cholesky(reg)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("constraint curvature R is singular: no dual power curve") from exc
-    linv = np.linalg.inv(chol)
-    lam, vecs = np.linalg.eigh(linv @ gram @ linv.conj().T)
-    e = np.sum(np.abs(vecs.conj().T @ (linv @ rhs)) ** 2, axis=1)
-    return lambda mu: float(e @ (1.0 / (lam + mu) ** 2))
+    if eig is None:
+        try:
+            chol = np.linalg.cholesky(reg)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("constraint curvature R is singular: no dual power curve") from exc
+        linv = np.linalg.inv(chol)
+        eig, rhs = np.linalg.eigh(linv @ gram @ linv.conj().T), linv @ rhs
+    lam, vecs = eig
+    pairs = tuple(zip(lam.tolist(), np.sum(np.abs(vecs.conj().T @ rhs) ** 2, axis=1).tolist()))
+
+    def power(mu: float) -> float:
+        total = 0.0
+        for lam_j, e_j in pairs:
+            d = (lam_j + mu) * (lam_j + mu)
+            total += e_j * (1.0 / d) if d else e_j * np.inf
+        return total
+
+    return power
 
 
 def dual_search(
@@ -375,6 +390,7 @@ def dual_search(
     phases: PhaseConfig,
     aux: AuxVariables,
     settings: SolverSettings,
+    *, heff: np.ndarray | None = None,
 ):
     """Find the smallest dual mu whose precoder meets the power budget.
 
@@ -386,21 +402,25 @@ def dual_search(
     h(mu) = sum_j e_j / (lam_j + mu)^2 from one generalised eigendecomposition of
     (gram, R) (``_power_curve``; Shi et al., "An Iteratively Weighted MMSE
     Approach...", IEEE TSP 2011, eq. (15)), and the precoder is solved once, at
-    the accepted mu.
+    the accepted mu; under TP it takes one eigendecomposition, shared with the
+    mu = 0 test.  ``heff`` is the effective channel at ``phases``, if known.
     """
     budget = inst.power_budget
     tol = settings.dual_tolerance * budget
-    gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+    heff = effective_channel(inst, phases) if heff is None else heff
+    gram, rhs = _precoder_system(inst, heff, aux)
     reg = _regularizer(inst)
+    eig = _gram_eigh(gram)
 
     # The mu = 0 optimum needs rank-aware handling: users with y_k = 0 leave
     # the gram singular, and a naive solve then reports roundoff-level power
     # instead of the finite mu -> 0+ limit.
-    prec0 = _limit_precoder(gram, rhs, reg)
+    prec0 = _limit_precoder(gram, rhs, reg, eig)
     if constraint_value(inst, phases, prec0) <= budget:
         return prec0, 0.0
 
-    power_at = _power_curve(gram, rhs, reg)
+    tp = inst.constraint is ConstraintKind.TRANSMITTED_POWER
+    power_at = _power_curve(gram, rhs, reg, eig if tp else None)
     hi = 1.0
     h_hi = power_at(hi)
     doublings = 0
@@ -440,48 +460,48 @@ def bcd_solve(
 
     Stops once the weighted-sum-rate gain of an iteration drops to
     ``settings.bcd_epsilon`` or below, or after ``bcd_max_iters`` iterations;
-    the last ``detail`` row's ``stop`` says which ("converged", "iteration_cap").
+    the last ``detail`` row's ``stop`` says which: "no_progress" (gain <= 0),
+    "converged" (0 < gain <= epsilon) or "iteration_cap".
     The returned trace holds (iteration, wsr) pairs starting at iteration 0
     (the initial point); ``detail`` carries per-iteration diagnostics, among
-    them the phase block's accepted steps and objective evaluations.
+    them the phase block's accepted steps and objective evaluations.  SINR, WSR, y
+    and f1 come from one heff @ B per iteration, with heff formed once per phase state.
     """
     # Recompute slack against this instance rather than trusting the value
     # stored on the init, which may have been produced for another budget.
     init_power = constraint_value(inst, init.phases, init.precoder)
     if inst.power_budget - init_power < -1e-6 * inst.power_budget:
         raise SolverError("initial point violates the power constraint")
-    phases = init.phases
-    precoder = init.precoder
-    current = wsr(inst, phases, precoder)
-    trace = [(0, current)]
-    detail = []
+    phases, precoder = init.phases, init.precoder
+    heff = effective_channel(inst, phases)
+    gamma, f, total = _link_terms(inst, heff @ precoder.matrix)
+    current = _rates(inst, gamma)[1]
+    trace, detail = [(0, current)], []
     for iteration in range(1, settings.bcd_max_iters + 1):
-        gamma = update_gamma(inst, phases, precoder)
-        y = update_y(inst, phases, precoder, gamma)
-        aux = AuxVariables(gamma=gamma, y=y)
+        aux = AuxVariables(gamma=gamma, y=_y_update(inst, gamma, f, total))
         pga_steps = phase_evals = 0
         if not settings.freeze_phases:
             sub = build_analog_subproblem(inst, precoder, aux)
             phases, pga_steps, phase_evals = _pga(sub, phases, settings)
-        precoder, mu = dual_search(inst, phases, aux, settings)
-        new = wsr(inst, phases, precoder)
+            heff = effective_channel(inst, phases)
+        precoder, mu = dual_search(inst, phases, aux, settings, heff=heff)
+        gamma, f, total = _link_terms(inst, heff @ precoder.matrix)
+        new = _rates(inst, gamma)[1]
         trace.append((iteration, new))
         detail.append(
             {
                 "iteration": iteration,
                 "wsr": new,
-                "surrogate": surrogate_objective(inst, phases, precoder, aux),
+                "surrogate": _surrogate(inst, aux, f, total),
                 "mu": mu,
                 "pga_steps": pga_steps,
                 "phase_evals": phase_evals,
             }
         )
-        gain = new - current
-        current = new
+        gain, current = new - current, new
         if gain <= settings.bcd_epsilon:
-            detail[-1]["stop"] = "converged"
+            detail[-1]["stop"] = "converged" if gain > 0 else "no_progress"
             break
     else:
         detail[-1]["stop"] = "iteration_cap"
     return Solution.from_state(inst, phases, precoder, trace, detail)
-

@@ -12,6 +12,7 @@ from itsbeam import (
     IlluminationMode,
     PhaseConfig,
     Precoder,
+    Solution,
     SolverError,
     SolverSettings,
     SweepKind,
@@ -34,7 +35,14 @@ from itsbeam import (
     zfwf_solve,
 )
 from itsbeam.harness import _bcd_init, _trial_streams, build_trial_instance
-from itsbeam.wmmse import _limit_precoder, _pga, _power_curve, _precoder_system, _regularizer
+from itsbeam.wmmse import (
+    _gram_eigh,
+    _limit_precoder,
+    _pga,
+    _power_curve,
+    _precoder_system,
+    _regularizer,
+)
 from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
 
 
@@ -555,6 +563,45 @@ def test_dual_search_singular_curvature_is_solver_error():
         dual_search(inst, random_phases(rng, 6), random_aux(rng, 2), SolverSettings())
 
 
+def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(60)
+    inst = make_instance(rng, m=6, n=3, k=3, power_budget=0.05)
+    phases, aux = random_phases(rng, 6), random_aux(rng, 3)
+    expected = dual_search(inst, phases, aux, SolverSettings())
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    prec, mu = dual_search(inst, phases, aux, SolverSettings())
+    assert mu > 0 and len(calls) == 1
+    assert mu == expected[1] and np.array_equal(prec.matrix, expected[0].matrix)
+    # The shared decomposition gives the whitened curve of R = I.
+    gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+    shared = _power_curve(gram, rhs, _regularizer(inst), eig=_gram_eigh(gram))
+    whitened = _power_curve(gram, rhs, _regularizer(inst))
+    for trial_mu in np.logspace(-4, 4, 9):
+        assert abs(shared(trial_mu) - whitened(trial_mu)) <= 1e-12 * whitened(trial_mu)
+
+
+def test_power_curve_degenerate_denominators_give_inf():
+    # mu = -lam_0 zeroes a denominator, mu = 1e-200 underflows one, mu = 1e200
+    # overflows all: the scalar curve must agree with numpy's elementwise form.
+    lam = np.array([-0.5, 0.0, 2.0])
+    vecs = np.eye(3, dtype=complex)
+    rhs = np.array([[1.0, 0.5], [2.0, 0.0], [0.0, 1.0]], dtype=complex)
+    power = _power_curve(None, rhs, None, eig=(lam, vecs))
+    e = np.sum(np.abs(rhs) ** 2, axis=1)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        for mu in (0.5, 1e-200, 1e200, 1.0):
+            assert power(mu) == float(e @ (1.0 / (lam + mu) ** 2))
+    assert power(0.5) == power(1e-200) == np.inf
+    assert power(1e200) == 0.0
+
+
 def test_bcd_ascent_property():
     rng = np.random.default_rng(52)
     settings = SolverSettings(bcd_epsilon=1e-6, bcd_max_iters=60)
@@ -609,6 +656,71 @@ def test_bcd_stop_reason():
     # Converging on the last allowed iteration is still a convergence.
     at_cap = bcd_solve(inst, replace(settings, bcd_max_iters=len(converged.detail)), init)
     assert at_cap.detail[-1]["stop"] == "converged"
+
+
+def test_bcd_no_progress_from_zero_precoder():
+    # y = 0 is a fixed point of the updates: the first iteration gains exactly 0.
+    rng = np.random.default_rng(61)
+    for constraint in ConstraintKind:
+        inst = make_instance(rng, m=8, n=3, k=3, constraint=constraint)
+        init = Solution.from_state(inst, random_phases(rng, 8), Precoder(np.zeros((3, 3))))
+        sol = bcd_solve(inst, SolverSettings(), init)
+        assert sol.trace == ((0, 0.0), (1, 0.0))
+        assert sol.detail[-1]["stop"] == "no_progress"
+
+
+def textbook_bcd(inst, settings, init):
+    """bcd_solve's outer loop with every block evaluated afresh from (inst, phases, precoder)."""
+    phases, precoder = init.phases, init.precoder
+    current = wsr(inst, phases, precoder)
+    trace, detail = [(0, current)], []
+    for iteration in range(1, settings.bcd_max_iters + 1):
+        gamma = update_gamma(inst, phases, precoder)
+        aux = AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
+        steps = evals = 0
+        if not settings.freeze_phases:
+            sub = build_analog_subproblem(inst, precoder, aux)
+            phases, steps, evals = _pga(sub, phases, settings)
+        precoder, mu = dual_search(inst, phases, aux, settings)
+        new = wsr(inst, phases, precoder)
+        trace.append((iteration, new))
+        detail.append(
+            {
+                "iteration": iteration,
+                "wsr": new,
+                "surrogate": surrogate_objective(inst, phases, precoder, aux),
+                "mu": mu,
+                "pga_steps": steps,
+                "phase_evals": evals,
+            }
+        )
+        gain, current = new - current, new
+        if gain <= settings.bcd_epsilon:
+            detail[-1]["stop"] = "converged" if gain > 0 else "no_progress"
+            break
+    else:
+        detail[-1]["stop"] = "iteration_cap"
+    return tuple(trace), detail, phases, precoder
+
+
+def test_bcd_matches_textbook_loop_bit_for_bit():
+    rng = np.random.default_rng(62)
+    for constraint in ConstraintKind:
+        for freeze in (False, True):
+            for silent in (False, True):
+                inst = make_instance(rng, m=8, n=3, k=3, constraint=constraint, power_budget=0.5)
+                init = zfwf_solve(inst, phases=random_phases(rng, 8))
+                if silent:  # user 1 starts without power, so its y stays 0
+                    matrix = init.precoder.matrix.copy()
+                    matrix[:, 1] = 0.0
+                    init = Solution.from_state(inst, init.phases, Precoder(matrix))
+                settings = SolverSettings(bcd_epsilon=1e-3, bcd_max_iters=40, freeze_phases=freeze)
+                sol = bcd_solve(inst, settings, init)
+                trace, detail, phases, precoder = textbook_bcd(inst, settings, init)
+                assert sol.trace == trace
+                assert sol.detail == detail
+                assert np.array_equal(sol.phases.phases, phases.phases)
+                assert np.array_equal(sol.precoder.matrix, precoder.matrix)
 
 
 def test_bcd_freeze_phases():

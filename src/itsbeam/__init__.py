@@ -49,7 +49,6 @@ from .geometry import (
     build_layout,
     build_transfer_matrix,
     characteristic_distance,
-    dump_layout,
 )
 from .channel import (
     ChannelParams,
@@ -67,9 +66,7 @@ from .wmmse import (
     analog_objective_and_gradient,
     bcd_solve,
     build_analog_subproblem,
-    digital_precoder,
     dual_search,
-    optimize_phases,
     surrogate_objective,
     update_gamma,
     update_y,
@@ -88,6 +85,7 @@ from .harness import (
     emit_plot_script,
     run_sweep,
     run_trial,
+    solve_cell,
     trial_seed,
     write_results,
     write_summary,
@@ -120,7 +118,6 @@ __all__ = [
     "build_layout",
     "build_transfer_matrix",
     "characteristic_distance",
-    "dump_layout",
     "ChannelParams",
     "UserDrop",
     "aperture_response",
@@ -134,9 +131,7 @@ __all__ = [
     "analog_objective_and_gradient",
     "bcd_solve",
     "build_analog_subproblem",
-    "digital_precoder",
     "dual_search",
-    "optimize_phases",
     "surrogate_objective",
     "update_gamma",
     "update_y",
@@ -157,6 +152,7 @@ __all__ = [
     "emit_plot_script",
     "run_sweep",
     "run_trial",
+    "solve_cell",
     "trial_seed",
     "write_results",
     "write_summary",

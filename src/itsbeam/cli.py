@@ -20,12 +20,10 @@ from .harness import (
     dbm_to_watts,
     emit_plot_script,
     run_sweep,
-    run_trial,
+    solve_cell,
     trial_seed,
     write_results,
     write_summary,
-    _solve_for_method,
-    _trial_streams,
 )
 
 
@@ -95,11 +93,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_solve(args) -> int:
     spec = load_experiment_spec(args.config, _overrides_from_args(args))
     method = Method(args.method)
-    streams = _trial_streams(spec.base_seed, 0)
-    solution, applied = _solve_for_method(
-        spec, spec.power_budget_dbm if spec.sweep.value == "power" else spec.grid[0], method,
-        spec.illuminations[0], streams,
-    )
+    value = spec.power_budget_dbm if spec.sweep.value == "power" else spec.grid[0]
+    solution, applied = solve_cell(spec, value, 0, method, spec.illuminations[0])
     payload = {
         "method": method.value,
         "constraint": applied.value,
@@ -113,6 +108,7 @@ def _cmd_solve(args) -> int:
         "precoder_real": np.real(solution.precoder.matrix).tolist(),
         "precoder_imag": np.imag(solution.precoder.matrix).tolist(),
         "trace": [[int(i), float(v)] for i, v in solution.trace],
+        "detail": solution.detail,
     }
     with open(args.dump_solution, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

@@ -61,7 +61,6 @@ Schema (values shown are the defaults)::
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import yaml
 
@@ -301,5 +300,4 @@ def load_experiment_spec(path=None, overrides: dict | None = None) -> Experiment
             base = dict(mapping.get(section) or {})
             base.update({k: v for k, v in content.items() if v is not None})
             mapping[section] = base
-    spec = spec_from_mapping(mapping)
-    return spec
+    return spec_from_mapping(mapping)

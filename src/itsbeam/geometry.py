@@ -16,7 +16,6 @@ integrates to 1 over the sphere for every kappa >= 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,6 @@ __all__ = [
     "antenna_gain",
     "build_layout",
     "build_transfer_matrix",
-    "dump_layout",
 ]
 
 
@@ -286,20 +284,3 @@ def build_transfer_matrix(cfg: GeometryConfig, layout: ArrayLayout | None = None
         transfer = np.where(mask, transfer, 0.0 + 0.0j)
     return transfer
 
-
-def dump_layout(layout: ArrayLayout, path) -> None:
-    """Write the layout to a JSON file (positions, boresights, sectors, metadata)."""
-    payload = {
-        "wavelength": layout.wavelength,
-        "kappa": layout.kappa,
-        "surface_efficiency": layout.surface_efficiency,
-        "illumination": layout.illumination.value,
-        "grid_shape": list(layout.grid_shape),
-        "element_positions": layout.element_positions.tolist(),
-        "active_positions": layout.active_positions.tolist(),
-        "active_boresights": layout.active_boresights.tolist(),
-        "sector_assignment": layout.sector_assignment.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

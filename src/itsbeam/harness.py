@@ -63,6 +63,7 @@ __all__ = [
     "dbm_to_watts",
     "trial_seed",
     "build_trial_instance",
+    "solve_cell",
     "run_trial",
     "run_sweep",
     "write_results",
@@ -128,8 +129,14 @@ class ExperimentSpec:
             raise SolverError("n_users must be >= 1")
         if len(self.weights) != self.n_users:
             raise SolverError("weights length must equal n_users")
-        if self.noise_power <= 0:
-            raise SolverError("noise_power must be positive")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights) or not any(self.weights):
+            raise SolverError("weights must be finite, nonnegative and not all zero")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise SolverError("sweep grid values must be finite")
+        if not math.isfinite(self.power_budget_dbm):
+            raise SolverError("power_budget_dbm must be finite")
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
+            raise SolverError("noise_power must be finite and positive")
         if self.sweep is SweepKind.LOSS and min(self.grid) < 0:
             raise SolverError("loss grid values are dB losses and must be >= 0")
         if self.sweep is SweepKind.DISTANCE and min(self.grid) <= 0:
@@ -308,8 +315,19 @@ def _bcd_init(inst, phases=None):
     )
 
 
-def _solve_for_method(spec, sweep_value, method, illumination, streams):
-    rng_channel, rng_direct, rng_phases = streams
+def solve_cell(
+    spec: ExperimentSpec,
+    sweep_value: float,
+    trial_index: int,
+    method: Method,
+    illumination: IlluminationMode,
+):
+    """Solve one (grid value, trial, method, illumination) cell on the trial's own draws.
+
+    Returns (solution, applied constraint); the no-surface baseline always
+    applies TRANSMITTED_POWER.  Solver errors propagate.
+    """
+    rng_channel, rng_direct, rng_phases = _trial_streams(spec.base_seed, trial_index)
     if method is Method.NO_ITS:
         geometry, budget = _resolve_sweep(spec, sweep_value)
         layout = build_layout(replace(geometry, illumination=IlluminationMode.FULL))
@@ -323,25 +341,22 @@ def _solve_for_method(spec, sweep_value, method, illumination, streams):
             weights=np.asarray(spec.weights),
             constraint=ConstraintKind.TRANSMITTED_POWER,
         )
-        init = _bcd_init(inst, phases=PhaseConfig(np.zeros(geometry.n_active)))
-        settings = replace(spec.solver, freeze_phases=True)
-        return bcd_solve(inst, settings, init), ConstraintKind.TRANSMITTED_POWER
-
-    effective_illumination = (
-        IlluminationMode.FULL if method is Method.RANDOM_PHASES else illumination
-    )
-    inst, layout, _ = build_trial_instance(spec, sweep_value, effective_illumination, rng_channel)
-    if method is Method.ZF_WF:
-        return zfwf_solve(inst), spec.constraint
-    if method is Method.WMMSE_BCD:
+        phases = PhaseConfig(np.zeros(geometry.n_active))
+    elif method is Method.RANDOM_PHASES:
+        inst = build_trial_instance(spec, sweep_value, IlluminationMode.FULL, rng_channel)[0]
+        phases = PhaseConfig(rng_phases.uniform(0.0, 2.0 * np.pi, inst.n_elements))
+    else:
+        inst = build_trial_instance(spec, sweep_value, illumination, rng_channel)[0]
+        if method is Method.ZF_WF:
+            return zfwf_solve(inst), spec.constraint
+        if method is not Method.WMMSE_BCD:
+            raise SolverError(f"unknown method {method!r}")
         init = _bcd_init(inst)
         return bcd_solve(inst, spec.solver, init), spec.constraint
-    if method is Method.RANDOM_PHASES:
-        phases = PhaseConfig(rng_phases.uniform(0.0, 2.0 * np.pi, layout.n_elements))
-        init = _bcd_init(inst, phases=phases)
-        settings = replace(spec.solver, freeze_phases=True)
-        return bcd_solve(inst, settings, init), spec.constraint
-    raise SolverError(f"unknown method {method!r}")
+    # Both frozen-phase baselines run plain digital WMMSE from a zero-forcing start.
+    init = _bcd_init(inst, phases=phases)
+    settings = replace(spec.solver, freeze_phases=True)
+    return bcd_solve(inst, settings, init), inst.constraint
 
 
 def run_trial(
@@ -357,11 +372,10 @@ def run_trial(
     NaN wsr and 0 iterations rather than exceptions, so a long sweep cannot be
     lost to a single bad trial.
     """
-    streams = _trial_streams(spec.base_seed, trial_index)
     start = time.perf_counter()
     try:
-        solution, applied_constraint = _solve_for_method(
-            spec, sweep_value, method, illumination, streams
+        solution, applied_constraint = solve_cell(
+            spec, sweep_value, trial_index, method, illumination
         )
         value = solution.wsr
         iterations = int(solution.trace[-1][0])
@@ -414,35 +428,21 @@ def write_results(records, path) -> None:
             fh.write(record.to_csv_row() + "\n")
 
 
-def _summary_groups(records):
-    groups = {}
-    order = []
-    for record in records:
-        key = (
-            record.sweep,
-            record.sweep_value,
-            record.method,
-            record.illumination,
-            record.constraint,
-        )
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record.wsr)
-    return order, groups
-
-
 def write_summary(records, path) -> None:
     """Aggregate mean/std WSR per (grid value, method, illumination, constraint).
 
-    Failed trials (NaN wsr) are excluded from the statistics and counted in
-    the ``failed`` column; ``std_wsr`` uses ddof = 1.
+    Groups appear in the order of their first record.  Failed trials (NaN
+    wsr) are excluded from the statistics and counted in the ``failed``
+    column; ``std_wsr`` uses ddof = 1.
     """
-    order, groups = _summary_groups(records)
+    groups = {}
+    for r in records:
+        key = (r.sweep, r.sweep_value, r.method, r.illumination, r.constraint)
+        groups.setdefault(key, []).append(r.wsr)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        for key in order:
-            values = np.asarray(groups[key], dtype=float)
+        for key, wsrs in groups.items():
+            values = np.asarray(wsrs, dtype=float)
             ok = values[np.isfinite(values)]
             failed = values.size - ok.size
             mean = float(np.mean(ok)) if ok.size else math.nan

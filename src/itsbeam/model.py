@@ -236,19 +236,10 @@ def _rates(inst: SystemInstance, sinr_values: np.ndarray):
     return se, float(inst.weights @ se)
 
 
-def sinr(
-    inst: SystemInstance,
-    phases: PhaseConfig,
-    precoder: Precoder,
-    user: int | None = None,
-):
-    """SINR of each user (or of one user when ``user`` is given).
-
-    SINR_k = |heff_k @ b_k|^2 / (sum_{i != k} |heff_k @ b_i|^2 + sigma^2).
-    """
+def sinr(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> np.ndarray:
+    """SINR of each user: |heff_k @ b_k|^2 / (sum_{i != k} |heff_k @ b_i|^2 + sigma^2)."""
     _check_precoder(inst, precoder)
-    values = _link_terms(inst, effective_channel(inst, phases) @ precoder.matrix)[0]
-    return values if user is None else float(values[user])
+    return _link_terms(inst, effective_channel(inst, phases) @ precoder.matrix)[0]
 
 
 def spectral_efficiency(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each check re-derives the quantity under test independently (elementwise
 loops, finite differences, a scalar bisection) rather than calling the code
-path it validates, so a PASS means two routes agree. Runs in a few seconds.
+path it validates, so a PASS means two routes agree.  The test suite checks
+against the same public ``oracle_*`` functions.  Runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ from .wmmse import _power_curve, _precoder_system, _regularizer
 from .zfwf import waterfill, zfwf_solve
 from .harness import Method, default_experiment_spec, run_trial
 
-__all__ = ["run_selfcheck"]
+__all__ = [
+    "optimal_aux",
+    "oracle_effective_channel",
+    "oracle_phase_gradient",
+    "oracle_waterfill",
+    "run_selfcheck",
+]
 
 
 def _random_instance(rng, m=16, n=4, k=4, constraint=ConstraintKind.TRANSMITTED_POWER):
@@ -58,18 +65,55 @@ def _random_instance(rng, m=16, n=4, k=4, constraint=ConstraintKind.TRANSMITTED_
     )
 
 
+def optimal_aux(inst, phases, precoder) -> AuxVariables:
+    """FP auxiliaries at their closed-form optimum for (phases, precoder)."""
+    gamma = update_gamma(inst, phases, precoder)
+    return AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
+
+
+def oracle_effective_channel(inst, phases) -> np.ndarray:
+    """Triple-loop recomputation of H diag(exp(j phi)) T."""
+    (k_users, m), n = inst.channel.shape, inst.n_chains
+    out = np.zeros((k_users, n), dtype=complex)
+    psi = np.exp(1j * phases.phases)
+    for k in range(k_users):
+        for j in range(n):
+            for i in range(m):
+                out[k, j] += inst.channel[k, i] * psi[i] * inst.transfer[i, j]
+    return out
+
+
+def oracle_phase_gradient(sub, phases) -> np.ndarray:
+    """Central differences (step 1e-6) of the phase objective, one element at a time."""
+    step, grad = 1e-6, np.empty(phases.phases.size)
+    for m in range(grad.size):
+        bump = np.zeros(grad.size)
+        bump[m] = step
+        grad[m] = (
+            analog_objective(sub, PhaseConfig(phases.phases + bump))
+            - analog_objective(sub, PhaseConfig(phases.phases - bump))
+        ) / (2 * step)
+    return grad
+
+
+def oracle_waterfill(weights, costs, noise, budget) -> np.ndarray:
+    """Powers at the water level found by 200 geometric bisection steps on the spent budget."""
+    lo, hi = 1e-12, 1e12
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        spent = float(costs @ np.clip(weights / (mid * costs) - noise, 0.0, None))
+        if spent > budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(weights / (hi * costs) - noise, 0.0, None)
+
+
 def _check_model_oracle(rng) -> bool:
     inst = _random_instance(rng, m=6, n=3, k=2)
     phases = PhaseConfig(rng.uniform(0, 2 * np.pi, 6))
-    heff = effective_channel(inst, phases)
-    manual = np.zeros((2, 3), dtype=complex)
-    for k in range(2):
-        for n in range(3):
-            for m in range(6):
-                manual[k, n] += (
-                    inst.channel[k, m] * np.exp(1j * phases.phases[m]) * inst.transfer[m, n]
-                )
-    return bool(np.allclose(heff, manual, rtol=0, atol=1e-12))
+    manual = oracle_effective_channel(inst, phases)
+    return bool(np.allclose(effective_channel(inst, phases), manual, rtol=0, atol=1e-12))
 
 
 def _check_radiated_power_invariance(rng) -> bool:
@@ -119,9 +163,7 @@ def _random_point(rng, constraint=ConstraintKind.TRANSMITTED_POWER, scale=1.0):
     inst = _random_instance(rng, constraint=constraint)
     phases = PhaseConfig(rng.uniform(0, 2 * np.pi, 16))
     precoder = Precoder(scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))))
-    gamma = update_gamma(inst, phases, precoder)
-    aux = AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
-    return inst, phases, precoder, aux
+    return inst, phases, precoder, optimal_aux(inst, phases, precoder)
 
 
 def _check_fp_identity(rng) -> bool:
@@ -135,17 +177,8 @@ def _check_analog_gradient(rng) -> bool:
     inst, phases, precoder, aux = _random_point(rng)
     sub = build_analog_subproblem(inst, precoder, aux)
     _, grad = analog_objective_and_gradient(sub, phases)
-    step = 1e-6
-    for m in range(16):
-        bump = np.zeros(16)
-        bump[m] = step
-        fd = (
-            analog_objective(sub, PhaseConfig(phases.phases + bump))
-            - analog_objective(sub, PhaseConfig(phases.phases - bump))
-        ) / (2 * step)
-        if abs(fd - grad[m]) > 1e-5 * max(1.0, abs(fd)):
-            return False
-    return True
+    fd = oracle_phase_gradient(sub, phases)
+    return bool(np.all(np.abs(fd - grad) <= 1e-5 * np.maximum(1.0, np.abs(fd))))
 
 
 def _check_analog_factor(rng) -> bool:
@@ -196,16 +229,7 @@ def _check_waterfill(rng) -> bool:
     alloc = waterfill(w, a, noise, budget)
     if abs(float(a @ alloc.powers) - budget) > 1e-9 * budget:
         return False
-    # independent oracle: bisection on the water level
-    lo, hi = 1e-12, 1e12
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        spent = float(a @ np.clip(w / (mid * a) - noise, 0.0, None))
-        if spent > budget:
-            lo = mid
-        else:
-            hi = mid
-    oracle = np.clip(w / (hi * a) - noise, 0.0, None)
+    oracle = oracle_waterfill(w, a, noise, budget)
     return bool(np.allclose(alloc.powers, oracle, rtol=0, atol=1e-6 * budget))
 
 

@@ -51,8 +51,6 @@ __all__ = [
     "build_analog_subproblem",
     "analog_objective",
     "analog_objective_and_gradient",
-    "optimize_phases",
-    "digital_precoder",
     "dual_search",
     "bcd_solve",
 ]
@@ -279,15 +277,6 @@ def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettin
     return PhaseConfig(phi), steps, evals
 
 
-def optimize_phases(
-    sub: AnalogSubproblem,
-    phases_init: PhaseConfig,
-    settings: SolverSettings,
-) -> PhaseConfig:
-    """Maximise the phase subproblem from ``phases_init``; never goes downhill."""
-    return _pga(sub, phases_init, settings)[0]
-
-
 def _regularizer(inst: SystemInstance) -> np.ndarray:
     """Constraint curvature: d(h)/d(conj B) = R @ B with R below."""
     if inst.constraint is ConstraintKind.TRANSMITTED_POWER:
@@ -333,27 +322,6 @@ def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray, eig=None
         z.conj().T @ reg @ z, z.conj().T @ (reg @ matrix), rcond=None
     )[0]
     return Precoder(matrix - z @ shrink)
-
-
-def digital_precoder(
-    inst: SystemInstance,
-    phases: PhaseConfig,
-    aux: AuxVariables,
-    mu: float,
-) -> Precoder:
-    """Precoder maximising the Lagrangian of the f1 B-step at dual value mu.
-
-    Solves (sum_i |y_i|^2 conj(heff_i) heff_i^T + mu R) b_k
-         = sqrt(w_k (1 + gamma_k)) y_k conj(heff_k) per user.
-    """
-    if mu < 0:
-        raise SolverError("mu must be nonnegative")
-    gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-    lhs = gram + mu * _regularizer(inst)
-    lam = np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))
-    if lam[0] <= lam[-1] * _RANK_RTOL:
-        raise SolverError("singular precoder system: needs positive dual (mu > 0)")
-    return Precoder(np.linalg.solve(lhs, rhs))
 
 
 def _power_curve(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray, eig=None):

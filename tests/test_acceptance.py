@@ -13,13 +13,11 @@ criterion at the end of the pytest run.
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from itsbeam import (
     AnalogSubproblem,
-    AuxVariables,
     ConstraintKind,
     IlluminationMode,
     Method,
@@ -35,18 +33,16 @@ from itsbeam import (
     default_experiment_spec,
     dual_search,
     effective_channel,
-    optimize_phases,
     phase_align,
+    solve_cell,
     surrogate_objective,
-    update_gamma,
-    update_y,
     waterfill,
     wsr,
     zfwf_solve,
 )
-from itsbeam.harness import _solve_for_method, _trial_streams
-from itsbeam.wmmse import _precoder_system, _regularizer
-from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
+from itsbeam.selfcheck import optimal_aux, oracle_phase_gradient, oracle_waterfill
+from itsbeam.wmmse import _pga, _precoder_system, _regularizer
+from helpers import complex_normal, make_instance, random_phases, random_precoder
 
 RESULTS = []
 
@@ -62,19 +58,11 @@ def desk_instance(rng, constraint=ConstraintKind.TRANSMITTED_POWER):
     return make_instance(rng, m=16, n=4, k=4, constraint=constraint)
 
 
-def optimal_aux(inst, phases, precoder):
-    gamma = update_gamma(inst, phases, precoder)
-    return AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
-
-
 def cell_values(spec, value, method, illumination, trials=TRIALS):
     """Per-trial WSR for one sweep cell under the harness seeding."""
-    out = np.empty(trials)
-    for trial in range(trials):
-        streams = _trial_streams(spec.base_seed, trial)
-        solution, _ = _solve_for_method(spec, value, method, illumination, streams)
-        out[trial] = solution.wsr
-    return out
+    return np.array(
+        [solve_cell(spec, value, trial, method, illumination)[0].wsr for trial in range(trials)]
+    )
 
 
 def mean_ci(values):
@@ -123,22 +111,14 @@ def test_criterion_02_bcd_ascent():
 def test_criterion_03_gradient_oracle():
     rng = np.random.default_rng(103)
     start = time.perf_counter()
-    m, step, worst = 16, 1e-6, 0.0
+    m, worst = 16, 0.0
     for _ in range(100):
         nu = complex_normal(rng, m)
         a = complex_normal(rng, m, m) / np.sqrt(m)
         sub = AnalogSubproblem(linear_term=nu, factor=a)
-        phi = rng.uniform(0.0, 2.0 * np.pi, m)
-        _, grad = analog_objective_and_gradient(sub, PhaseConfig(phi))
-        for i in range(m):
-            up, down = phi.copy(), phi.copy()
-            up[i] += step
-            down[i] -= step
-            fd = (
-                analog_objective(sub, PhaseConfig(up))
-                - analog_objective(sub, PhaseConfig(down))
-            ) / (2.0 * step)
-            worst = max(worst, abs(fd - grad[i]))
+        phases = PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, m))
+        _, grad = analog_objective_and_gradient(sub, phases)
+        worst = max(worst, float(np.max(np.abs(oracle_phase_gradient(sub, phases) - grad))))
     elapsed = time.perf_counter() - start
     record(
         "criterion 3 (analog gradient)",
@@ -209,15 +189,7 @@ def test_criterion_05_zf_suite():
         noise = 10.0 ** rng.uniform(-4.0, 0.0)
         budget = rng.uniform(0.5, 20.0)
         alloc = waterfill(weights, costs, noise, budget)
-        lo, hi = 1e-12, 1e12
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            spent = float(costs @ np.clip(weights / (mid * costs) - noise, 0.0, None))
-            if spent > budget:
-                lo = mid
-            else:
-                hi = mid
-        oracle = np.clip(weights / (hi * costs) - noise, 0.0, None)
+        oracle = oracle_waterfill(weights, costs, noise, budget)
         worst_waterfill = max(worst_waterfill, float(np.max(np.abs(alloc.powers - oracle))))
     record(
         "criterion 5 (zf suite)",
@@ -260,8 +232,8 @@ def test_criterion_06_brute_force_equivalence():
         starts += [PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, 4)) for _ in range(4)]
         pga_best = -np.inf
         for init in starts:
-            solution = optimize_phases(sub, init, settings)
-            solution = optimize_phases(sub, solution, settings)
+            solution = _pga(sub, init, settings)[0]
+            solution = _pga(sub, solution, settings)[0]
             pga_best = max(pga_best, analog_objective(sub, solution))
         worst_pga = min(worst_pga, pga_best / grid_best)
 

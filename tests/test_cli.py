@@ -1,10 +1,13 @@
 """Command line interface: sweep, solve, selfcheck."""
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import itsbeam
 from itsbeam import CSV_HEADER, zfwf_solve
 from itsbeam.cli import main
 from itsbeam.selfcheck import _check_zf, _random_instance
@@ -86,10 +89,11 @@ def test_sweep_requires_out(config_path):
 
 def test_sweep_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("sweep:\n  nonsense_key: 1\n")
     out = tmp_path / "never.csv"
-    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
-    assert not out.exists()
+    for text in ("sweep:\n  nonsense_key: 1\n", TINY_CONFIG.replace("[1.0, 1.0]", "[1.0, -1.0]")):
+        bad.write_text(text)
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_solve_dumps_json(tmp_path, config_path):
@@ -135,6 +139,7 @@ def test_solve_bcd_trace_monotone(tmp_path, config_path):
     values = [v for _, v in payload["trace"]]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     assert abs(payload["wsr"] - values[-1]) < 1e-9
+    assert "stop" in payload["detail"][-1]
 
 
 def test_selfcheck_passes(capsys):
@@ -149,3 +154,19 @@ def test_selfcheck_zf_passes_with_a_user_switched_off():
     powers = zfwf_solve(_random_instance(np.random.default_rng(1))).detail["powers"]
     assert np.count_nonzero(powers) == 3
     assert _check_zf(np.random.default_rng(1))
+
+
+def test_every_export_resolves():
+    # A name left in an __all__ after its definition is gone fails only on a star import.
+    modules = [itsbeam] + [
+        importlib.import_module(f"itsbeam.{info.name}")
+        for info in pkgutil.iter_modules(itsbeam.__path__)
+        if info.name != "__main__"  # importing it runs the command line
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 10 and missing == []

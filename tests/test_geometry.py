@@ -1,6 +1,5 @@
 """Layout construction, the element gain pattern and the transfer matrix."""
 
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from itsbeam import (
     build_layout,
     build_transfer_matrix,
     characteristic_distance,
-    dump_layout,
 )
 
 
@@ -218,12 +216,3 @@ def test_config_validation():
     with pytest.raises(GeometryError):
         config(separation=0.0)
 
-
-def test_dump_layout_roundtrip(tmp_path):
-    layout = build_layout(config(illumination=IlluminationMode.PARTIAL))
-    path = tmp_path / "layout.json"
-    dump_layout(layout, path)
-    payload = json.loads(path.read_text())
-    assert payload["illumination"] == "partial"
-    assert np.allclose(payload["element_positions"], layout.element_positions)
-    assert payload["sector_assignment"] == layout.sector_assignment.tolist()

@@ -8,15 +8,11 @@ import pytest
 
 from itsbeam import (
     CSV_HEADER,
-    ChannelParams,
     ConfigError,
     ConstraintKind,
     DimensionMismatchError,
-    GeometryConfig,
     IlluminationMode,
     Method,
-    PhaseConfig,
-    Precoder,
     SolverError,
     SolverSettings,
     SweepKind,
@@ -25,7 +21,6 @@ from itsbeam import (
     characteristic_distance,
     dbm_to_watts,
     default_experiment_spec,
-    effective_channel,
     emit_plot_script,
     load_experiment_spec,
     run_sweep,
@@ -399,3 +394,14 @@ def test_spec_validation():
         tiny_spec(kind="loss", grid=[-1.0])
     with pytest.raises(SolverError, match="distance"):
         tiny_spec(kind="distance", grid=[0.0])
+    for grid in ([math.nan], [20.0, math.inf]):
+        with pytest.raises(SolverError, match="grid values must be finite"):
+            tiny_spec(grid=grid)
+    for weights in ((1.0, -1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, 0.0)):
+        with pytest.raises(SolverError, match="weights must be finite, nonnegative and not all"):
+            replace(tiny_spec(), weights=weights)
+    for dbm in (math.inf, -math.inf, math.nan):
+        with pytest.raises(SolverError, match="power_budget_dbm"):
+            replace(tiny_spec(), power_budget_dbm=dbm)
+    with pytest.raises(SolverError, match="noise_power"):
+        replace(tiny_spec(), noise_power=math.inf)

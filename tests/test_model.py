@@ -16,22 +16,8 @@ from itsbeam import (
     spectral_efficiency,
     wsr,
 )
+from itsbeam.selfcheck import oracle_effective_channel
 from helpers import complex_normal, make_instance, random_phases, random_precoder
-
-
-def oracle_effective_channel(inst, phases):
-    """Triple-loop recomputation of H diag(exp(j phi)) T."""
-    k_users, m = inst.channel.shape
-    n = inst.transfer.shape[1]
-    out = np.zeros((k_users, n), dtype=complex)
-    psi = np.exp(1j * phases.phases)
-    for k in range(k_users):
-        for j in range(n):
-            acc = 0.0 + 0.0j
-            for i in range(m):
-                acc += inst.channel[k, i] * psi[i] * inst.transfer[i, j]
-            out[k, j] = acc
-    return out
 
 
 def oracle_sinr(inst, phases, precoder):
@@ -91,7 +77,7 @@ def test_effective_channel_loop_oracle():
 def test_sinr_single_user():
     inst = identity_instance(1, noise_power=0.25)
     prec = Precoder(np.array([[2.0 + 1.0j]]))
-    value = sinr(inst, PhaseConfig(np.zeros(1)), prec, user=0)
+    value = sinr(inst, PhaseConfig(np.zeros(1)), prec)[0]
     assert abs(value - abs(2.0 + 1.0j) ** 2 / 0.25) < 1e-12
 
 

@@ -23,10 +23,8 @@ from itsbeam import (
     build_analog_subproblem,
     constraint_value,
     default_experiment_spec,
-    digital_precoder,
     dual_search,
     effective_channel,
-    optimize_phases,
     sinr,
     surrogate_objective,
     update_gamma,
@@ -43,12 +41,8 @@ from itsbeam.wmmse import (
     _precoder_system,
     _regularizer,
 )
+from itsbeam.selfcheck import optimal_aux, oracle_phase_gradient
 from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
-
-
-def optimal_aux(inst, phases, precoder):
-    gamma = update_gamma(inst, phases, precoder)
-    return AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
 
 
 def test_update_gamma_matches_sinr():
@@ -174,22 +168,13 @@ def test_subproblem_expansion_matches_surrogate():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(39)
-    step = 1e-6
     worst = 0.0
     for _ in range(100):
-        m = 6
-        inst = make_instance(rng, m=m, n=3, k=3)
+        inst = make_instance(rng, m=6, n=3, k=3)
         sub = build_analog_subproblem(inst, random_precoder(rng, 3, 3), random_aux(rng, 3))
-        phi = rng.uniform(0.0, 2.0 * np.pi, m)
-        _, grad = analog_objective_and_gradient(sub, PhaseConfig(phi))
-        for i in range(m):
-            up, down = phi.copy(), phi.copy()
-            up[i] += step
-            down[i] -= step
-            fd = (analog_objective(sub, PhaseConfig(up)) - analog_objective(sub, PhaseConfig(down))) / (
-                2.0 * step
-            )
-            worst = max(worst, abs(fd - grad[i]))
+        phases = PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, 6))
+        _, grad = analog_objective_and_gradient(sub, phases)
+        worst = max(worst, float(np.max(np.abs(oracle_phase_gradient(sub, phases) - grad))))
     assert worst < 1e-5
 
 
@@ -205,7 +190,7 @@ def test_pga_linear_term_alignment():
     rng = np.random.default_rng(40)
     nu = complex_normal(rng, 8)
     sub = AnalogSubproblem(linear_term=nu, factor=np.zeros((0, 8)))
-    phases = optimize_phases(sub, PhaseConfig(rng.uniform(0, 2 * np.pi, 8)), SolverSettings())
+    phases = _pga(sub, PhaseConfig(rng.uniform(0, 2 * np.pi, 8)), SolverSettings())[0]
     best = 2.0 * float(np.sum(np.abs(nu)))
     assert analog_objective(sub, phases) > (1.0 - 1e-8) * best
     err = np.angle(np.exp(1j * (phases.phases - np.angle(nu))))
@@ -221,7 +206,7 @@ def test_pga_never_decreases_objective():
         phases = random_phases(rng, 6)
         value = analog_objective(sub, phases)
         for _ in range(20):
-            phases = optimize_phases(sub, phases, settings)
+            phases = _pga(sub, phases, settings)[0]
             new_value = analog_objective(sub, phases)
             assert new_value >= value - 1e-12
             value = new_value
@@ -314,37 +299,32 @@ def test_warm_started_steps_pass_armijo_and_never_descend():
             prev = phases
 
 
-def test_digital_precoder_scalar_case():
+def test_precoder_system_scalar_case():
     rng = np.random.default_rng(42)
     inst = make_instance(rng, m=4, n=1, k=1, weights=[1.3])
     phases = random_phases(rng, 4)
-    h = complex(effective_channel(inst, phases)[0, 0])
+    heff = effective_channel(inst, phases)
+    h = complex(heff[0, 0])
     aux = AuxVariables(gamma=np.array([0.8]), y=np.array([0.4 - 0.6j]))
-    prec = digital_precoder(inst, phases, aux, 0.0)
+    gram, rhs = _precoder_system(inst, heff, aux)
+    prec = np.linalg.solve(gram, rhs)
     expected = np.sqrt(1.3 * 1.8) * aux.y[0] * np.conj(h) / (abs(aux.y[0]) ** 2 * abs(h) ** 2)
-    assert abs(prec.matrix[0, 0] - expected) < 1e-10 * abs(expected)
+    assert abs(prec[0, 0] - expected) < 1e-10 * abs(expected)
 
 
-def test_digital_precoder_shrinks_with_mu():
+def test_regularised_precoder_shrinks_with_mu():
     rng = np.random.default_rng(43)
     for constraint in ConstraintKind:
         inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint)
         phases = random_phases(rng, 6)
         aux = random_aux(rng, 3)
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
         norms = [
-            np.linalg.norm(digital_precoder(inst, phases, aux, mu).matrix)
+            np.linalg.norm(np.linalg.solve(gram + mu * _regularizer(inst), rhs))
             for mu in (0.1, 1.0, 10.0, 100.0, 1e4)
         ]
         assert all(a > b for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-2 * norms[0]
-
-
-def test_digital_precoder_singular_needs_dual():
-    rng = np.random.default_rng(44)
-    inst = make_instance(rng, m=6, n=3, k=3)
-    aux = AuxVariables(gamma=np.ones(3), y=np.zeros(3, dtype=complex))
-    with pytest.raises(SolverError, match="positive dual"):
-        digital_precoder(inst, random_phases(rng, 6), aux, 0.0)
 
 
 def test_kkt_stationarity_and_slackness():
@@ -448,10 +428,12 @@ def test_dual_power_monotone_in_mu():
         inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint)
         phases = random_phases(rng, 6)
         aux = random_aux(rng, 3)
-        grid = np.logspace(-3, 3, 20)
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
         values = [
-            constraint_value(inst, phases, digital_precoder(inst, phases, aux, mu))
-            for mu in grid
+            constraint_value(
+                inst, phases, Precoder(np.linalg.solve(gram + mu * _regularizer(inst), rhs))
+            )
+            for mu in np.logspace(-3, 3, 20)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 

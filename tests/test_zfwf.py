@@ -8,7 +8,6 @@ from itsbeam import (
     PhaseConfig,
     SolverError,
     SolverSettings,
-    SystemInstance,
     bcd_solve,
     constraint_value,
     effective_channel,
@@ -19,7 +18,8 @@ from itsbeam import (
     zf_directions,
     zfwf_solve,
 )
-from helpers import complex_normal, make_instance, random_phases
+from itsbeam.selfcheck import oracle_waterfill
+from helpers import complex_normal, make_instance
 
 
 def test_phase_align_single_user_sum():
@@ -141,25 +141,6 @@ def test_waterfill_rejects_empty_problem():
         waterfill(np.zeros(2), np.ones(2), noise_power=0.1, power_budget=1.0)
     with pytest.raises(SolverError):
         waterfill(np.ones(2), np.ones(2), noise_power=0.1, power_budget=0.0)
-
-
-def oracle_waterfill(weights, costs, noise, budget):
-    """Bisect the water level directly from the KKT characterization."""
-
-    def spent(mu):
-        p = np.maximum(weights / (mu * costs) - noise, 0.0)
-        return float(costs @ p), p
-
-    lo, hi = 1e-12, 1e12
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        used, _ = spent(mid)
-        if used > budget:
-            lo = mid
-        else:
-            hi = mid
-    _, powers = spent(np.sqrt(lo * hi))
-    return powers
 
 
 def test_waterfill_matches_bisection_oracle():

@@ -12,6 +12,11 @@ CSV is a pure function of the spec and base seed, byte-identical across runs
 and worker counts.  Enabling timing fills ``wall_time_ms`` with measured
 values and intentionally gives up byte-stable output.
 
+Two bounded LRU memos with read-only arrays change no draw: layout and transfer
+matrix per resolved :class:`GeometryConfig` (16 entries), and the surface
+instance per (spec, sweep_value, trial_index, illumination) (4 entries), so the
+surface methods of a trial (cells walked trial by trial) share one draw.
+
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
 identities, the channel comes from :func:`itsbeam.channel.sample_direct_channel`,
@@ -26,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -265,6 +271,17 @@ def _resolve_sweep(spec: ExperimentSpec, sweep_value: float):
     return geometry, budget
 
 
+@lru_cache(maxsize=16)  # grid values x illuminations of a sweep
+def _geometry(geometry: GeometryConfig):
+    """(layout, transfer) of one resolved geometry, built once; arrays read-only."""
+    layout = build_layout(geometry)
+    transfer = build_transfer_matrix(geometry, layout)
+    for array in (transfer, *vars(layout).values()):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return layout, transfer
+
+
 def build_trial_instance(
     spec: ExperimentSpec,
     sweep_value: float,
@@ -273,20 +290,24 @@ def build_trial_instance(
 ):
     """Shared per-trial objects: (instance, layout, drop) for surface methods."""
     geometry, budget = _resolve_sweep(spec, sweep_value)
-    geometry = replace(geometry, illumination=illumination)
-    layout = build_layout(geometry)
-    transfer = build_transfer_matrix(geometry, layout)
+    layout, transfer = _geometry(replace(geometry, illumination=illumination))
     drop = sample_user_drop(spec.channel, spec.n_users, rng_channel)
     channel = sample_channel(layout, drop, spec.channel, rng_channel)
     inst = SystemInstance(
-        transfer=transfer,
-        channel=channel,
-        noise_power=spec.noise_power,
-        power_budget=budget,
-        weights=np.asarray(spec.weights),
-        constraint=spec.constraint,
+        transfer=transfer, channel=channel, noise_power=spec.noise_power,
+        power_budget=budget, weights=np.asarray(spec.weights), constraint=spec.constraint,
     )
     return inst, layout, drop
+
+
+@lru_cache(maxsize=4)  # the illuminations of one trial
+def _surface_instance(spec, sweep_value, trial_index, illumination) -> SystemInstance:
+    """The trial's surface instance, drawn once for all its surface methods; arrays read-only."""
+    rng_channel = _trial_streams(spec.base_seed, trial_index)[0]
+    inst = build_trial_instance(spec, sweep_value, illumination, rng_channel)[0]
+    inst.channel.setflags(write=False)
+    inst.weights.setflags(write=False)
+    return inst
 
 
 _REVIVAL_BLEND = 1e-2
@@ -327,26 +348,24 @@ def solve_cell(
     Returns (solution, applied constraint); the no-surface baseline always
     applies TRANSMITTED_POWER.  Solver errors propagate.
     """
-    rng_channel, rng_direct, rng_phases = _trial_streams(spec.base_seed, trial_index)
     if method is Method.NO_ITS:
+        rng_channel, rng_direct, _ = _trial_streams(spec.base_seed, trial_index)
         geometry, budget = _resolve_sweep(spec, sweep_value)
-        layout = build_layout(replace(geometry, illumination=IlluminationMode.FULL))
+        layout = _geometry(replace(geometry, illumination=IlluminationMode.FULL))[0]
         drop = sample_user_drop(spec.channel, spec.n_users, rng_channel)
         direct = sample_direct_channel(layout, drop, spec.channel, rng_direct)
         inst = SystemInstance(
-            transfer=np.eye(geometry.n_active, dtype=complex),
-            channel=direct,
-            noise_power=spec.noise_power,
-            power_budget=budget,
-            weights=np.asarray(spec.weights),
-            constraint=ConstraintKind.TRANSMITTED_POWER,
+            transfer=np.eye(geometry.n_active, dtype=complex), channel=direct,
+            noise_power=spec.noise_power, power_budget=budget,
+            weights=np.asarray(spec.weights), constraint=ConstraintKind.TRANSMITTED_POWER,
         )
         phases = PhaseConfig(np.zeros(geometry.n_active))
     elif method is Method.RANDOM_PHASES:
-        inst = build_trial_instance(spec, sweep_value, IlluminationMode.FULL, rng_channel)[0]
+        inst = _surface_instance(spec, sweep_value, trial_index, IlluminationMode.FULL)
+        rng_phases = _trial_streams(spec.base_seed, trial_index)[2]
         phases = PhaseConfig(rng_phases.uniform(0.0, 2.0 * np.pi, inst.n_elements))
     else:
-        inst = build_trial_instance(spec, sweep_value, illumination, rng_channel)[0]
+        inst = _surface_instance(spec, sweep_value, trial_index, illumination)
         if method is Method.ZF_WF:
             return zfwf_solve(inst), spec.constraint
         if method is not Method.WMMSE_BCD:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SolverError
 
 __all__ = [
     "ConstraintKind",
@@ -106,6 +107,22 @@ class SystemInstance:
         object.__setattr__(self, "transfer", t)
         object.__setattr__(self, "channel", h)
         object.__setattr__(self, "weights", w)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """R in the constraint value tr(B^H R B): I under TP, T^H T under RP; read-only."""
+        tp = self.constraint is ConstraintKind.TRANSMITTED_POWER
+        r = np.eye(self.n_chains, dtype=complex) if tp else self.transfer.conj().T @ self.transfer
+        r.setflags(write=False)
+        return r
+
+    @cached_property
+    def curvature_whitening(self) -> np.ndarray:
+        """L^-1 for the Cholesky factor R = L L^H, built once; SolverError if R is singular."""
+        try:
+            return np.linalg.inv(np.linalg.cholesky(self.curvature))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("constraint curvature R is singular: no dual power curve") from exc
 
     @property
     def n_chains(self) -> int:

@@ -39,7 +39,7 @@ from .wmmse import (
     update_gamma,
     update_y,
 )
-from .wmmse import _power_curve, _precoder_system, _regularizer
+from .wmmse import _power_curve, _precoder_system, _spectrum
 from .zfwf import waterfill, zfwf_solve
 from .harness import Method, default_experiment_spec, run_trial
 
@@ -213,10 +213,9 @@ def _check_dual_power_curve(rng) -> bool:
     for constraint in ConstraintKind:
         inst, phases, _, aux = _random_point(rng, constraint=constraint)
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-        reg = _regularizer(inst)
-        power = _power_curve(gram, rhs, reg)
+        power = _power_curve(*_spectrum(inst, gram, rhs)[::3])
         for mu in np.logspace(-3, 3, 13):
-            prec = Precoder(np.linalg.solve(gram + mu * reg, rhs))
+            prec = Precoder(np.linalg.solve(gram + mu * inst.curvature, rhs))
             if abs(power(mu) - constraint_value(inst, phases, prec)) > 1e-10 * power(mu):
                 return False
     return True

@@ -80,14 +80,14 @@ class SolverSettings:
     freeze_phases: bool = False
 
     def __post_init__(self):
-        if self.bcd_epsilon <= 0 or self.dual_tolerance <= 0:
-            raise SolverError("tolerances must be positive")
+        for name in ("bcd_epsilon", "dual_tolerance", "tau_init", "armijo_zeta"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):  # NaN fails both tests
+                raise SolverError(f"{name} must be finite and positive, got {value!r}")
         if min(self.bcd_max_iters, self.pga_max_iters, self.dual_max_iters) < 1:
             raise SolverError("iteration caps must be >= 1")
         if not 0 < self.armijo_shrink < 1:
             raise SolverError("armijo_shrink must lie in (0, 1)")
-        if self.tau_init <= 0 or self.armijo_zeta <= 0:
-            raise SolverError("tau_init and armijo_zeta must be positive")
 
 
 @dataclass(frozen=True)
@@ -277,13 +277,6 @@ def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettin
     return PhaseConfig(phi), steps, evals
 
 
-def _regularizer(inst: SystemInstance) -> np.ndarray:
-    """Constraint curvature: d(h)/d(conj B) = R @ B with R below."""
-    if inst.constraint is ConstraintKind.TRANSMITTED_POWER:
-        return np.eye(inst.n_chains, dtype=complex)
-    return inst.transfer.conj().T @ inst.transfer
-
-
 def _precoder_system(inst: SystemInstance, heff: np.ndarray, aux: AuxVariables):
     """Normal equations of the f1 B-step: (gram + mu R) b_k = rhs[:, k]."""
     weights_sq = np.abs(aux.y) ** 2
@@ -299,20 +292,23 @@ def _gram_eigh(gram: np.ndarray):
     return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
 
-def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray, eig=None) -> Precoder:
-    """mu -> 0+ limit of solve(gram + mu reg, rhs); ``eig`` is ``_gram_eigh(gram)`` if known.
+def _kept(lam: np.ndarray) -> np.ndarray:
+    return lam > max(float(lam[-1]) if lam.size else 0.0, 0.0) * _RANK_RTOL
+
+
+def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> Precoder:
+    """mu -> 0+ limit of solve(gram + mu reg, rhs).
 
     The gram matrix is PSD and the right-hand side lies in its range (both are
     built from the same weighted channel rows), so the limit exists even when
     users with y_k = 0 leave the gram rank-deficient.  Directions with zero
     gain carry no objective value; the limit keeps them only insofar as they
-    cancel constraint power: b_null = -(Z^H reg Z)^+ Z^H reg b_range.
+    cancel constraint power: b_null = -(Z^H reg Z)^+ Z^H reg b_range.  Only RP
+    needs it: under TP reg = I and Z is orthogonal to b_range, so b_null = 0
+    and ``dual_search`` skips this function and its ``lstsq``.
     """
-    lam, vecs = _gram_eigh(gram) if eig is None else eig
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    keep = lam > max(lam_max, 0.0) * _RANK_RTOL
-    if not np.any(keep):
-        return Precoder(np.zeros_like(rhs))
+    lam, vecs = _gram_eigh(gram)
+    keep = _kept(lam)  # none kept (gram = 0): the correction below gives B = 0
     v_keep = vecs[:, keep]
     matrix = v_keep @ ((v_keep.conj().T @ rhs) / lam[keep][:, None])
     if np.all(keep):
@@ -324,24 +320,27 @@ def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray, eig=None
     return Precoder(matrix - z @ shrink)
 
 
-def _power_curve(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray, eig=None):
-    """h(mu) = tr(B^H reg B) at B = solve(gram + mu reg, rhs), in closed form for mu > 0.
+def _spectrum(inst: SystemInstance, gram: np.ndarray, rhs: np.ndarray):
+    """Eigendata (lam, V, c, e) of the pencil (gram, R = ``inst.curvature`` = L L^H).
 
-    With reg = L L^H and L^-1 gram L^-H = V diag(lam) V^H, B = L^-H V (lam + mu)^-1
-    V^H L^-1 rhs, so h(mu) = sum_j e_j / (lam_j + mu)^2 with e_j the squared norm
-    of row j of V^H L^-1 rhs.  h is the active constraint value of B for both kinds.
-    Under TP (reg = I), ``eig = _gram_eigh(gram)`` replaces the whitening.  h runs on
-    Python floats; a zero denominator gives inf (nan if e_j = 0), never an exception.
+    L^-1 gram L^-H = V diag(lam) V^H, c = V^H L^-1 rhs and e_j = ||c_j||^2, so the precoder
+    at mu > 0 is L^-H V (lam + mu)^-1 c; under TP (L = I), one eigh of the gram itself.
     """
-    if eig is None:
-        try:
-            chol = np.linalg.cholesky(reg)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("constraint curvature R is singular: no dual power curve") from exc
-        linv = np.linalg.inv(chol)
-        eig, rhs = np.linalg.eigh(linv @ gram @ linv.conj().T), linv @ rhs
-    lam, vecs = eig
-    pairs = tuple(zip(lam.tolist(), np.sum(np.abs(vecs.conj().T @ rhs) ** 2, axis=1).tolist()))
+    if inst.constraint is ConstraintKind.TRANSMITTED_POWER:
+        lam, vecs = _gram_eigh(gram)
+    else:
+        linv = inst.curvature_whitening
+        lam, vecs = np.linalg.eigh(linv @ gram @ linv.conj().T)
+        rhs = linv @ rhs
+    coords = vecs.conj().T @ rhs
+    return lam, vecs, coords, np.sum(np.abs(coords) ** 2, axis=1)
+
+
+def _power_curve(lam: np.ndarray, energy: np.ndarray):
+    """h(mu) = sum_j e_j / (lam_j + mu)^2 from ``_spectrum``, the constraint value at mu > 0;
+    on Python floats, a zero denominator gives inf (nan if e_j = 0), never an exception.
+    """
+    pairs = tuple(zip(lam.tolist(), energy.tolist()))
 
     def power(mu: float) -> float:
         total = 0.0
@@ -368,27 +367,32 @@ def dual_search(
     ``dual_tolerance`` relative tolerance (tightened when mu is large so that
     complementary slackness holds at the same tolerance).  The bisection runs on
     h(mu) = sum_j e_j / (lam_j + mu)^2 from one generalised eigendecomposition of
-    (gram, R) (``_power_curve``; Shi et al., "An Iteratively Weighted MMSE
+    (gram, R) (``_spectrum``; Shi et al., "An Iteratively Weighted MMSE
     Approach...", IEEE TSP 2011, eq. (15)), and the precoder is solved once, at
-    the accepted mu; under TP it takes one eigendecomposition, shared with the
-    mu = 0 test.  ``heff`` is the effective channel at ``phases``, if known.
+    the accepted mu.  Under TP the mu = 0 limit (``_limit_precoder``, null part 0),
+    V_keep (c_keep / lam_keep) with power sum_keep e_j / lam_j^2, reuses that one
+    eigendecomposition.  ``heff`` is the effective channel at ``phases``, if known.
     """
     budget = inst.power_budget
     tol = settings.dual_tolerance * budget
     heff = effective_channel(inst, phases) if heff is None else heff
     gram, rhs = _precoder_system(inst, heff, aux)
-    reg = _regularizer(inst)
-    eig = _gram_eigh(gram)
+    reg = inst.curvature
 
-    # The mu = 0 optimum needs rank-aware handling: users with y_k = 0 leave
-    # the gram singular, and a naive solve then reports roundoff-level power
-    # instead of the finite mu -> 0+ limit.
-    prec0 = _limit_precoder(gram, rhs, reg, eig)
-    if constraint_value(inst, phases, prec0) <= budget:
-        return prec0, 0.0
+    # The mu = 0 optimum needs rank-aware handling: users with y_k = 0 leave the gram
+    # singular, and a naive solve reports roundoff-level power, not the mu -> 0+ limit.
+    if inst.constraint is ConstraintKind.TRANSMITTED_POWER:
+        lam, vecs, coords, energy = _spectrum(inst, gram, rhs)
+        keep = _kept(lam)
+        if float(np.sum(energy[keep] / lam[keep] ** 2)) <= budget:
+            return Precoder(vecs[:, keep] @ (coords[keep] / lam[keep][:, None])), 0.0
+    else:
+        prec0 = _limit_precoder(gram, rhs, reg)
+        if constraint_value(inst, phases, prec0) <= budget:
+            return prec0, 0.0
+        lam, _, _, energy = _spectrum(inst, gram, rhs)
 
-    tp = inst.constraint is ConstraintKind.TRANSMITTED_POWER
-    power_at = _power_curve(gram, rhs, reg, eig if tp else None)
+    power_at = _power_curve(lam, energy)
     hi = 1.0
     h_hi = power_at(hi)
     doublings = 0
@@ -446,7 +450,8 @@ def bcd_solve(
     current = _rates(inst, gamma)[1]
     trace, detail = [(0, current)], []
     for iteration in range(1, settings.bcd_max_iters + 1):
-        aux = AuxVariables(gamma=gamma, y=_y_update(inst, gamma, f, total))
+        aux = object.__new__(AuxVariables)  # arrays built here need no validation
+        vars(aux).update(gamma=gamma, y=_y_update(inst, gamma, f, total))
         pga_steps = phase_evals = 0
         if not settings.freeze_phases:
             sub = build_analog_subproblem(inst, precoder, aux)

@@ -41,7 +41,7 @@ from itsbeam import (
     zfwf_solve,
 )
 from itsbeam.selfcheck import optimal_aux, oracle_phase_gradient, oracle_waterfill
-from itsbeam.wmmse import _pga, _precoder_system, _regularizer
+from itsbeam.wmmse import _pga, _precoder_system
 from helpers import complex_normal, make_instance, random_phases, random_precoder
 
 RESULTS = []
@@ -141,7 +141,7 @@ def test_criterion_04_kkt_suite():
         precoder, mu = dual_search(inst, phases, aux, settings)
         heff = effective_channel(inst, phases)
         gram, rhs = _precoder_system(inst, heff, aux)
-        residual = (gram + mu * _regularizer(inst)) @ precoder.matrix - rhs
+        residual = (gram + mu * inst.curvature) @ precoder.matrix - rhs
         worst_stationarity = max(
             worst_stationarity,
             float(np.linalg.norm(residual) / max(np.linalg.norm(rhs), 1.0)),
@@ -152,7 +152,7 @@ def test_criterion_04_kkt_suite():
             constraint_value(
                 inst,
                 phases,
-                Precoder(np.linalg.solve(gram + grid_mu * _regularizer(inst), rhs)),
+                Precoder(np.linalg.solve(gram + grid_mu * inst.curvature, rhs)),
             )
             for grid_mu in np.logspace(-3.0, 3.0, 20)
         ]

@@ -96,6 +96,15 @@ def test_sweep_rejects_bad_config(tmp_path):
         assert not out.exists()
 
 
+def test_sweep_rejects_nan_solver_setting(tmp_path):
+    bad = tmp_path / "nan.yaml"
+    out = tmp_path / "never.csv"
+    solver = "bcd_max_iters: 25"
+    bad.write_text(TINY_CONFIG.replace(solver, solver + "\n  dual_tolerance: .nan"))
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_solve_dumps_json(tmp_path, config_path):
     dump = tmp_path / "solution.json"
     code = main(

@@ -129,6 +129,39 @@ def test_common_random_numbers_across_methods():
     assert np.array_equal(inst1.transfer, inst2.transfer)
 
 
+def test_memoised_cell_matches_cold_cell():
+    # A trial's surface methods share one memoised instance; solving a cell
+    # after its trial's other cells equals solving it from empty memos.
+    spec = tiny_spec(methods=["random_phases", "wmmse_bcd", "zf_wf"])
+    harness._geometry.cache_clear()
+    harness._surface_instance.cache_clear()
+    cold = harness.solve_cell(spec, 30.0, 1, Method.ZF_WF, IlluminationMode.FULL)[0]
+    for method in (Method.RANDOM_PHASES, Method.WMMSE_BCD, Method.ZF_WF):
+        warm = harness.solve_cell(spec, 30.0, 1, method, IlluminationMode.FULL)[0]
+    assert harness._surface_instance.cache_info().hits == 3
+    assert warm.wsr == cold.wsr
+    assert np.array_equal(warm.precoder.matrix, cold.precoder.matrix)
+    assert np.array_equal(warm.phases.phases, cold.phases.phases)
+
+
+def test_memoised_arrays_are_read_only():
+    spec = tiny_spec()
+    inst = harness._surface_instance(spec, 30.0, 0, IlluminationMode.FULL)
+    layout, transfer = harness._geometry(spec.geometry)
+    for array in (inst.transfer, inst.channel, inst.weights, transfer, layout.element_positions):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_surface_memo_keys_on_base_seed():
+    spec = tiny_spec()
+    other = replace(spec, base_seed=spec.base_seed + 1)
+    a = harness._surface_instance(spec, 30.0, 0, IlluminationMode.FULL)
+    b = harness._surface_instance(other, 30.0, 0, IlluminationMode.FULL)
+    assert a.transfer is b.transfer  # one geometry, two draws
+    assert not np.array_equal(a.channel, b.channel)
+
+
 def test_run_trial_deterministic():
     spec = tiny_spec()
     rec1 = run_trial(spec, 30.0, 0, Method.WMMSE_BCD, IlluminationMode.FULL)

@@ -34,12 +34,11 @@ from itsbeam import (
 )
 from itsbeam.harness import _bcd_init, _trial_streams, build_trial_instance
 from itsbeam.wmmse import (
-    _gram_eigh,
     _limit_precoder,
     _pga,
     _power_curve,
     _precoder_system,
-    _regularizer,
+    _spectrum,
 )
 from itsbeam.selfcheck import optimal_aux, oracle_phase_gradient
 from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
@@ -320,7 +319,7 @@ def test_regularised_precoder_shrinks_with_mu():
         aux = random_aux(rng, 3)
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
         norms = [
-            np.linalg.norm(np.linalg.solve(gram + mu * _regularizer(inst), rhs))
+            np.linalg.norm(np.linalg.solve(gram + mu * inst.curvature, rhs))
             for mu in (0.1, 1.0, 10.0, 100.0, 1e4)
         ]
         assert all(a > b for a, b in zip(norms, norms[1:]))
@@ -338,7 +337,7 @@ def test_kkt_stationarity_and_slackness():
             prec, mu = dual_search(inst, phases, aux, settings)
             heff = effective_channel(inst, phases)
             gram, rhs = _precoder_system(inst, heff, aux)
-            residual = (gram + mu * _regularizer(inst)) @ prec.matrix - rhs
+            residual = (gram + mu * inst.curvature) @ prec.matrix - rhs
             assert np.linalg.norm(residual) < 1e-8 * max(np.linalg.norm(rhs), 1.0)
             slack = inst.power_budget - constraint_value(inst, phases, prec)
             assert mu * slack < 1e-6 * inst.power_budget
@@ -379,7 +378,7 @@ def test_constraint_gradient_matches_regularizer():
         inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint)
         phases = random_phases(rng, 6)
         prec = random_precoder(rng, 3, 3)
-        reg = _regularizer(inst)
+        reg = inst.curvature
         expected = reg @ prec.matrix
         for idx in ((0, 0), (1, 2), (2, 1)):
             for axis, component in ((1.0, np.real), (1.0j, np.imag)):
@@ -403,7 +402,7 @@ def test_dual_search_interior_solution():
     aux = random_aux(rng, 3)
     heff = effective_channel(inst, phases)
     gram, rhs = _precoder_system(inst, heff, aux)
-    prec0 = _limit_precoder(gram, rhs, _regularizer(inst))
+    prec0 = _limit_precoder(gram, rhs, inst.curvature)
     roomy = replace(inst, power_budget=2.0 * constraint_value(inst, phases, prec0))
     prec, mu = dual_search(roomy, phases, aux, SolverSettings())
     assert mu == 0.0
@@ -431,7 +430,7 @@ def test_dual_power_monotone_in_mu():
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
         values = [
             constraint_value(
-                inst, phases, Precoder(np.linalg.solve(gram + mu * _regularizer(inst), rhs))
+                inst, phases, Precoder(np.linalg.solve(gram + mu * inst.curvature, rhs))
             )
             for mu in np.logspace(-3, 3, 20)
         ]
@@ -451,7 +450,7 @@ def test_limit_precoder_matches_vanishing_mu():
         aux = AuxVariables(gamma=gamma, y=y)
         heff = effective_channel(inst, phases)
         gram, rhs = _precoder_system(inst, heff, aux)
-        reg = _regularizer(inst)
+        reg = inst.curvature
         limit = _limit_precoder(gram, rhs, reg).matrix
         tiny = np.linalg.solve(gram + 1e-11 * reg, rhs)
         scale = np.linalg.norm(tiny)
@@ -472,8 +471,8 @@ def test_power_curve_matches_explicit_solves():
             if silent:
                 aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
             gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-            reg = _regularizer(inst)
-            power = _power_curve(gram, rhs, reg)
+            reg = inst.curvature
+            power = _power_curve(*_spectrum(inst, gram, rhs)[::3])
             for mu in np.logspace(-6, 6, 25):
                 explicit = constraint_value(
                     inst, phases, Precoder(np.linalg.solve(gram + mu * reg, rhs))
@@ -486,7 +485,7 @@ def bisection_oracle(inst, phases, aux, settings):
     budget = inst.power_budget
     tol = settings.dual_tolerance * budget
     gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-    reg = _regularizer(inst)
+    reg = inst.curvature
 
     def power_at(mu):
         prec = Precoder(np.linalg.solve(gram + mu * reg, rhs))
@@ -561,22 +560,75 @@ def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
     prec, mu = dual_search(inst, phases, aux, SolverSettings())
     assert mu > 0 and len(calls) == 1
     assert mu == expected[1] and np.array_equal(prec.matrix, expected[0].matrix)
-    # The shared decomposition gives the whitened curve of R = I.
+    # The shared decomposition gives the whitened curve of R = I: an RP
+    # instance whose transfer has orthonormal columns has exactly that R.
     gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-    shared = _power_curve(gram, rhs, _regularizer(inst), eig=_gram_eigh(gram))
-    whitened = _power_curve(gram, rhs, _regularizer(inst))
+    shared = _power_curve(*_spectrum(inst, gram, rhs)[::3])
+    rp = replace(
+        inst, transfer=np.eye(6, 3, dtype=complex), constraint=ConstraintKind.RADIATED_POWER
+    )
+    whitened = _power_curve(*_spectrum(rp, gram, rhs)[::3])
     for trial_mu in np.logspace(-4, 4, 9):
         assert abs(shared(trial_mu) - whitened(trial_mu)) <= 1e-12 * whitened(trial_mu)
+
+
+def test_tp_shortcut_matches_lstsq_path():
+    # Under TP the mu = 0 limit and its power come from one eigendecomposition,
+    # without _limit_precoder's null-space lstsq, which vanishes when R = I.
+    # Every instance is rank-deficient (N > K), half of them with a silent user.
+    rng = np.random.default_rng(63)
+    settings = SolverSettings()
+    active = 0
+    for index in range(200):
+        inst = make_instance(rng, m=6, n=4, k=3)
+        phases, aux = random_phases(rng, 6), random_aux(rng, 3)
+        if index % 2:
+            aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+        limit = _limit_precoder(gram, rhs, inst.curvature).matrix
+        power0 = float(np.linalg.norm(limit) ** 2)
+        roomy = replace(inst, power_budget=2.0 * power0)
+        prec0, mu0 = dual_search(roomy, phases, aux, settings)
+        assert mu0 == 0.0
+        assert np.linalg.norm(prec0.matrix - limit) <= 1e-12 * np.linalg.norm(limit)
+        inst = replace(inst, power_budget=power0 * 10.0 ** rng.uniform(-1.0, 0.5))
+        prec, mu = dual_search(inst, phases, aux, settings)
+        oracle_prec, oracle_mu = bisection_oracle(inst, phases, aux, settings)
+        assert abs(mu - oracle_mu) <= 1e-12 * oracle_mu
+        scale = np.linalg.norm(oracle_prec.matrix)
+        assert np.linalg.norm(prec.matrix - oracle_prec.matrix) <= 1e-12 * scale
+        active += mu > 0
+    assert 50 <= active <= 180
+
+
+def test_tp_solve_never_calls_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    rng = np.random.default_rng(64)
+    counts = {}
+    for constraint in ConstraintKind:
+        # Four chains serve three users, so every gram is rank-deficient.
+        inst = make_instance(rng, m=8, n=4, k=3, constraint=constraint, power_budget=50.0)
+        calls.clear()
+        bcd_solve(inst, SolverSettings(bcd_max_iters=5), zfwf_solve(inst))
+        counts[constraint] = len(calls)
+    assert counts[ConstraintKind.TRANSMITTED_POWER] == 0
+    assert counts[ConstraintKind.RADIATED_POWER] > 0  # RP keeps the null-space correction
 
 
 def test_power_curve_degenerate_denominators_give_inf():
     # mu = -lam_0 zeroes a denominator, mu = 1e-200 underflows one, mu = 1e200
     # overflows all: the scalar curve must agree with numpy's elementwise form.
     lam = np.array([-0.5, 0.0, 2.0])
-    vecs = np.eye(3, dtype=complex)
     rhs = np.array([[1.0, 0.5], [2.0, 0.0], [0.0, 1.0]], dtype=complex)
-    power = _power_curve(None, rhs, None, eig=(lam, vecs))
     e = np.sum(np.abs(rhs) ** 2, axis=1)
+    power = _power_curve(lam, e)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         for mu in (0.5, 1e-200, 1e200, 1.0):
             assert power(mu) == float(e @ (1.0 / (lam + mu) ** 2))
@@ -732,3 +784,10 @@ def test_settings_validation():
         SolverSettings(armijo_shrink=1.0)
     with pytest.raises(SolverError):
         SolverSettings(dual_max_iters=0)
+
+
+@pytest.mark.parametrize("name", ["bcd_epsilon", "dual_tolerance", "tau_init", "armijo_zeta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_settings_reject_nan_and_nonpositive(name, value):
+    with pytest.raises(SolverError, match=name):
+        SolverSettings(**{name: value})

@@ -79,13 +79,13 @@ from .harness import (
     Method,
     ResultRecord,
     SweepKind,
-    build_trial_instance,
     dbm_to_watts,
     default_experiment_spec,
     emit_plot_script,
     run_sweep,
     run_trial,
     solve_cell,
+    trial,
     trial_seed,
     write_results,
     write_summary,
@@ -146,13 +146,13 @@ __all__ = [
     "Method",
     "ResultRecord",
     "SweepKind",
-    "build_trial_instance",
     "dbm_to_watts",
     "default_experiment_spec",
     "emit_plot_script",
     "run_sweep",
     "run_trial",
     "solve_cell",
+    "trial",
     "trial_seed",
     "write_results",
     "write_summary",

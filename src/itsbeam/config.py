@@ -61,6 +61,7 @@ Schema (values shown are the defaults)::
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import yaml
 
@@ -79,6 +80,11 @@ from .model import ConstraintKind
 from .wmmse import SolverSettings
 
 __all__ = ["load_experiment_spec", "spec_from_mapping"]
+
+# Solver keys are the SolverSettings fields, converted to their default's type;
+# freeze_phases is set by the harness per method, never by a file.
+_SOLVER_TYPES = {f.name: type(f.default) for f in fields(SolverSettings)}
+del _SOLVER_TYPES["freeze_phases"]
 
 _SECTION_KEYS = {
     "system": {
@@ -114,16 +120,7 @@ _SECTION_KEYS = {
         "median_element_gain_db",
         "direct_kappa",
     },
-    "solver": {
-        "bcd_epsilon",
-        "bcd_max_iters",
-        "pga_max_iters",
-        "tau_init",
-        "armijo_shrink",
-        "armijo_zeta",
-        "dual_tolerance",
-        "dual_max_iters",
-    },
+    "solver": set(_SOLVER_TYPES),
     "sweep": {
         "kind",
         "grid",
@@ -150,10 +147,24 @@ def _check_keys(mapping: dict) -> None:
             raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
 
 
-def _get(mapping: dict, section: str, key: str, default):
-    content = mapping.get(section) or {}
-    value = content.get(key, default)
-    return default if value is None and key != "median_element_gain_db" else value
+def _get(mapping: dict, section: str, key: str, default, convert=float):
+    """``convert`` of the value (or of ``default``); ConfigError naming the key if it fails."""
+    value = (mapping.get(section) or {}).get(key, default)
+    if value is None and key != "median_element_gain_db":
+        value = default
+    try:
+        return None if value is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value {value!r} for {section}.{key}: {exc}") from None
+
+
+def _tuple_of(convert):
+    """Converter of a list; a bare string is rejected, not split into characters."""
+    def converted(values):
+        if isinstance(values, str):
+            raise TypeError("expected a list")
+        return tuple(convert(v) for v in values)
+    return converted
 
 
 def spec_from_mapping(mapping: dict) -> ExperimentSpec:
@@ -164,112 +175,74 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
         raise ConfigError("configuration root must be a mapping")
     _check_keys(mapping)
 
-    try:
-        kind = SweepKind(_get(mapping, "sweep", "kind", "power"))
-        constraint = ConstraintKind(_get(mapping, "sweep", "constraint", "rp"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    carrier = float(_get(mapping, "system", "carrier_frequency_hz", 28e9))
+    kind = _get(mapping, "sweep", "kind", "power", SweepKind)
+    carrier = _get(mapping, "system", "carrier_frequency_hz", 28e9)
     wavelength = SPEED_OF_LIGHT / carrier
-    n_active = int(_get(mapping, "geometry", "n_active", 4))
-    n_elements = int(_get(mapping, "geometry", "n_elements", 128))
-    rows = int(_get(mapping, "geometry", "grid_rows", 16))
-    cols = int(_get(mapping, "geometry", "grid_cols", 8))
+    n_active = _get(mapping, "geometry", "n_active", 4, int)
+    n_elements = _get(mapping, "geometry", "n_elements", 128, int)
     r0 = characteristic_distance(n_elements, n_active, wavelength)
-    separation_m = (mapping.get("geometry") or {}).get("separation_m")
-    separation = (
-        float(separation_m)
-        if separation_m is not None
-        else float(_get(mapping, "geometry", "separation_r0", 10.0)) * r0
-    )
-    try:
-        illumination = IlluminationMode(_get(mapping, "geometry", "illumination", "full"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    separation = _get(mapping, "geometry", "separation_m", None)
+    if separation is None:
+        separation = _get(mapping, "geometry", "separation_r0", 10.0) * r0
     geometry = GeometryConfig(
         n_active=n_active,
         n_elements=n_elements,
         wavelength=wavelength,
-        active_radius=float(_get(mapping, "geometry", "active_radius_wavelengths", 1.0))
-        * wavelength,
+        active_radius=_get(mapping, "geometry", "active_radius_wavelengths", 1.0) * wavelength,
         separation=separation,
-        kappa=float(_get(mapping, "geometry", "kappa", 49.0)),
-        surface_efficiency=10.0
-        ** (-float(_get(mapping, "geometry", "surface_loss_db", 3.5)) / 10.0),
-        illumination=illumination,
-        grid_shape=(rows, cols),
+        kappa=_get(mapping, "geometry", "kappa", 49.0),
+        surface_efficiency=10.0 ** (-_get(mapping, "geometry", "surface_loss_db", 3.5) / 10.0),
+        illumination=_get(mapping, "geometry", "illumination", "full", IlluminationMode),
+        grid_shape=(
+            _get(mapping, "geometry", "grid_rows", 16, int),
+            _get(mapping, "geometry", "grid_cols", 8, int),
+        ),
     )
 
-    gain_db = _get(mapping, "channel", "median_element_gain_db", -70.0)
-    direct_kappa = _get(mapping, "channel", "direct_kappa", None)
     channel = ChannelParams(
         carrier_frequency=carrier,
         n_clusters_range=(
-            int(_get(mapping, "channel", "n_clusters_min", 1)),
-            int(_get(mapping, "channel", "n_clusters_max", 6)),
+            _get(mapping, "channel", "n_clusters_min", 1, int),
+            _get(mapping, "channel", "n_clusters_max", 6, int),
         ),
-        pathloss_intercept_db=float(_get(mapping, "channel", "pathloss_intercept_db", 72.0)),
-        pathloss_exponent=float(_get(mapping, "channel", "pathloss_exponent", 2.92)),
-        shadowing_std_db=float(_get(mapping, "channel", "shadowing_std_db", 8.7)),
+        pathloss_intercept_db=_get(mapping, "channel", "pathloss_intercept_db", 72.0),
+        pathloss_exponent=_get(mapping, "channel", "pathloss_exponent", 2.92),
+        shadowing_std_db=_get(mapping, "channel", "shadowing_std_db", 8.7),
         user_distance_range=(
-            float(_get(mapping, "channel", "distance_min_m", 25.0)),
-            float(_get(mapping, "channel", "distance_max_m", 100.0)),
+            _get(mapping, "channel", "distance_min_m", 25.0),
+            _get(mapping, "channel", "distance_max_m", 100.0),
         ),
-        azimuth_range=_symmetric_range(_get(mapping, "channel", "azimuth_deg", 60.0)),
-        elevation_range=_symmetric_range(_get(mapping, "channel", "elevation_deg", 30.0)),
-        cluster_angle_std=math.radians(
-            float(_get(mapping, "channel", "cluster_angle_std_deg", 10.0))
-        ),
-        gain_normalization_db=None if gain_db is None else float(gain_db),
-        direct_kappa=(
-            None if direct_kappa is None else float(direct_kappa)
-        ),
+        azimuth_range=_get(mapping, "channel", "azimuth_deg", 60.0, _symmetric_range),
+        elevation_range=_get(mapping, "channel", "elevation_deg", 30.0, _symmetric_range),
+        cluster_angle_std=math.radians(_get(mapping, "channel", "cluster_angle_std_deg", 10.0)),
+        gain_normalization_db=_get(mapping, "channel", "median_element_gain_db", -70.0),
+        direct_kappa=_get(mapping, "channel", "direct_kappa", None),
     )
 
-    solver = SolverSettings(
-        bcd_epsilon=float(_get(mapping, "solver", "bcd_epsilon", 1e-3)),
-        bcd_max_iters=int(_get(mapping, "solver", "bcd_max_iters", 200)),
-        pga_max_iters=int(_get(mapping, "solver", "pga_max_iters", 50)),
-        tau_init=float(_get(mapping, "solver", "tau_init", 1.0)),
-        armijo_shrink=float(_get(mapping, "solver", "armijo_shrink", 0.5)),
-        armijo_zeta=float(_get(mapping, "solver", "armijo_zeta", 1e-3)),
-        dual_tolerance=float(_get(mapping, "solver", "dual_tolerance", 1e-6)),
-        dual_max_iters=int(_get(mapping, "solver", "dual_max_iters", 100)),
-    )
+    solver = SolverSettings(**{
+        key: _get(mapping, "solver", key, None, _SOLVER_TYPES[key])
+        for key, value in (mapping.get("solver") or {}).items() if value is not None
+    })
 
-    n_users = int(_get(mapping, "system", "n_users", 4))
-    weights = _get(mapping, "system", "weights", None)
-    if weights is None:
-        weights = (1.0,) * n_users
-    try:
-        methods = tuple(
-            Method(m) for m in _get(mapping, "sweep", "methods", None)
-            or [m.value for m in _DEFAULT_METHODS[kind]]
-        )
-        illuminations = tuple(
-            IlluminationMode(i)
-            for i in _get(mapping, "sweep", "illuminations", None) or ["full"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
+    n_users = _get(mapping, "system", "n_users", 4, int)
     return ExperimentSpec(
         sweep=kind,
-        grid=tuple(float(v) for v in _get(mapping, "sweep", "grid", _DEFAULT_GRIDS[kind])),
-        trials=int(_get(mapping, "sweep", "trials", 1000)),
-        base_seed=int(_get(mapping, "sweep", "base_seed", 0)),
-        methods=methods,
-        illuminations=illuminations,
-        constraint=constraint,
+        grid=_get(mapping, "sweep", "grid", _DEFAULT_GRIDS[kind], _tuple_of(float)),
+        trials=_get(mapping, "sweep", "trials", 1000, int),
+        base_seed=_get(mapping, "sweep", "base_seed", 0, int),
+        methods=_get(mapping, "sweep", "methods", None, _tuple_of(Method))
+        or _DEFAULT_METHODS[kind],
+        illuminations=_get(mapping, "sweep", "illuminations", None, _tuple_of(IlluminationMode))
+        or (IlluminationMode.FULL,),
+        constraint=_get(mapping, "sweep", "constraint", "rp", ConstraintKind),
         n_users=n_users,
-        weights=tuple(float(w) for w in weights),
-        noise_power=float(_get(mapping, "system", "noise_power", 1e-7)),
-        power_budget_dbm=float(_get(mapping, "system", "power_budget_dbm", 30.0)),
+        weights=_get(mapping, "system", "weights", (1.0,) * n_users, _tuple_of(float)),
+        noise_power=_get(mapping, "system", "noise_power", 1e-7),
+        power_budget_dbm=_get(mapping, "system", "power_budget_dbm", 30.0),
         geometry=geometry,
         channel=channel,
         solver=solver,
-        record_timing=bool(_get(mapping, "sweep", "record_timing", False)),
+        record_timing=_get(mapping, "sweep", "record_timing", False, bool),
     )
 
 

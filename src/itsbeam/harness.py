@@ -1,11 +1,11 @@
 """Monte Carlo experiment harness: sweeps, trials, CSV output, plot scripts.
 
 A sweep evaluates every (grid value, trial, method, illumination) combination
-of an :class:`ExperimentSpec`.  Within a trial, every method and illumination
-sees the same user drop and surface channel (common random numbers): the
-channel stream is derived only from ``(base_seed, trial_index)``, while the
-no-surface channel and the random-phase draw use independent child streams so
-they never perturb the shared draws.
+of an :class:`ExperimentSpec`.  Every method and illumination of a trial reads
+one :class:`Trial` (common random numbers): one user drop and one surface
+channel, drawn from streams derived only from ``(base_seed, trial_index)``;
+the no-surface channel and the random-phase draw use independent child
+streams, so they never perturb the shared draws.
 
 Determinism contract: with ``record_timing`` False (the default) the emitted
 CSV is a pure function of the spec and base seed, byte-identical across runs
@@ -13,9 +13,9 @@ and worker counts.  Enabling timing fills ``wall_time_ms`` with measured
 values and intentionally gives up byte-stable output.
 
 Two bounded LRU memos with read-only arrays change no draw: layout and transfer
-matrix per resolved :class:`GeometryConfig` (16 entries), and the surface
-instance per (spec, sweep_value, trial_index, illumination) (4 entries), so the
-surface methods of a trial (cells walked trial by trial) share one draw.
+matrix per resolved :class:`GeometryConfig` (16 entries), and :func:`trial`,
+the last trial's state (1 entry).  Cells are walked trial by trial, so a
+trial's cells share its drop, channel and ZF-WF solutions.
 
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
@@ -31,7 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,7 +68,8 @@ __all__ = [
     "default_experiment_spec",
     "dbm_to_watts",
     "trial_seed",
-    "build_trial_instance",
+    "Trial",
+    "trial",
     "solve_cell",
     "run_trial",
     "run_sweep",
@@ -131,6 +132,8 @@ class ExperimentSpec:
             raise SolverError("sweep grid must not be empty")
         if self.trials < 1:
             raise SolverError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise SolverError("base_seed must be >= 0")
         if self.n_users < 1:
             raise SolverError("n_users must be >= 1")
         if len(self.weights) != self.n_users:
@@ -249,9 +252,8 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 
 
 def _trial_streams(base_seed: int, trial_index: int):
-    """Independent generators: (shared channel, no-surface channel, random phases)."""
-    root = np.random.SeedSequence([int(base_seed), int(trial_index)])
-    children = root.spawn(3)
+    """Independent generators: (drop then surface channel, no-surface channel, random phases)."""
+    children = np.random.SeedSequence([int(base_seed), int(trial_index)]).spawn(3)
     return tuple(np.random.default_rng(child) for child in children)
 
 
@@ -271,50 +273,87 @@ def _resolve_sweep(spec: ExperimentSpec, sweep_value: float):
     return geometry, budget
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+
+
 @lru_cache(maxsize=16)  # grid values x illuminations of a sweep
 def _geometry(geometry: GeometryConfig):
     """(layout, transfer) of one resolved geometry, built once; arrays read-only."""
     layout = build_layout(geometry)
     transfer = build_transfer_matrix(geometry, layout)
-    for array in (transfer, *vars(layout).values()):
-        if isinstance(array, np.ndarray):
-            array.setflags(write=False)
+    _read_only(transfer, *(a for a in vars(layout).values() if isinstance(a, np.ndarray)))
     return layout, transfer
 
 
-def build_trial_instance(
-    spec: ExperimentSpec,
-    sweep_value: float,
-    illumination: IlluminationMode,
-    rng_channel: np.random.Generator,
-):
-    """Shared per-trial objects: (instance, layout, drop) for surface methods."""
-    geometry, budget = _resolve_sweep(spec, sweep_value)
-    layout, transfer = _geometry(replace(geometry, illumination=illumination))
-    drop = sample_user_drop(spec.channel, spec.n_users, rng_channel)
-    channel = sample_channel(layout, drop, spec.channel, rng_channel)
-    inst = SystemInstance(
-        transfer=transfer, channel=channel, noise_power=spec.noise_power,
-        power_budget=budget, weights=np.asarray(spec.weights), constraint=spec.constraint,
-    )
-    return inst, layout, drop
+class Trial:
+    """Shared state of one (grid value, trial), read by all its cells; arrays read-only.
+
+    Stream 0 draws the user drop, then the surface channel shared by every illumination
+    (none moves an element); stream 1 the no-surface channel, stream 2 the random phases.
+    All but the drop is drawn on first use: a failed surface draw spares no_its.
+    """
+
+    def __init__(self, spec: ExperimentSpec, sweep_value: float, trial_index: int):
+        self.spec = spec
+        self.geometry, self.budget = _resolve_sweep(spec, sweep_value)
+        self.layout = _geometry(replace(self.geometry, illumination=IlluminationMode.FULL))[0]
+        self.streams = _trial_streams(spec.base_seed, trial_index)
+        self.drop = sample_user_drop(spec.channel, spec.n_users, self.streams[0])
+        self._surface, self._zfwf = {}, {}
+
+    def _build(self, transfer, channel, constraint) -> SystemInstance:
+        inst = SystemInstance(
+            transfer=transfer, channel=channel, noise_power=self.spec.noise_power,
+            power_budget=self.budget, weights=np.asarray(self.spec.weights), constraint=constraint,
+        )
+        _read_only(inst.transfer, inst.channel, inst.weights)
+        return inst
+
+    @cached_property
+    def channel(self) -> np.ndarray:
+        """The (K, M) surface channel, drawn from stream 0 after the drop."""
+        return sample_channel(self.layout, self.drop, self.spec.channel, self.streams[0])
+
+    def instance(self, illumination: IlluminationMode) -> SystemInstance:
+        """The surface instance under ``illumination``."""
+        if illumination not in self._surface:
+            transfer = _geometry(replace(self.geometry, illumination=illumination))[1]
+            self._surface[illumination] = self._build(transfer, self.channel, self.spec.constraint)
+        return self._surface[illumination]
+
+    @cached_property
+    def no_surface(self) -> SystemInstance:
+        """The no-surface baseline: identity transfer, direct channel, always TP."""
+        direct = sample_direct_channel(self.layout, self.drop, self.spec.channel, self.streams[1])
+        return self._build(np.eye(self.geometry.n_active), direct, ConstraintKind.TRANSMITTED_POWER)
+
+    @cached_property
+    def random_phases(self) -> PhaseConfig:
+        """Uniform phases for the random-phase baseline, drawn from stream 2."""
+        phases = PhaseConfig(self.streams[2].uniform(0.0, 2.0 * np.pi, self.geometry.n_elements))
+        _read_only(phases.phases)
+        return phases
+
+    def zfwf(self, illumination: IlluminationMode) -> Solution:
+        """The ZF-WF solution of ``instance(illumination)``, solved once."""
+        if illumination not in self._zfwf:
+            sol = zfwf_solve(self.instance(illumination))
+            _read_only(sol.phases.phases, sol.precoder.matrix)
+            self._zfwf[illumination] = sol
+        return self._zfwf[illumination]
 
 
-@lru_cache(maxsize=4)  # the illuminations of one trial
-def _surface_instance(spec, sweep_value, trial_index, illumination) -> SystemInstance:
-    """The trial's surface instance, drawn once for all its surface methods; arrays read-only."""
-    rng_channel = _trial_streams(spec.base_seed, trial_index)[0]
-    inst = build_trial_instance(spec, sweep_value, illumination, rng_channel)[0]
-    inst.channel.setflags(write=False)
-    inst.weights.setflags(write=False)
-    return inst
+# trial(spec, sweep_value, trial_index): the last trial's state; cells run trial by trial.
+trial = lru_cache(maxsize=1)(Trial)
 
 
 _REVIVAL_BLEND = 1e-2
 
 
-def _bcd_init(inst, phases=None):
-    """Zero-forcing start for the BCD solver, nudged so every user has power.
+def _bcd_init(inst, sol):
+    """Zero-forcing start for the BCD solver from the ZF-WF solution ``sol`` of ``inst``.
 
     Water-filling can shut off a user whose zero-forcing direction is costly,
     and a user entering BCD at exactly zero power stays silent forever (zero
@@ -322,7 +361,6 @@ def _bcd_init(inst, phases=None):
     happens, a small slice of the budget is shifted toward the equal-power
     allocation along the same directions; the total stays exactly on budget.
     """
-    sol = zfwf_solve(inst, phases=phases)
     powers = np.asarray(sol.detail["powers"], dtype=float)
     if np.all(powers > 0.0):
         return sol
@@ -343,37 +381,26 @@ def solve_cell(
     method: Method,
     illumination: IlluminationMode,
 ):
-    """Solve one (grid value, trial, method, illumination) cell on the trial's own draws.
+    """Solve one (grid value, trial, method, illumination) cell on the trial's shared state.
 
     Returns (solution, applied constraint); the no-surface baseline always
     applies TRANSMITTED_POWER.  Solver errors propagate.
     """
-    if method is Method.NO_ITS:
-        rng_channel, rng_direct, _ = _trial_streams(spec.base_seed, trial_index)
-        geometry, budget = _resolve_sweep(spec, sweep_value)
-        layout = _geometry(replace(geometry, illumination=IlluminationMode.FULL))[0]
-        drop = sample_user_drop(spec.channel, spec.n_users, rng_channel)
-        direct = sample_direct_channel(layout, drop, spec.channel, rng_direct)
-        inst = SystemInstance(
-            transfer=np.eye(geometry.n_active, dtype=complex), channel=direct,
-            noise_power=spec.noise_power, power_budget=budget,
-            weights=np.asarray(spec.weights), constraint=ConstraintKind.TRANSMITTED_POWER,
-        )
-        phases = PhaseConfig(np.zeros(geometry.n_active))
-    elif method is Method.RANDOM_PHASES:
-        inst = _surface_instance(spec, sweep_value, trial_index, IlluminationMode.FULL)
-        rng_phases = _trial_streams(spec.base_seed, trial_index)[2]
-        phases = PhaseConfig(rng_phases.uniform(0.0, 2.0 * np.pi, inst.n_elements))
-    else:
-        inst = _surface_instance(spec, sweep_value, trial_index, illumination)
-        if method is Method.ZF_WF:
-            return zfwf_solve(inst), spec.constraint
-        if method is not Method.WMMSE_BCD:
-            raise SolverError(f"unknown method {method!r}")
-        init = _bcd_init(inst)
+    state = trial(spec, sweep_value, trial_index)
+    if method is Method.ZF_WF:
+        return state.zfwf(illumination), spec.constraint
+    if method is Method.WMMSE_BCD:
+        inst = state.instance(illumination)
+        init = _bcd_init(inst, state.zfwf(illumination))
         return bcd_solve(inst, spec.solver, init), spec.constraint
+    if method is Method.NO_ITS:
+        inst, phases = state.no_surface, PhaseConfig(np.zeros(state.geometry.n_active))
+    elif method is Method.RANDOM_PHASES:
+        inst, phases = state.instance(IlluminationMode.FULL), state.random_phases
+    else:
+        raise SolverError(f"unknown method {method!r}")
     # Both frozen-phase baselines run plain digital WMMSE from a zero-forcing start.
-    init = _bcd_init(inst, phases=phases)
+    init = _bcd_init(inst, zfwf_solve(inst, phases=phases))
     settings = replace(spec.solver, freeze_phases=True)
     return bcd_solve(inst, settings, init), inst.constraint
 

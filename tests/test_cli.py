@@ -90,10 +90,21 @@ def test_sweep_requires_out(config_path):
 def test_sweep_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.yaml"
     out = tmp_path / "never.csv"
-    for text in ("sweep:\n  nonsense_key: 1\n", TINY_CONFIG.replace("[1.0, 1.0]", "[1.0, -1.0]")):
+    for text in (
+        "sweep:\n  nonsense_key: 1\n",
+        TINY_CONFIG.replace("[1.0, 1.0]", "[1.0, -1.0]"),
+        TINY_CONFIG.replace("grid: [20.0, 30.0]", "grid: 30"),
+        TINY_CONFIG.replace("trials: 2", "trials: abc"),
+    ):
         bad.write_text(text)
         assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_sweep_rejects_negative_seed(tmp_path, config_path):
+    out = tmp_path / "never.csv"
+    assert main(["sweep", "--config", config_path, "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_rejects_nan_solver_setting(tmp_path):

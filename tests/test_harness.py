@@ -18,6 +18,7 @@ from itsbeam import (
     SweepKind,
     SystemInstance,
     bcd_solve,
+    build_layout,
     characteristic_distance,
     dbm_to_watts,
     default_experiment_spec,
@@ -25,13 +26,18 @@ from itsbeam import (
     load_experiment_spec,
     run_sweep,
     run_trial,
+    sample_channel,
+    sample_direct_channel,
+    sample_user_drop,
     spec_from_mapping,
     trial_seed,
     write_results,
     write_summary,
+    zfwf_solve,
 )
 import itsbeam.harness as harness
-from itsbeam.harness import SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, build_trial_instance
+import itsbeam.selfcheck as selfcheck
+from itsbeam.harness import SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, trial
 
 
 def tiny_spec(**sweep_overrides):
@@ -119,36 +125,52 @@ def test_trial_streams_reproducible_and_distinct():
 
 
 def test_common_random_numbers_across_methods():
-    # Every surface method sees the same user drop and channel for a given
-    # (seed, trial), so method comparisons are paired.
+    # Every illumination of a trial sees one drop and one channel, equal bit
+    # for bit to a fresh draw from stream 0 (drop, then channel) under that
+    # illumination's layout; the no-surface channel uses the same drop.
     spec = tiny_spec()
-    inst1, _, drop1 = build_trial_instance(spec, 30.0, IlluminationMode.FULL, _trial_streams(0, 1)[0])
-    inst2, _, drop2 = build_trial_instance(spec, 30.0, IlluminationMode.FULL, _trial_streams(0, 1)[0])
-    assert np.array_equal(inst1.channel, inst2.channel)
-    assert np.array_equal(drop1.distances, drop2.distances)
-    assert np.array_equal(inst1.transfer, inst2.transfer)
+    state = trial(spec, 30.0, 1)
+    for illumination in IlluminationMode:
+        rng, rng_direct, _ = _trial_streams(spec.base_seed, 1)
+        layout = build_layout(replace(spec.geometry, illumination=illumination))
+        drop = sample_user_drop(spec.channel, spec.n_users, rng)
+        channel = sample_channel(layout, drop, spec.channel, rng)
+        assert np.array_equal(state.instance(illumination).channel, channel)
+    full = build_layout(spec.geometry)
+    direct = sample_direct_channel(full, drop, spec.channel, rng_direct)
+    assert np.array_equal(state.no_surface.channel, direct)
+    assert np.array_equal(state.drop.distances, drop.distances)
 
 
 def test_memoised_cell_matches_cold_cell():
-    # A trial's surface methods share one memoised instance; solving a cell
-    # after its trial's other cells equals solving it from empty memos.
-    spec = tiny_spec(methods=["random_phases", "wmmse_bcd", "zf_wf"])
-    harness._geometry.cache_clear()
-    harness._surface_instance.cache_clear()
-    cold = harness.solve_cell(spec, 30.0, 1, Method.ZF_WF, IlluminationMode.FULL)[0]
-    for method in (Method.RANDOM_PHASES, Method.WMMSE_BCD, Method.ZF_WF):
-        warm = harness.solve_cell(spec, 30.0, 1, method, IlluminationMode.FULL)[0]
-    assert harness._surface_instance.cache_info().hits == 3
-    assert warm.wsr == cold.wsr
-    assert np.array_equal(warm.precoder.matrix, cold.precoder.matrix)
-    assert np.array_equal(warm.phases.phases, cold.phases.phases)
+    # A trial's cells share one memoised state; a cell solved after its
+    # trial's other cells equals the same cell solved from an empty memo.
+    spec = tiny_spec(methods=[m.value for m in Method], illuminations=["full", "separate"])
+    cells = [(m, i) for m in Method for i in (IlluminationMode.FULL, IlluminationMode.SEPARATE)]
+    for cell in cells:
+        trial.cache_clear()
+        cold = harness.solve_cell(spec, 30.0, 1, *cell)[0]
+        trial.cache_clear()
+        for other in cells:
+            if other != cell:
+                harness.solve_cell(spec, 30.0, 1, *other)
+        warm = harness.solve_cell(spec, 30.0, 1, *cell)[0]
+        assert warm.wsr == cold.wsr and warm.trace == cold.trace
+        assert np.array_equal(warm.precoder.matrix, cold.precoder.matrix)
+        assert np.array_equal(warm.phases.phases, cold.phases.phases)
+    assert trial.cache_info().hits == len(cells) - 1
 
 
 def test_memoised_arrays_are_read_only():
     spec = tiny_spec()
-    inst = harness._surface_instance(spec, 30.0, 0, IlluminationMode.FULL)
+    state = trial(spec, 30.0, 0)
+    inst, zf = state.instance(IlluminationMode.FULL), state.zfwf(IlluminationMode.FULL)
     layout, transfer = harness._geometry(spec.geometry)
-    for array in (inst.transfer, inst.channel, inst.weights, transfer, layout.element_positions):
+    arrays = (
+        inst.transfer, inst.channel, inst.weights, zf.phases.phases, zf.precoder.matrix,
+        state.no_surface.channel, state.random_phases.phases, transfer, layout.element_positions,
+    )
+    for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -156,10 +178,36 @@ def test_memoised_arrays_are_read_only():
 def test_surface_memo_keys_on_base_seed():
     spec = tiny_spec()
     other = replace(spec, base_seed=spec.base_seed + 1)
-    a = harness._surface_instance(spec, 30.0, 0, IlluminationMode.FULL)
-    b = harness._surface_instance(other, 30.0, 0, IlluminationMode.FULL)
+    a = trial(spec, 30.0, 0).instance(IlluminationMode.FULL)
+    b = trial(other, 30.0, 0).instance(IlluminationMode.FULL)
     assert a.transfer is b.transfer  # one geometry, two draws
     assert not np.array_equal(a.channel, b.channel)
+
+
+def test_near_field_surface_draw_spares_no_its():
+    # Users 0.3-0.5 m away sit in the near field of the 16x8 surface but not
+    # of the 4-antenna ring: the surface cells fail, the no-surface cell runs.
+    spec = spec_from_mapping({
+        "channel": {"distance_min_m": 0.3, "distance_max_m": 0.5},
+        "solver": {"bcd_max_iters": 5},
+        "sweep": {"grid": [30.0], "trials": 1, "constraint": "tp",
+                  "methods": ["wmmse_bcd", "no_its", "zf_wf", "random_phases"]},
+    })
+    records = run_sweep(spec)
+    assert [r.method for r in records if math.isfinite(r.wsr)] == ["no_its"]
+
+
+def test_selfcheck_determinism_draws_twice(monkeypatch):
+    draws = []
+
+    def counting_drop(*args):
+        draws.append(args)
+        return sample_user_drop(*args)
+
+    monkeypatch.setattr(harness, "sample_user_drop", counting_drop)
+    trial.cache_clear()
+    assert selfcheck._check_harness_determinism()
+    assert len(draws) == 2
 
 
 def test_run_trial_deterministic():
@@ -317,7 +365,7 @@ def test_bcd_init_revives_silenced_user():
         weights=np.ones(3),
         constraint=ConstraintKind.TRANSMITTED_POWER,
     )
-    init = _bcd_init(inst)
+    init = _bcd_init(inst, zfwf_solve(inst))
     assert init.detail.get("revived") is True
     powers = np.asarray(init.detail["powers"])
     assert np.all(powers > 0.0)
@@ -400,6 +448,29 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_experiment_spec(path)
 
 
+def test_config_rejects_malformed_values():
+    for section, key, value in (
+        ("sweep", "grid", 30),
+        ("sweep", "grid", "20"),
+        ("sweep", "trials", "abc"),
+        ("sweep", "methods", ["zf_wf", "annealing"]),
+        ("system", "weights", [1.0, "heavy"]),
+        ("geometry", "grid_rows", [16]),
+        ("channel", "direct_kappa", "wide"),
+        ("solver", "bcd_max_iters", "many"),
+    ):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            spec_from_mapping({section: {key: value}})
+
+
+def test_config_solver_keys_come_from_settings():
+    spec = spec_from_mapping({"solver": {"pga_max_iters": 7, "dual_tolerance": 1, "tau_init": None}})
+    assert spec.solver == replace(SolverSettings(), pga_max_iters=7, dual_tolerance=1.0)
+    assert isinstance(spec.solver.dual_tolerance, float)
+    with pytest.raises(ConfigError, match="unknown keys"):
+        spec_from_mapping({"solver": {"freeze_phases": True}})
+
+
 def test_config_overrides_layer(tmp_path):
     path = tmp_path / "base.yaml"
     path.write_text("sweep:\n  trials: 5\n  base_seed: 3\n")
@@ -438,3 +509,5 @@ def test_spec_validation():
             replace(tiny_spec(), power_budget_dbm=dbm)
     with pytest.raises(SolverError, match="noise_power"):
         replace(tiny_spec(), noise_power=math.inf)
+    with pytest.raises(SolverError, match="base_seed"):
+        replace(tiny_spec(), base_seed=-1)

@@ -32,7 +32,7 @@ from itsbeam import (
     wsr,
     zfwf_solve,
 )
-from itsbeam.harness import _bcd_init, _trial_streams, build_trial_instance
+from itsbeam.harness import _bcd_init, trial
 from itsbeam.wmmse import (
     _limit_precoder,
     _pga,
@@ -251,10 +251,10 @@ def test_pga_matches_full_backtracking_on_reference_trials():
     spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
     settings = spec.solver
     evals, oracle_evals = 0, 0
-    for trial in range(3):
-        rng = _trial_streams(spec.base_seed, trial)[0]
-        inst = build_trial_instance(spec, 40.0, IlluminationMode.FULL, rng)[0]
-        start = _bcd_init(inst)
+    for index in range(3):
+        state = trial(spec, 40.0, index)
+        inst = state.instance(IlluminationMode.FULL)
+        start = _bcd_init(inst, state.zfwf(IlluminationMode.FULL))
         phases, precoder = start.phases, start.precoder
         for _ in range(3):
             aux = optimal_aux(inst, phases, precoder)

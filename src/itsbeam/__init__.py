@@ -80,7 +80,6 @@ from .harness import (
     ResultRecord,
     SweepKind,
     dbm_to_watts,
-    default_experiment_spec,
     emit_plot_script,
     run_sweep,
     run_trial,
@@ -90,7 +89,7 @@ from .harness import (
     write_results,
     write_summary,
 )
-from .config import load_experiment_spec, spec_from_mapping
+from .config import default_experiment_spec, load_experiment_spec, spec_from_mapping
 
 __version__ = "0.1.0"
 

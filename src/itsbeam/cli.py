@@ -62,18 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    sweep_overrides = {}
-    if getattr(args, "kind", None) is not None:
-        sweep_overrides["kind"] = args.kind
-    if getattr(args, "constraint", None) is not None:
-        sweep_overrides["constraint"] = args.constraint
-    if getattr(args, "trials", None) is not None:
-        sweep_overrides["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        sweep_overrides["base_seed"] = args.seed
-    if getattr(args, "timing", False):
-        sweep_overrides["record_timing"] = True
-    return {"sweep": sweep_overrides} if sweep_overrides else {}
+    """The flags as a ``sweep`` override; an absent flag is None and keeps the file's value."""
+    return {
+        "sweep": {
+            "kind": getattr(args, "kind", None),
+            "constraint": args.constraint,
+            "trials": getattr(args, "trials", None),
+            "base_seed": args.seed,
+            "record_timing": getattr(args, "timing", False) or None,
+        }
+    }
 
 
 def _cmd_sweep(args) -> int:

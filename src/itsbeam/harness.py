@@ -7,9 +7,9 @@ channel, drawn from streams derived only from ``(base_seed, trial_index)``;
 the no-surface channel and the random-phase draw use independent child
 streams, so they never perturb the shared draws.
 
-Determinism contract: with ``record_timing`` False (the default) the emitted
-CSV is a pure function of the spec and base seed, byte-identical across runs
-and worker counts.  Enabling timing fills ``wall_time_ms`` with measured
+Determinism contract: with ``record_timing`` False (the config default) the
+emitted CSV is a pure function of the spec and base seed, byte-identical across
+runs and worker counts.  Enabling timing fills ``wall_time_ms`` with measured
 values and intentionally gives up byte-stable output.
 
 Two bounded LRU memos with read-only arrays change no draw: layout and transfer
@@ -65,7 +65,6 @@ __all__ = [
     "ResultRecord",
     "SPEED_OF_LIGHT",
     "CSV_HEADER",
-    "default_experiment_spec",
     "dbm_to_watts",
     "trial_seed",
     "Trial",
@@ -125,7 +124,7 @@ class ExperimentSpec:
     geometry: GeometryConfig
     channel: ChannelParams
     solver: SolverSettings
-    record_timing: bool = False
+    record_timing: bool
 
     def __post_init__(self):
         if len(self.grid) == 0:
@@ -188,62 +187,8 @@ class ResultRecord:
         )
 
 
-_DEFAULT_GRIDS = {
-    SweepKind.POWER: (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
-    SweepKind.DISTANCE: (1.0, 2.0, 5.0, 10.0, 20.0, 50.0),
-    SweepKind.LOSS: (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0),
-}
-
-_DEFAULT_METHODS = {
-    SweepKind.POWER: (Method.WMMSE_BCD, Method.ZF_WF, Method.RANDOM_PHASES),
-    SweepKind.DISTANCE: (Method.WMMSE_BCD, Method.ZF_WF, Method.RANDOM_PHASES),
-    SweepKind.LOSS: (Method.WMMSE_BCD, Method.RANDOM_PHASES, Method.NO_ITS),
-}
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def default_experiment_spec(
-    sweep: SweepKind = SweepKind.POWER,
-    constraint: ConstraintKind = ConstraintKind.RADIATED_POWER,
-) -> ExperimentSpec:
-    """Reference configuration: 4 chains, 16x8 surface, 4 users at 28 GHz.
-
-    Defaults: kappa = 49 feed horns on a one-wavelength ring, separation
-    10 R0, surface efficiency -3.5 dB, noise power 1e-7 W, unit weights,
-    30 dBm budget (swept for the power sweep), 1000 trials.
-    """
-    wavelength = SPEED_OF_LIGHT / 28e9
-    r0 = characteristic_distance(128, 4, wavelength)
-    geometry = GeometryConfig(
-        n_active=4,
-        n_elements=128,
-        wavelength=wavelength,
-        active_radius=wavelength,
-        separation=10.0 * r0,
-        kappa=49.0,
-        surface_efficiency=10.0 ** (-3.5 / 10.0),
-        illumination=IlluminationMode.FULL,
-        grid_shape=(16, 8),
-    )
-    return ExperimentSpec(
-        sweep=sweep,
-        grid=_DEFAULT_GRIDS[sweep],
-        trials=1000,
-        base_seed=0,
-        methods=_DEFAULT_METHODS[sweep],
-        illuminations=(IlluminationMode.FULL,),
-        constraint=constraint,
-        n_users=4,
-        weights=(1.0, 1.0, 1.0, 1.0),
-        noise_power=1e-7,
-        power_budget_dbm=30.0,
-        geometry=geometry,
-        channel=ChannelParams(),
-        solver=SolverSettings(),
-    )
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:

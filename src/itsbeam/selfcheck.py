@@ -41,7 +41,8 @@ from .wmmse import (
 )
 from .wmmse import _power_curve, _precoder_system, _spectrum
 from .zfwf import waterfill, zfwf_solve
-from .harness import Method, default_experiment_spec, run_trial, trial
+from .config import default_experiment_spec
+from .harness import Method, run_trial, trial
 
 __all__ = [
     "optimal_aux",

@@ -95,6 +95,7 @@ def test_sweep_rejects_bad_config(tmp_path):
         TINY_CONFIG.replace("[1.0, 1.0]", "[1.0, -1.0]"),
         TINY_CONFIG.replace("grid: [20.0, 30.0]", "grid: 30"),
         TINY_CONFIG.replace("trials: 2", "trials: abc"),
+        TINY_CONFIG + '  record_timing: "no"\n',
     ):
         bad.write_text(text)
         assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2

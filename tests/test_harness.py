@@ -1,16 +1,22 @@
 """Sweep harness: seeding, determinism, CSV output, config loading."""
 
 import math
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from itsbeam import (
     CSV_HEADER,
+    ChannelParams,
     ConfigError,
     ConstraintKind,
     DimensionMismatchError,
+    ExperimentSpec,
+    GeometryConfig,
     IlluminationMode,
     Method,
     SolverError,
@@ -35,6 +41,7 @@ from itsbeam import (
     write_summary,
     zfwf_solve,
 )
+import itsbeam.config as config
 import itsbeam.harness as harness
 import itsbeam.selfcheck as selfcheck
 from itsbeam.harness import SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, trial
@@ -375,9 +382,79 @@ def test_bcd_init_revives_silenced_user():
     assert np.all(refined.sinr > 0.0)
 
 
+def reference_spec(sweep, constraint):
+    """The reference configuration built by hand, independent of the config table."""
+    wavelength = SPEED_OF_LIGHT / 28e9
+    geometry = GeometryConfig(
+        n_active=4,
+        n_elements=128,
+        wavelength=wavelength,
+        active_radius=wavelength,
+        separation=10.0 * characteristic_distance(128, 4, wavelength),
+        kappa=49.0,
+        surface_efficiency=10.0 ** (-3.5 / 10.0),
+        illumination=IlluminationMode.FULL,
+        grid_shape=(16, 8),
+    )
+    grid = {
+        SweepKind.POWER: (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
+        SweepKind.DISTANCE: (1.0, 2.0, 5.0, 10.0, 20.0, 50.0),
+        SweepKind.LOSS: (0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0),
+    }[sweep]
+    methods = (
+        (Method.WMMSE_BCD, Method.RANDOM_PHASES, Method.NO_ITS)
+        if sweep is SweepKind.LOSS
+        else (Method.WMMSE_BCD, Method.ZF_WF, Method.RANDOM_PHASES)
+    )
+    return ExperimentSpec(
+        sweep=sweep,
+        grid=grid,
+        trials=1000,
+        base_seed=0,
+        methods=methods,
+        illuminations=(IlluminationMode.FULL,),
+        constraint=constraint,
+        n_users=4,
+        weights=(1.0, 1.0, 1.0, 1.0),
+        noise_power=1e-7,
+        power_budget_dbm=30.0,
+        geometry=geometry,
+        channel=ChannelParams(),
+        solver=SolverSettings(),
+        record_timing=False,
+    )
+
+
 def test_config_defaults_match_reference():
-    assert spec_from_mapping({}) == default_experiment_spec()
-    assert spec_from_mapping(None) == default_experiment_spec()
+    for sweep in SweepKind:
+        for constraint in ConstraintKind:
+            assert default_experiment_spec(sweep, constraint) == reference_spec(sweep, constraint)
+    spec = default_experiment_spec()
+    assert spec_from_mapping({}) == spec
+    assert spec_from_mapping(None) == spec
+    assert spec.channel == ChannelParams()
+    assert spec.solver == SolverSettings()
+
+
+def _config_docstring_block():
+    return textwrap.dedent(config.__doc__.split("::\n", 1)[1])
+
+
+def _readme_config_block():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Configuration file", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "block", [_config_docstring_block, _readme_config_block], ids=["docstring", "readme"]
+)
+def test_documented_config_is_the_default_spec(block):
+    mapping = yaml.safe_load(block())
+    assert spec_from_mapping(mapping) == default_experiment_spec()
+    assert {section: set(keys) for section, keys in mapping.items()} == {
+        section: set(keys) for section, keys in config._DEFAULTS.items()
+    }
 
 
 def test_config_yaml_roundtrip(tmp_path):
@@ -458,6 +535,12 @@ def test_config_rejects_malformed_values():
         ("geometry", "grid_rows", [16]),
         ("channel", "direct_kappa", "wide"),
         ("solver", "bcd_max_iters", "many"),
+        ("sweep", "record_timing", "no"),
+        ("sweep", "trials", 2.7),
+        ("sweep", "base_seed", True),
+        ("geometry", "n_active", 4.9),
+        ("solver", "bcd_max_iters", 7.9),
+        ("geometry", "kappa", True),
     ):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             spec_from_mapping({section: {key: value}})

@@ -200,6 +200,16 @@ def _tuple_of(convert):
     return converted
 
 
+def _nonempty(convert):
+    """Converter of a list that must name at least one item."""
+    def converted(values):
+        items = convert(values)
+        if not items:
+            raise ValueError("expected at least one item")
+        return items
+    return converted
+
+
 def spec_from_mapping(mapping: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a (possibly partial) nested mapping."""
     if mapping is None:
@@ -254,14 +264,15 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
     n_users = _get(mapping, "system", "n_users")
     weights = _get(mapping, "system", "weights", _tuple_of(_real))
     grid = _get(mapping, "sweep", "grid", _tuple_of(_real))
+    methods = _get(mapping, "sweep", "methods", _nonempty(_tuple_of(Method)))
+    illuminations = _get(mapping, "sweep", "illuminations", _nonempty(_tuple_of(IlluminationMode)))
     return ExperimentSpec(
         sweep=kind,
         grid=_DEFAULT_GRIDS[kind] if grid is None else grid,
         trials=_get(mapping, "sweep", "trials"),
         base_seed=_get(mapping, "sweep", "base_seed"),
-        methods=_get(mapping, "sweep", "methods", _tuple_of(Method)) or _DEFAULT_METHODS[kind],
-        illuminations=_get(mapping, "sweep", "illuminations", _tuple_of(IlluminationMode))
-        or _DEFAULTS["sweep"]["illuminations"],
+        methods=_DEFAULT_METHODS[kind] if methods is None else methods,
+        illuminations=illuminations,
         constraint=_get(mapping, "sweep", "constraint"),
         n_users=n_users,
         weights=(1.0,) * n_users if weights is None else weights,
@@ -308,6 +319,7 @@ def load_experiment_spec(path=None, overrides: dict | None = None) -> Experiment
         if not isinstance(loaded, dict):
             raise ConfigError(f"configuration root in {path} must be a mapping")
         mapping = loaded
+    _check_keys(mapping)  # a section must be a mapping before overrides merge into it
     for section, content in (overrides or {}).items():
         given = {k: v for k, v in (content or {}).items() if v is not None}
         if given:

@@ -117,8 +117,13 @@ class SystemInstance:
         return r
 
     @cached_property
-    def curvature_whitening(self) -> np.ndarray:
-        """L^-1 for the Cholesky factor R = L L^H, built once; SolverError if R is singular."""
+    def curvature_whitening(self) -> np.ndarray | None:
+        """L^-1 for the Cholesky factor R = L L^H, built once; SolverError if R is singular.
+
+        None under TP, where R = I needs no whitening.
+        """
+        if self.constraint is ConstraintKind.TRANSMITTED_POWER:
+            return None
         try:
             return np.linalg.inv(np.linalg.cholesky(self.curvature))
         except np.linalg.LinAlgError as exc:
@@ -241,16 +246,29 @@ def effective_channel(inst: SystemInstance, phases: PhaseConfig) -> np.ndarray:
 
 
 def _link_terms(inst: SystemInstance, cross: np.ndarray):
-    """SINR, F = diag(cross) and total = sum_i |cross[:, i]|^2 + sigma^2 at cross = heff @ B."""
+    """SINR, F = diag(cross) and total = sum_i |cross[:, i]|^2 + sigma^2 at cross = heff @ B.
+
+    Also on stacked crosses, one per row of a batch whose ``noise_power`` is a column.
+    """
     gains = np.abs(cross) ** 2
-    signal, power = np.diag(gains), gains.sum(axis=1)
-    return signal / ((power - signal) + inst.noise_power), np.diag(cross), power + inst.noise_power
+    signal, power = np.diagonal(gains, axis1=-2, axis2=-1), gains.sum(axis=-1)
+    return (
+        signal / ((power - signal) + inst.noise_power),
+        np.diagonal(cross, axis1=-2, axis2=-1),
+        power + inst.noise_power,
+    )
 
 
 def _rates(inst: SystemInstance, sinr_values: np.ndarray):
-    """Per-user rates log2(1 + SINR_k) and their weighted sum, the WSR."""
+    """Per-user rates log2(1 + SINR_k) and their weighted sum, the WSR.
+
+    On stacked rows (a batch), a list of WSRs, each summed as for one instance: a
+    stacked product would not give every row the bits of its own dot product.
+    """
     se = np.log2(1.0 + sinr_values)
-    return se, float(inst.weights @ se)
+    if se.ndim == 1:
+        return se, float(inst.weights @ se)
+    return se, [float(w @ row) for w, row in zip(inst.weights, se)]
 
 
 def sinr(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> np.ndarray:

@@ -21,6 +21,7 @@ from .model import (
     ConstraintKind,
     PhaseConfig,
     Precoder,
+    Solution,
     SystemInstance,
     constraint_value,
     effective_channel,
@@ -42,7 +43,7 @@ from .wmmse import (
 from .wmmse import _power_curve, _precoder_system, _spectrum
 from .zfwf import waterfill, zfwf_solve
 from .config import default_experiment_spec
-from .harness import Method, run_trial, trial
+from .harness import Method, block, run_trial
 
 __all__ = [
     "optimal_aux",
@@ -214,7 +215,7 @@ def _check_dual_power_curve(rng) -> bool:
     for constraint in ConstraintKind:
         inst, phases, _, aux = _random_point(rng, constraint=constraint)
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-        power = _power_curve(*_spectrum(inst, gram, rhs)[::3])
+        power = _power_curve(*_spectrum(inst.curvature_whitening, gram, rhs)[::3])
         for mu in np.logspace(-3, 3, 13):
             prec = Precoder(np.linalg.solve(gram + mu * inst.curvature, rhs))
             if abs(power(mu) - constraint_value(inst, phases, prec)) > 1e-10 * power(mu):
@@ -261,12 +262,38 @@ def _check_bcd_monotone(rng) -> bool:
     return bool(np.all(diffs >= -1e-9)) and values[-1] >= init.wsr - 1e-9
 
 
+def _check_block_solve(rng) -> bool:
+    """A batch of 6 (both constraints, one silent user) against 6 batches of one, bit for bit."""
+    insts, inits = [], []
+    for index in range(6):
+        inst = _random_instance(rng, constraint=list(ConstraintKind)[index % 2])
+        init = zfwf_solve(inst)
+        if index == 1:
+            matrix = init.precoder.matrix.copy()
+            matrix[:, 0] = 0.0
+            init = Solution.from_state(inst, init.phases, Precoder(matrix))
+        insts.append(inst)
+        inits.append(init)
+    settings = SolverSettings(bcd_max_iters=15, pga_max_iters=10)
+    block = bcd_solve(insts, settings, inits)
+    for inst, init, together in zip(insts, inits, block):
+        alone = bcd_solve(inst, settings, init)
+        if not (
+            alone.trace == together.trace
+            and alone.detail == together.detail
+            and np.array_equal(alone.phases.phases, together.phases.phases)
+            and np.array_equal(alone.precoder.matrix, together.precoder.matrix)
+        ):
+            return False
+    return True
+
+
 def _check_harness_determinism() -> bool:
     from dataclasses import replace
 
     spec = replace(default_experiment_spec(), trials=1)
     rec1 = run_trial(spec, 20.0, 0, Method.ZF_WF, spec.illuminations[0])
-    trial.cache_clear()  # the second run draws its own trial state, not the memo's
+    block.cache_clear()  # the second run draws its own trial state, not the memo's
     return rec1 == run_trial(spec, 20.0, 0, Method.ZF_WF, spec.illuminations[0])
 
 
@@ -286,6 +313,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
         ("zfwf zero interference", lambda: _check_zf(rng)),
         ("bcd monotone ascent", lambda: _check_bcd_monotone(rng)),
         ("wmmse dual power curve vs explicit solves", lambda: _check_dual_power_curve(rng)),
+        ("wmmse block solve equals solo solves", lambda: _check_block_solve(rng)),
         ("harness trial determinism", _check_harness_determinism),
     ]
     all_ok = True

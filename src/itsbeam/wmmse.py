@@ -17,6 +17,16 @@ block-by-block drives the true objective upward.  One outer iteration updates
 gamma, y, the surface phases (projected gradient ascent on a quadratic form)
 and the digital precoder (regularised least squares with a water-level dual),
 in that order.
+
+``bcd_solve`` runs this loop over a batch of instances that share settings
+(Shi et al., IEEE TSP 2011, batched over channel draws as in Chowdhury et
+al., IEEE TWC 2021).  The auxiliaries, the precoder systems, their
+eigendecompositions, the TP mu = 0 tests, the precoder solves and the link
+terms run on stacked arrays, one row per instance.  The phase block, the RP
+mu = 0 limit and the bisection on each power curve run instance by instance.
+Every stacked operation gives a row the bits it gives a batch of one, so a
+solution does not depend on the batch it was solved in.  One instance is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import BeamformingError, DimensionMismatchError, SolverError
 # wsr stays a module attribute: call-site tracers wrap it here.
 from .model import (
     ConstraintKind,
@@ -56,6 +66,7 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-12
+_FAILURES = (BeamformingError, np.linalg.LinAlgError)  # fail one instance of a batch, not all
 
 
 @dataclass(frozen=True)
@@ -133,17 +144,57 @@ class AnalogSubproblem:
         return self.factor.conj().T @ self.factor
 
 
+def _unchecked(cls, **values):
+    """A frozen dataclass instance of arrays the solver built itself, without validation."""
+    obj = object.__new__(cls)
+    vars(obj).update(values)
+    return obj
+
+
+class _Batch:
+    """Instances solved together; weights, noise powers, budgets and curvatures stacked by row.
+
+    The helpers below that read only these attributes take a batch where they take
+    one instance, so each formula is written once for both.
+    """
+
+    _STACKED = ("weights", "noise_power", "power_budget", "curvature", "tp")
+
+    def __init__(self, insts):
+        self.insts = list(insts)
+        if len({(one.n_users, one.n_chains) for one in self.insts}) > 1:
+            raise DimensionMismatchError("the instances of a batch must share users and chains")
+        self.weights = np.stack([one.weights for one in self.insts])
+        self.noise_power = np.array([[one.noise_power] for one in self.insts])
+        self.power_budget = np.array([one.power_budget for one in self.insts])
+        self.curvature = np.stack([one.curvature for one in self.insts])
+        tp = ConstraintKind.TRANSMITTED_POWER
+        self.tp = np.array([one.constraint is tp for one in self.insts])
+
+    def take(self, rows: np.ndarray) -> _Batch:
+        part = object.__new__(_Batch)
+        part.insts = [self.insts[row] for row in rows]
+        for name in self._STACKED:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return np.conj(a).swapaxes(-1, -2)
+
+
 def _y_update(inst: SystemInstance, gamma, f: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.sqrt(inst.weights * (1.0 + np.asarray(gamma))) * f / total
 
 
-def _surrogate(inst: SystemInstance, aux: AuxVariables, f: np.ndarray, total: np.ndarray) -> float:
+def _surrogate(inst: SystemInstance, aux: AuxVariables, f: np.ndarray, total: np.ndarray):
+    """f1 at the link terms (f, total): a scalar, or one value per row of a batch."""
     w, scale = inst.weights, np.sqrt(inst.weights * (1.0 + aux.gamma))
-    return float(
-        np.sum(w * np.log2(1.0 + aux.gamma))
-        - np.sum(w * aux.gamma)
-        + np.sum(2.0 * scale * np.real(np.conj(aux.y) * f))
-        - np.sum(np.abs(aux.y) ** 2 * total)
+    return (
+        np.sum(w * np.log2(1.0 + aux.gamma), axis=-1)
+        - np.sum(w * aux.gamma, axis=-1)
+        + np.sum(2.0 * scale * np.real(np.conj(aux.y) * f), axis=-1)
+        - np.sum(np.abs(aux.y) ** 2 * total, axis=-1)
     )
 
 
@@ -171,7 +222,7 @@ def surrogate_objective(
 ) -> float:
     """Evaluate f1 at an arbitrary point (bits/s/Hz scale)."""
     cross = effective_channel(inst, phases) @ precoder.matrix
-    return _surrogate(inst, aux, *_link_terms(inst, cross)[1:])
+    return float(_surrogate(inst, aux, *_link_terms(inst, cross)[1:]))
 
 
 def build_analog_subproblem(
@@ -278,22 +329,22 @@ def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettin
 
 
 def _precoder_system(inst: SystemInstance, heff: np.ndarray, aux: AuxVariables):
-    """Normal equations of the f1 B-step: (gram + mu R) b_k = rhs[:, k]."""
+    """Normal equations of the f1 B-step: (gram + mu R) b_k = rhs[..., k]; stacked for a batch."""
     weights_sq = np.abs(aux.y) ** 2
-    gram = np.einsum("k,kn,km->nm", weights_sq, np.conj(heff), heff)
-    rhs = (np.sqrt(inst.weights * (1.0 + aux.gamma)) * aux.y) * np.conj(heff).T  # (N, K)
-    return gram, rhs
+    gram = np.einsum("...k,...kn,...km->...nm", weights_sq, np.conj(heff), heff)
+    scale = np.sqrt(inst.weights * (1.0 + aux.gamma)) * aux.y
+    return gram, scale[..., np.newaxis, :] * _adjoint(heff)  # rhs, (..., N, K)
 
 
 _RANK_RTOL = 1e-10
 
 
 def _gram_eigh(gram: np.ndarray):
-    return np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    return np.linalg.eigh(0.5 * (gram + _adjoint(gram)))
 
 
 def _kept(lam: np.ndarray) -> np.ndarray:
-    return lam > max(float(lam[-1]) if lam.size else 0.0, 0.0) * _RANK_RTOL
+    return lam > np.maximum(lam[..., -1:], 0.0) * _RANK_RTOL
 
 
 def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> Precoder:
@@ -320,20 +371,20 @@ def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> Preco
     return Precoder(matrix - z @ shrink)
 
 
-def _spectrum(inst: SystemInstance, gram: np.ndarray, rhs: np.ndarray):
-    """Eigendata (lam, V, c, e) of the pencil (gram, R = ``inst.curvature`` = L L^H).
+def _spectrum(whitening, gram: np.ndarray, rhs: np.ndarray):
+    """Eigendata (lam, V, c, e) of the pencil (gram, R = L L^H); stacked grams give stacked data.
 
-    L^-1 gram L^-H = V diag(lam) V^H, c = V^H L^-1 rhs and e_j = ||c_j||^2, so the precoder
-    at mu > 0 is L^-H V (lam + mu)^-1 c; under TP (L = I), one eigh of the gram itself.
+    ``whitening`` is L^-1 (``SystemInstance.curvature_whitening``): L^-1 gram L^-H =
+    V diag(lam) V^H, c = V^H L^-1 rhs and e_j = ||c_j||^2, so the precoder at mu > 0 is
+    L^-H V (lam + mu)^-1 c.  Under TP it is None (L = I): one eigh of the gram itself.
     """
-    if inst.constraint is ConstraintKind.TRANSMITTED_POWER:
+    if whitening is None:
         lam, vecs = _gram_eigh(gram)
     else:
-        linv = inst.curvature_whitening
-        lam, vecs = np.linalg.eigh(linv @ gram @ linv.conj().T)
-        rhs = linv @ rhs
-    coords = vecs.conj().T @ rhs
-    return lam, vecs, coords, np.sum(np.abs(coords) ** 2, axis=1)
+        lam, vecs = np.linalg.eigh(whitening @ gram @ _adjoint(whitening))
+        rhs = whitening @ rhs
+    coords = _adjoint(vecs) @ rhs
+    return lam, vecs, coords, np.sum(np.abs(coords) ** 2, axis=-1)
 
 
 def _power_curve(lam: np.ndarray, energy: np.ndarray):
@@ -350,6 +401,57 @@ def _power_curve(lam: np.ndarray, energy: np.ndarray):
         return total
 
     return power
+
+
+def _dual_root(power_at, budget: float, tol: float, settings: SolverSettings) -> float:
+    """The mu that brackets and bisects the power curve ``power_at`` down to ``budget``.
+
+    Brackets from mu = 1 by doubling, then bisects until the budget is met within
+    ``tol``, tightened when mu is large so that complementary slackness holds at the
+    same tolerance.  One row on Python floats: a step costs about 1 us here, where
+    a masked step over stacked rows costs some 25 numpy calls whatever the rows.
+    """
+    hi = 1.0
+    h_hi = power_at(hi)
+    doublings = 0
+    while h_hi >= budget:
+        hi *= 2.0
+        doublings += 1
+        if doublings > 200:
+            raise SolverError("dual bracket expansion failed: power never fell below budget")
+        h_hi = power_at(hi)
+    lo = hi / 2.0 if doublings else 0.0
+    for _ in range(settings.dual_max_iters):
+        gap = budget - h_hi
+        if gap <= tol and hi * gap <= tol:
+            return hi
+        mid = 0.5 * (lo + hi)
+        h_mid = power_at(mid)
+        if h_mid > budget:
+            lo = mid
+        else:
+            hi, h_hi = mid, h_mid
+    raise SolverError(
+        f"dual bisection did not converge: bracket [{lo:.6e}, {hi:.6e}], "
+        f"power gap {budget - h_hi:.3e}"
+    )
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray, rows, failed: dict) -> np.ndarray:
+    """Stacked solve(a, b); a singular or non-finite row is zero and recorded in ``failed``."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
+        x = np.zeros_like(b)
+        for j, row in enumerate(rows):
+            try:
+                x[j] = np.linalg.solve(a[j], b[j])
+            except np.linalg.LinAlgError as exc:
+                failed[row] = exc
+    for j in np.flatnonzero(~np.all(np.isfinite(x), axis=(-2, -1))):
+        failed[rows[j]] = SolverError("dual-regularised solve produced a non-finite precoder")
+        x[j] = 0.0
+    return x
 
 
 def dual_search(
@@ -372,55 +474,74 @@ def dual_search(
     the accepted mu.  Under TP the mu = 0 limit (``_limit_precoder``, null part 0),
     V_keep (c_keep / lam_keep) with power sum_keep e_j / lam_j^2, reuses that one
     eigendecomposition.  ``heff`` is the effective channel at ``phases``, if known.
+
+    A batch (``inst`` a ``_Batch``, ``phases`` one PhaseConfig per row, ``aux`` and
+    ``heff`` stacked by row) is set up and solved on stacked arrays; only the
+    bracket and bisection (``_dual_root``) and the RP mu = 0 limit run row by row.
+    It returns the stacked precoders, the mu per row and {row: error} for the
+    rows that failed, whose precoders are zero.  One instance is a batch of one,
+    whose error is raised.
     """
+    single = isinstance(inst, SystemInstance)
+    if single:
+        heff = (effective_channel(inst, phases) if heff is None else heff)[np.newaxis]
+        inst, phases = _Batch([inst]), [phases]
+        aux = _unchecked(AuxVariables, gamma=aux.gamma[np.newaxis], y=aux.y[np.newaxis])
     budget = inst.power_budget
-    tol = settings.dual_tolerance * budget
-    heff = effective_channel(inst, phases) if heff is None else heff
     gram, rhs = _precoder_system(inst, heff, aux)
-    reg = inst.curvature
+    matrices, mu, failed = np.zeros_like(rhs), np.zeros(budget.size), {}
+    lam, energy = np.zeros(gram.shape[:-1]), np.zeros(gram.shape[:-1])
+    whitening = np.zeros_like(gram)
+    search = np.zeros(budget.size, dtype=bool)
 
     # The mu = 0 optimum needs rank-aware handling: users with y_k = 0 leave the gram
     # singular, and a naive solve reports roundoff-level power, not the mu -> 0+ limit.
-    if inst.constraint is ConstraintKind.TRANSMITTED_POWER:
-        lam, vecs, coords, energy = _spectrum(inst, gram, rhs)
-        keep = _kept(lam)
-        if float(np.sum(energy[keep] / lam[keep] ** 2)) <= budget:
-            return Precoder(vecs[:, keep] @ (coords[keep] / lam[keep][:, None])), 0.0
-    else:
-        prec0 = _limit_precoder(gram, rhs, reg)
-        if constraint_value(inst, phases, prec0) <= budget:
-            return prec0, 0.0
-        lam, _, _, energy = _spectrum(inst, gram, rhs)
+    tp = np.flatnonzero(inst.tp)
+    if tp.size:
+        lam[tp], vecs, coords, energy[tp] = _spectrum(None, gram[tp], rhs[tp])
+        keep = _kept(lam[tp])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power0 = np.sum(energy[tp] / lam[tp] ** 2, axis=-1, where=keep)
+        search[tp] = ~(power0 <= budget[tp])  # a NaN power searches, as it fails the test
+        full = ~search[tp] & np.all(keep, axis=-1)
+        matrices[tp[full]] = vecs[full] @ (coords[full] / lam[tp[full]][..., np.newaxis])
+        for j in np.flatnonzero(~search[tp] & ~full):  # rank-deficient: the kept columns only
+            kept = keep[j]
+            matrices[tp[j]] = vecs[j][:, kept] @ (coords[j][kept] / lam[tp[j]][kept][:, None])
+    for row in np.flatnonzero(~inst.tp):
+        one = inst.insts[row]
+        try:
+            prec0 = _limit_precoder(gram[row], rhs[row], one.curvature)
+            if constraint_value(one, phases[row], prec0) <= budget[row]:
+                matrices[row] = prec0.matrix
+                continue
+            whitening[row] = one.curvature_whitening
+        except _FAILURES as exc:
+            failed[row] = exc
+            continue
+        search[row] = True
+    rp = np.flatnonzero(search & ~inst.tp)
+    if rp.size:
+        lam[rp], _, _, energy[rp] = _spectrum(whitening[rp], gram[rp], rhs[rp])
 
-    power_at = _power_curve(lam, energy)
-    hi = 1.0
-    h_hi = power_at(hi)
-    doublings = 0
-    while h_hi >= budget:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise SolverError("dual bracket expansion failed: power never fell below budget")
-        h_hi = power_at(hi)
-    lo = hi / 2.0 if doublings else 0.0
-
-    for _ in range(settings.dual_max_iters):
-        gap = budget - h_hi
-        if gap <= tol and hi * gap <= tol:
-            matrix = np.linalg.solve(gram + hi * reg, rhs)
-            if not np.all(np.isfinite(matrix)):
-                raise SolverError("dual-regularised solve produced a non-finite precoder")
-            return Precoder(matrix), hi
-        mid = 0.5 * (lo + hi)
-        h_mid = power_at(mid)
-        if h_mid > budget:
-            lo = mid
-        else:
-            hi, h_hi = mid, h_mid
-    raise SolverError(
-        f"dual bisection did not converge: bracket [{lo:.6e}, {hi:.6e}], "
-        f"power gap {budget - h_hi:.3e}"
-    )
+    for row in np.flatnonzero(search):
+        limit = budget[row].item()
+        try:
+            power_at = _power_curve(lam[row], energy[row])
+            mu[row] = _dual_root(power_at, limit, settings.dual_tolerance * limit, settings)
+        except SolverError as exc:
+            failed[row] = exc
+            search[row] = False
+    rows = np.flatnonzero(search)
+    if rows.size:
+        matrices[rows] = _solve_rows(
+            gram[rows] + mu[rows][:, None, None] * inst.curvature[rows], rhs[rows], rows, failed
+        )
+    if not single:
+        return matrices, mu, failed
+    if failed:
+        raise failed[0]
+    return Precoder(matrices[0]), float(mu[0])
 
 
 def bcd_solve(
@@ -438,43 +559,92 @@ def bcd_solve(
     (the initial point); ``detail`` carries per-iteration diagnostics, among
     them the phase block's accepted steps and objective evaluations.  SINR, WSR, y
     and f1 come from one heff @ B per iteration, with heff formed once per phase state.
+
+    ``inst`` and ``init`` may be equal-length sequences: a batch of instances with
+    the same numbers of users and chains, iterated by one loop, each with its own
+    stop.  A batch returns, per instance, its Solution or the error
+    (``BeamformingError`` or ``LinAlgError``) that ended its solve; the others keep
+    the bits they have alone.  One instance is a batch of one, whose error is raised.
     """
-    # Recompute slack against this instance rather than trusting the value
-    # stored on the init, which may have been produced for another budget.
-    init_power = constraint_value(inst, init.phases, init.precoder)
-    if inst.power_budget - init_power < -1e-6 * inst.power_budget:
-        raise SolverError("initial point violates the power constraint")
-    phases, precoder = init.phases, init.precoder
-    heff = effective_channel(inst, phases)
-    gamma, f, total = _link_terms(inst, heff @ precoder.matrix)
-    current = _rates(inst, gamma)[1]
-    trace, detail = [(0, current)], []
+    single = isinstance(inst, SystemInstance)
+    insts, inits = ([inst], [init]) if single else (list(inst), list(init))
+    if len(insts) != len(inits):
+        raise SolverError("a batch needs one initial point per instance")
+    if not insts:
+        return []
+    batch, n = _Batch(insts), len(insts)
+    outcome = [None] * n  # the error that ended a row's solve, at the end its Solution
+    phases = [start.phases for start in inits]
+    heff = np.zeros((n, insts[0].n_users, insts[0].n_chains), dtype=complex)
+    precoders = np.zeros(_adjoint(heff).shape, dtype=complex)
+    for row, (one, start) in enumerate(zip(insts, inits)):
+        try:
+            # Recompute slack against this instance rather than trusting the value
+            # stored on the init, which may have been produced for another budget.
+            init_power = constraint_value(one, start.phases, start.precoder)
+            if one.power_budget - init_power < -1e-6 * one.power_budget:
+                raise SolverError("initial point violates the power constraint")
+            heff[row] = effective_channel(one, start.phases)
+            precoders[row] = start.precoder.matrix
+        except _FAILURES as exc:
+            outcome[row] = exc
+    gamma, f, total = map(np.array, _link_terms(batch, heff @ precoders))
+    current = _rates(batch, gamma)[1]
+    traces, details = [[(0, value)] for value in current], [[] for _ in range(n)]
+    active = np.array([row for row in range(n) if outcome[row] is None], dtype=int)
     for iteration in range(1, settings.bcd_max_iters + 1):
-        aux = object.__new__(AuxVariables)  # arrays built here need no validation
-        vars(aux).update(gamma=gamma, y=_y_update(inst, gamma, f, total))
-        pga_steps = phase_evals = 0
-        if not settings.freeze_phases:
-            sub = build_analog_subproblem(inst, precoder, aux)
-            phases, pga_steps, phase_evals = _pga(sub, phases, settings)
-            heff = effective_channel(inst, phases)
-        precoder, mu = dual_search(inst, phases, aux, settings, heff=heff)
-        gamma, f, total = _link_terms(inst, heff @ precoder.matrix)
-        new = _rates(inst, gamma)[1]
-        trace.append((iteration, new))
-        detail.append(
-            {
-                "iteration": iteration,
-                "wsr": new,
-                "surrogate": _surrogate(inst, aux, f, total),
-                "mu": mu,
-                "pga_steps": pga_steps,
-                "phase_evals": phase_evals,
-            }
-        )
-        gain, current = new - current, new
-        if gain <= settings.bcd_epsilon:
-            detail[-1]["stop"] = "converged" if gain > 0 else "no_progress"
+        if not active.size:
             break
-    else:
-        detail[-1]["stop"] = "iteration_cap"
-    return Solution.from_state(inst, phases, precoder, trace, detail)
+        part = batch.take(active)
+        y = _y_update(part, gamma[active], f[active], total[active])
+        aux = _unchecked(AuxVariables, gamma=gamma[active], y=y)
+        pga_steps, phase_evals = [0] * active.size, [0] * active.size
+        if not settings.freeze_phases:
+            for j, row in enumerate(active):
+                try:
+                    sub = build_analog_subproblem(
+                        insts[row],
+                        _unchecked(Precoder, matrix=precoders[row]),
+                        _unchecked(AuxVariables, gamma=aux.gamma[j], y=y[j]),
+                    )
+                    phases[row], pga_steps[j], phase_evals[j] = _pga(sub, phases[row], settings)
+                    heff[row] = effective_channel(insts[row], phases[row])
+                except _FAILURES as exc:
+                    outcome[row] = exc
+        channels = heff[active]
+        matrices, mu, failed = dual_search(
+            part, [phases[row] for row in active], aux, settings, heff=channels
+        )
+        precoders[active] = matrices
+        terms = _link_terms(part, channels @ matrices)
+        gamma[active], f[active], total[active] = terms
+        new = _rates(part, terms[0])[1]
+        surrogate, mu = _surrogate(part, aux, *terms[1:]).tolist(), mu.tolist()
+        going = []
+        for j, row in enumerate(active):
+            outcome[row] = outcome[row] or failed.get(j)
+            if outcome[row] is not None:
+                continue
+            traces[row].append((iteration, new[j]))
+            details[row].append(dict(
+                iteration=iteration, wsr=new[j], surrogate=surrogate[j], mu=mu[j],
+                pga_steps=pga_steps[j], phase_evals=phase_evals[j],
+            ))
+            gain, current[row] = new[j] - current[row], new[j]
+            if gain <= settings.bcd_epsilon:
+                details[row][-1]["stop"] = "converged" if gain > 0 else "no_progress"
+            else:
+                going.append(row)
+        active = np.array(going, dtype=int)
+    for row in active:
+        details[row][-1]["stop"] = "iteration_cap"
+    for row in (row for row in range(n) if outcome[row] is None):
+        try:
+            outcome[row] = Solution.from_state(
+                insts[row], phases[row], Precoder(precoders[row]), traces[row], details[row]
+            )
+        except _FAILURES as exc:
+            outcome[row] = exc
+    if single and isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0] if single else outcome

@@ -100,6 +100,10 @@ def test_sweep_rejects_bad_config(tmp_path):
         bad.write_text(text)
         assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+    # A section that is not a mapping, with a flag to merge into it.
+    bad.write_text("sweep: [1]\n")
+    assert main(["sweep", "--config", str(bad), "--trials", "2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_rejects_negative_seed(tmp_path, config_path):

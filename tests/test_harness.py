@@ -44,7 +44,9 @@ from itsbeam import (
 import itsbeam.config as config
 import itsbeam.harness as harness
 import itsbeam.selfcheck as selfcheck
-from itsbeam.harness import SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, trial
+from itsbeam.harness import (
+    SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, block, trial,
+)
 
 
 def tiny_spec(**sweep_overrides):
@@ -150,14 +152,14 @@ def test_common_random_numbers_across_methods():
 
 
 def test_memoised_cell_matches_cold_cell():
-    # A trial's cells share one memoised state; a cell solved after its
+    # A trial's cells share one memoised block; a cell solved after its
     # trial's other cells equals the same cell solved from an empty memo.
     spec = tiny_spec(methods=[m.value for m in Method], illuminations=["full", "separate"])
     cells = [(m, i) for m in Method for i in (IlluminationMode.FULL, IlluminationMode.SEPARATE)]
     for cell in cells:
-        trial.cache_clear()
+        block.cache_clear()
         cold = harness.solve_cell(spec, 30.0, 1, *cell)[0]
-        trial.cache_clear()
+        block.cache_clear()
         for other in cells:
             if other != cell:
                 harness.solve_cell(spec, 30.0, 1, *other)
@@ -165,7 +167,7 @@ def test_memoised_cell_matches_cold_cell():
         assert warm.wsr == cold.wsr and warm.trace == cold.trace
         assert np.array_equal(warm.precoder.matrix, cold.precoder.matrix)
         assert np.array_equal(warm.phases.phases, cold.phases.phases)
-    assert trial.cache_info().hits == len(cells) - 1
+    assert block.cache_info().hits == len(cells) - 1
 
 
 def test_memoised_arrays_are_read_only():
@@ -204,6 +206,31 @@ def test_near_field_surface_draw_spares_no_its():
     assert [r.method for r in records if math.isfinite(r.wsr)] == ["no_its"]
 
 
+def test_failed_surface_draw_fails_only_its_trial(monkeypatch):
+    # Trial 1 of a block draws the near-field drop of the test above: its
+    # surface cells become NaN records, and every other cell keeps its bits.
+    spec = spec_from_mapping({
+        "solver": {"bcd_max_iters": 5},
+        "sweep": {"grid": [30.0], "trials": 3, "constraint": "tp",
+                  "methods": ["wmmse_bcd", "no_its", "zf_wf", "random_phases"]},
+    })
+    clean = run_sweep(spec)
+    target = _trial_streams(spec.base_seed, 1)[0].bit_generator.state
+    near = replace(spec.channel, user_distance_range=(0.3, 0.5))
+
+    def drop(params, n_users, rng):
+        return sample_user_drop(near if rng.bit_generator.state == target else params, n_users, rng)
+
+    monkeypatch.setattr(harness, "sample_user_drop", drop)
+    block.cache_clear()
+    records = run_sweep(spec)
+    assert [(r.trial, r.method) for r in records if math.isnan(r.wsr)] == [
+        (1, "wmmse_bcd"), (1, "zf_wf"), (1, "random_phases")
+    ]
+    assert [r for r in records if r.trial != 1] == [r for r in clean if r.trial != 1]
+    assert all(math.isfinite(r.wsr) for r in clean)
+
+
 def test_selfcheck_determinism_draws_twice(monkeypatch):
     draws = []
 
@@ -212,7 +239,7 @@ def test_selfcheck_determinism_draws_twice(monkeypatch):
         return sample_user_drop(*args)
 
     monkeypatch.setattr(harness, "sample_user_drop", counting_drop)
-    trial.cache_clear()
+    block.cache_clear()
     assert selfcheck._check_harness_determinism()
     assert len(draws) == 2
 
@@ -266,10 +293,22 @@ def test_run_sweep_order_and_shape():
 
 
 def test_run_sweep_workers_match_serial():
-    spec = tiny_spec(trials=2, grid=[30.0])
+    # Three blocks, the last one partial: each worker solves whole blocks.
+    trials = 2 * harness.BLOCK_TRIALS + 7
+    spec = tiny_spec(trials=trials, grid=[30.0])
     serial = run_sweep(spec, workers=1)
     parallel = run_sweep(spec, workers=2)
     assert serial == parallel
+    assert [r.trial for r in serial] == [t for t in range(trials) for _ in spec.methods]
+
+
+def test_one_block_sweep_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep of one block must run in process")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    spec = tiny_spec(trials=harness.BLOCK_TRIALS, grid=[30.0])
+    assert run_sweep(spec, workers=4) == run_sweep(spec)
 
 
 def test_csv_roundtrip(tmp_path):
@@ -541,6 +580,8 @@ def test_config_rejects_malformed_values():
         ("geometry", "n_active", 4.9),
         ("solver", "bcd_max_iters", 7.9),
         ("geometry", "kappa", True),
+        ("sweep", "methods", []),
+        ("sweep", "illuminations", []),
     ):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             spec_from_mapping({section: {key: value}})

@@ -9,6 +9,7 @@ from itsbeam import (
     AnalogSubproblem,
     AuxVariables,
     ConstraintKind,
+    DimensionMismatchError,
     IlluminationMode,
     PhaseConfig,
     Precoder,
@@ -472,7 +473,7 @@ def test_power_curve_matches_explicit_solves():
                 aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
             gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
             reg = inst.curvature
-            power = _power_curve(*_spectrum(inst, gram, rhs)[::3])
+            power = _power_curve(*_spectrum(inst.curvature_whitening, gram, rhs)[::3])
             for mu in np.logspace(-6, 6, 25):
                 explicit = constraint_value(
                     inst, phases, Precoder(np.linalg.solve(gram + mu * reg, rhs))
@@ -563,11 +564,11 @@ def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
     # The shared decomposition gives the whitened curve of R = I: an RP
     # instance whose transfer has orthonormal columns has exactly that R.
     gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-    shared = _power_curve(*_spectrum(inst, gram, rhs)[::3])
+    shared = _power_curve(*_spectrum(inst.curvature_whitening, gram, rhs)[::3])
     rp = replace(
         inst, transfer=np.eye(6, 3, dtype=complex), constraint=ConstraintKind.RADIATED_POWER
     )
-    whitened = _power_curve(*_spectrum(rp, gram, rhs)[::3])
+    whitened = _power_curve(*_spectrum(rp.curvature_whitening, gram, rhs)[::3])
     for trial_mu in np.logspace(-4, 4, 9):
         assert abs(shared(trial_mu) - whitened(trial_mu)) <= 1e-12 * whitened(trial_mu)
 
@@ -755,6 +756,81 @@ def test_bcd_matches_textbook_loop_bit_for_bit():
                 assert sol.detail == detail
                 assert np.array_equal(sol.phases.phases, phases.phases)
                 assert np.array_equal(sol.precoder.matrix, precoder.matrix)
+
+
+def mixed_batch(rng, m=16, n=4, k=4):
+    """Both constraints, budgets over two decades, and a start with a silent user."""
+    insts, inits = [], []
+    for index in range(6):
+        constraint = list(ConstraintKind)[index % 2]
+        budget = 10.0 ** rng.uniform(-1.0, 1.0)
+        inst = make_instance(rng, m=m, n=n, k=k, constraint=constraint, power_budget=budget)
+        init = zfwf_solve(inst, phases=random_phases(rng, m))
+        if index == 3:  # user 1 starts without power, so its y stays 0
+            matrix = init.precoder.matrix.copy()
+            matrix[:, 1] = 0.0
+            init = Solution.from_state(inst, init.phases, Precoder(matrix))
+        insts.append(inst)
+        inits.append(init)
+    return insts, inits
+
+
+def assert_same_solution(a, b):
+    assert a.trace == b.trace
+    assert a.detail == b.detail
+    assert np.array_equal(a.phases.phases, b.phases.phases)
+    assert np.array_equal(a.precoder.matrix, b.precoder.matrix)
+
+
+def test_batch_solution_does_not_depend_on_its_batch():
+    # Each instance is solved alone, inside the whole batch and inside a reversed
+    # sub-batch; the three solutions agree bit for bit.
+    rng = np.random.default_rng(65)
+    insts, inits = mixed_batch(rng)
+    for freeze in (False, True):
+        settings = SolverSettings(bcd_max_iters=30, pga_max_iters=10, freeze_phases=freeze)
+        whole = bcd_solve(insts, settings, inits)
+        for index, (inst, init) in enumerate(zip(insts, inits)):
+            alone = bcd_solve(inst, settings, init)
+            assert_same_solution(alone, whole[index])
+            rows = [row for row in reversed(range(len(insts))) if row % 2 == index % 2]
+            sub = bcd_solve([insts[r] for r in rows], settings, [inits[r] for r in rows])
+            assert_same_solution(alone, sub[rows.index(index)])
+        assert any(row["mu"] == 0.0 for sol in whole for row in sol.detail)
+        assert any(row["mu"] > 0.0 for sol in whole for row in sol.detail)
+
+
+def test_singular_instance_fails_alone_in_its_batch():
+    # A dead RF chain makes R = T^H T singular under RP: that instance's solve
+    # fails, alone as in the batch, and its batch-mates keep their bits.
+    rng = np.random.default_rng(66)
+    insts, inits = mixed_batch(rng)
+    dead = make_instance(rng, m=16, n=4, k=4, constraint=ConstraintKind.RADIATED_POWER)
+    transfer = dead.transfer.copy()
+    transfer[:, 2] = 0.0
+    dead = replace(dead, transfer=transfer, power_budget=1e-6)
+    start = random_phases(rng, 16)
+    matrix = random_precoder(rng, 4, 4).matrix
+    matrix *= np.sqrt(0.5e-6 / constraint_value(dead, start, Precoder(matrix)))
+    dead_init = Solution.from_state(dead, start, Precoder(matrix))
+    for freeze in (False, True):
+        settings = SolverSettings(bcd_max_iters=20, pga_max_iters=5, freeze_phases=freeze)
+        with pytest.raises(SolverError, match="curvature"):
+            bcd_solve(dead, settings, dead_init)
+        batch = bcd_solve(
+            insts[:3] + [dead] + insts[3:], settings, inits[:3] + [dead_init] + inits[3:]
+        )
+        assert isinstance(batch[3], SolverError)
+        for inst, init, sol in zip(insts, inits, batch[:3] + batch[4:]):
+            assert_same_solution(bcd_solve(inst, settings, init), sol)
+
+
+def test_batch_rejects_mismatched_shapes():
+    rng = np.random.default_rng(67)
+    small, large = make_instance(rng, n=3, k=2), make_instance(rng, n=3, k=3)
+    with pytest.raises(DimensionMismatchError):
+        bcd_solve([small, large], SolverSettings(), [zfwf_solve(small), zfwf_solve(large)])
+    assert bcd_solve([], SolverSettings(), []) == []
 
 
 def test_bcd_freeze_phases():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,6 +91,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = load_experiment_spec(args.config, _overrides_from_args(args))
+    # Only trial 0 is read; one trial changes no draw, and its block solves no other.
+    spec = replace(spec, trials=1)
     method = Method(args.method)
     value = spec.power_budget_dbm if spec.sweep.value == "power" else spec.grid[0]
     solution, applied = solve_cell(spec, value, 0, method, spec.illuminations[0])

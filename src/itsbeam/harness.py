@@ -18,9 +18,10 @@ the last :class:`Block` (1 entry): the trials ``[b*B, (b+1)*B)`` of one grid
 value, ``B = BLOCK_TRIALS``.  A block builds each :class:`Trial` on first use,
 so a trial's cells share its drop, channel and ZF-WF solutions.  The first
 BCD cell of a (method, illumination) solves that kind for every trial of the
-block in one batched ``bcd_solve`` call; each cell takes its solution out, so
-asking for a cell again solves it again.  A solve's bits do not depend on its
-batch, and ``run_sweep`` gives workers whole blocks.
+block in one batched ``bcd_solve`` call; the frozen-phase methods ignore the
+illumination, so theirs is solved once for all illuminations.  Each cell takes
+its solution out, so asking for a cell again solves it again.  A solve's bits
+do not depend on its batch, and ``run_sweep`` gives workers whole blocks.
 
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
@@ -340,7 +341,10 @@ class Block:
 
     Each :class:`Trial` is built on first use.  The BCD cells of one (method,
     illumination) are solved together, in one ``bcd_solve`` call, on the first
-    request for any of them; a request takes its cell's solution out.
+    request for any of them; a request takes its cell's solution out.  The
+    frozen-phase methods ignore the illumination, so each of them is solved once
+    for all illuminations: its solution is taken out by the last of the sweep's
+    illuminations to ask for it.
     """
 
     def __init__(self, spec: ExperimentSpec, sweep_value: float, index: int):
@@ -369,33 +373,41 @@ class Block:
 
     def solution(self, method: Method, illumination: IlluminationMode, trial_index: int):
         """The BCD solution of one cell; its error (an itsbeam or LinAlgError) is raised."""
-        solved = self._solved.setdefault((method, illumination), {})
+        frozen = method is not Method.WMMSE_BCD
+        solved = self._solved.setdefault((method, None if frozen else illumination), {})
         if trial_index not in solved:
             self._solve(method, illumination, solved)
-        outcome = solved.pop(trial_index)
+        outcome, uses = solved[trial_index]
+        if uses > 1:
+            solved[trial_index] = (outcome, uses - 1)
+        else:
+            del solved[trial_index]
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
     def _solve(self, method: Method, illumination: IlluminationMode, solved: dict) -> None:
-        """Solve the cells of one kind for every trial of the block that ``solved`` lacks."""
+        """Solve the cells of one kind for every trial of the block that ``solved`` lacks.
+
+        Each outcome is stored with the number of cells that take it.
+        """
+        frozen = method is not Method.WMMSE_BCD
+        uses = len(self.spec.illuminations) if frozen else 1
         starts = {}
         for trial_index in (t for t in self.trials if t not in solved):
             try:
                 starts[trial_index] = self._start(method, illumination, trial_index)
             except _FAILURES as exc:
-                solved[trial_index] = exc
+                solved[trial_index] = (exc, uses)
         if not starts:
             return
-        settings = self.spec.solver
-        if method is not Method.WMMSE_BCD:
-            settings = replace(settings, freeze_phases=True)
+        settings = replace(self.spec.solver, freeze_phases=True) if frozen else self.spec.solver
         insts, inits = zip(*starts.values())
         try:
             outcomes = bcd_solve(insts, settings, inits)
         except _FAILURES as exc:
             outcomes = [exc] * len(starts)
-        solved.update(zip(starts, outcomes))
+        solved.update((t, (outcome, uses)) for t, outcome in zip(starts, outcomes))
 
 
 # block(spec, sweep_value, index): the last block; cells run block by block.

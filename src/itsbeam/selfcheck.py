@@ -263,7 +263,11 @@ def _check_bcd_monotone(rng) -> bool:
 
 
 def _check_block_solve(rng) -> bool:
-    """A batch of 6 (both constraints, one silent user) against 6 batches of one, bit for bit."""
+    """A batch of 6 (both constraints, one silent user) against 6 batches of one, bit for bit.
+
+    The phase-step cap of 200 lets rows of the stacked phase block stop at
+    different steps, before the cap, in the same iteration.
+    """
     insts, inits = [], []
     for index in range(6):
         inst = _random_instance(rng, constraint=list(ConstraintKind)[index % 2])
@@ -274,8 +278,11 @@ def _check_block_solve(rng) -> bool:
             init = Solution.from_state(inst, init.phases, Precoder(matrix))
         insts.append(inst)
         inits.append(init)
-    settings = SolverSettings(bcd_max_iters=15, pga_max_iters=10)
+    settings = SolverSettings(bcd_max_iters=15, pga_max_iters=200)
     block = bcd_solve(insts, settings, inits)
+    steps = [row["pga_steps"] for solution in block for row in solution.detail]
+    if min(steps) == settings.pga_max_iters:
+        return False  # no row stopped early: the check would not cover the ladder's stops
     for inst, init, together in zip(insts, inits, block):
         alone = bcd_solve(inst, settings, init)
         if not (

@@ -20,13 +20,15 @@ in that order.
 
 ``bcd_solve`` runs this loop over a batch of instances that share settings
 (Shi et al., IEEE TSP 2011, batched over channel draws as in Chowdhury et
-al., IEEE TWC 2021).  The auxiliaries, the precoder systems, their
+al., IEEE TWC 2021).  The auxiliaries, the phase subproblems, the phase
+block's trial points, the effective channels, the precoder systems, their
 eigendecompositions, the TP mu = 0 tests, the precoder solves and the link
-terms run on stacked arrays, one row per instance.  The phase block, the RP
-mu = 0 limit and the bisection on each power curve run instance by instance.
-Every stacked operation gives a row the bits it gives a batch of one, so a
-solution does not depend on the batch it was solved in.  One instance is a
-batch of one.
+terms run on stacked arrays, one row per instance.  Per instance, on Python
+scalars: each row's walk along the phase block's Armijo ladder and the
+bisection on its power curve; and, only where the whitened spectrum cannot rule
+it out, the RP mu = 0 limit.  Every stacked operation gives a row the bits it
+gives a batch of one, so a solution does not depend on the batch it was solved
+in.  One instance is a batch of one.
 """
 
 from __future__ import annotations
@@ -124,24 +126,25 @@ class AnalogSubproblem:
     """Phase subproblem data: maximise 2 Re{psi^H nu} - psi^H U psi over |psi_m| = 1.
 
     U = A^H A is held as its K^2 x M factor A, so psi^H U psi = ||A psi||^2
-    and the solver never forms the M x M matrix U.
+    and the solver never forms the M x M matrix U.  Stacked arrays, one row per
+    instance, hold the subproblems of a batch.
     """
 
-    linear_term: np.ndarray  # nu, (M,) complex
-    factor: np.ndarray       # A, (R, M) complex, U = A^H A
+    linear_term: np.ndarray  # nu, (..., M) complex
+    factor: np.ndarray       # A, (..., R, M) complex, U = A^H A
 
     def __post_init__(self):
         nu = np.asarray(self.linear_term, dtype=complex)
         a = np.asarray(self.factor, dtype=complex)
-        if nu.ndim != 1 or a.ndim != 2 or a.shape[1] != nu.size:
+        if nu.ndim < 1 or a.ndim != nu.ndim + 1 or a.shape[:-2] + a.shape[-1:] != nu.shape:
             raise SolverError("inconsistent subproblem shapes")
         object.__setattr__(self, "linear_term", nu)
         object.__setattr__(self, "factor", a)
 
     @property
     def quadratic_term(self) -> np.ndarray:
-        """U = A^H A, (M, M) Hermitian PSD; built on demand for tests and oracles."""
-        return self.factor.conj().T @ self.factor
+        """U = A^H A, (..., M, M) Hermitian PSD; built on demand for tests and oracles."""
+        return _adjoint(self.factor) @ self.factor
 
 
 def _unchecked(cls, **values):
@@ -154,16 +157,19 @@ def _unchecked(cls, **values):
 class _Batch:
     """Instances solved together; weights, noise powers, budgets and curvatures stacked by row.
 
-    The helpers below that read only these attributes take a batch where they take
-    one instance, so each formula is written once for both.
+    The helpers below that read only these attributes, or the stacked channels and
+    transfer matrices, take a batch where they take one instance, so each formula
+    is written once for both.
     """
 
     _STACKED = ("weights", "noise_power", "power_budget", "curvature", "tp")
 
     def __init__(self, insts):
         self.insts = list(insts)
-        if len({(one.n_users, one.n_chains) for one in self.insts}) > 1:
-            raise DimensionMismatchError("the instances of a batch must share users and chains")
+        if len({(one.n_users, one.n_chains, one.n_elements) for one in self.insts}) > 1:
+            raise DimensionMismatchError(
+                "the instances of a batch must share users, chains and surface elements"
+            )
         self.weights = np.stack([one.weights for one in self.insts])
         self.noise_power = np.array([[one.noise_power] for one in self.insts])
         self.power_budget = np.array([one.power_budget for one in self.insts])
@@ -177,6 +183,14 @@ class _Batch:
         for name in self._STACKED:
             setattr(part, name, getattr(self, name)[rows])
         return part
+
+    @property
+    def channel(self) -> np.ndarray:  # stacked on each use: held, it would add to peak memory
+        return np.stack([one.channel for one in self.insts])
+
+    @property
+    def transfer(self) -> np.ndarray:
+        return np.stack([one.transfer for one in self.insts])
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -239,47 +253,60 @@ def build_analog_subproblem(
         nu = sum_k sqrt(w_k (1 + gamma_k)) y_k conj(a_{k,k}),
         U  = sum_k |y_k|^2 sum_i conj(a_{k,i}) a_{k,i}^T = A^H A,
 
-    and A stacks the K^2 rows |y_k| a_{k,i}^T.
+    and A stacks the K^2 rows |y_k| a_{k,i}^T.  A batch (``inst`` a ``_Batch``,
+    ``precoder.matrix`` and ``aux`` stacked by row) gives the stacked subproblems.
     """
-    tb = inst.transfer @ precoder.matrix  # (M, K), column i = T b_i
-    paths = inst.channel[:, np.newaxis, :] * tb.T[np.newaxis, :, :]  # (K, K, M), [k, i]
+    tb = inst.transfer @ precoder.matrix  # (..., M, K), column i = T b_i
+    paths = np.multiply(  # (..., K, K, M), [k, i]; C order, so that A below is a view
+        inst.channel[..., :, np.newaxis, :], np.swapaxes(tb, -1, -2)[..., np.newaxis, :, :], order="C"
+    )
+    users = np.arange(paths.shape[-2])
     scale = np.sqrt(inst.weights * (1.0 + aux.gamma))
-    self_paths = paths[np.arange(inst.n_users), np.arange(inst.n_users)]  # (K, M)
-    nu = (scale * aux.y) @ np.conj(self_paths)
-    factor = np.abs(aux.y)[:, np.newaxis, np.newaxis] * paths
-    return AnalogSubproblem(linear_term=nu, factor=factor.reshape(-1, nu.size))
+    self_paths = paths[..., users, users, :]  # (..., K, M), a copy
+    nu = ((scale * aux.y)[..., np.newaxis, :] @ np.conj(self_paths))[..., 0, :]
+    paths *= np.abs(aux.y)[..., np.newaxis, np.newaxis]  # in place: a batch's A is 1 MB
+    return AnalogSubproblem(linear_term=nu, factor=paths.reshape(*nu.shape[:-1], -1, nu.shape[-1]))
 
 
-def _objective_terms(sub: AnalogSubproblem, psi: np.ndarray):
-    """Return (f3, A psi) at phasor psi, with f3 = 2 Re{psi^H nu} - ||A psi||^2."""
-    a_psi = sub.factor @ psi
-    value = 2.0 * np.real(np.vdot(psi, sub.linear_term)) - np.real(np.vdot(a_psi, a_psi))
-    return float(value), a_psi
+def _objective_terms(nu: np.ndarray, factor: np.ndarray, psi: np.ndarray):
+    """Return (f3, A psi) at the stacked phasors psi, f3 = 2 Re{psi^H nu} - ||A psi||^2 per row.
+
+    ``matvec`` and ``vecdot`` take each row's BLAS product and dot, and f3 is formed
+    on Python floats, so a row's value has the bits it has alone.
+    """
+    a_psi = np.matvec(factor, psi)
+    terms = zip(np.vecdot(psi, nu).tolist(), np.vecdot(a_psi, a_psi).tolist())
+    return [2.0 * linear.real - quadratic.real for linear, quadratic in terms], a_psi
 
 
-def _gradient(sub: AnalogSubproblem, psi: np.ndarray, a_psi: np.ndarray) -> np.ndarray:
+def _gradient(nu: np.ndarray, factor: np.ndarray, psi: np.ndarray, a_psi: np.ndarray):
     """grad_m = 2 Re{-j conj(psi_m) (nu - U psi)_m}, with U psi = A^H (A psi)."""
-    u_psi = np.conj(np.conj(a_psi) @ sub.factor)
-    return 2.0 * np.real(-1j * np.conj(psi) * (sub.linear_term - u_psi))
+    u_psi = np.conj((np.conj(a_psi)[..., np.newaxis, :] @ factor)[..., 0, :])
+    return 2.0 * np.real(-1j * np.conj(psi) * (nu - u_psi))
+
+
+def _one_row(sub: AnalogSubproblem, phases: PhaseConfig):
+    return sub.linear_term[np.newaxis], sub.factor[np.newaxis], phases.phasor()[np.newaxis]
 
 
 def analog_objective(sub: AnalogSubproblem, phases: PhaseConfig) -> float:
     """f3(phi) = 2 Re{psi^H nu} - psi^H U psi at psi = exp(j phi)."""
-    return _objective_terms(sub, phases.phasor())[0]
+    return _objective_terms(*_one_row(sub, phases))[0][0]
 
 
 def analog_objective_and_gradient(sub: AnalogSubproblem, phases: PhaseConfig):
     """Return (f3, grad f3) where grad_m = 2 Re{-j exp(-j phi_m) (nu - U psi)_m}."""
-    psi = phases.phasor()
-    value, a_psi = _objective_terms(sub, psi)
-    return value, _gradient(sub, psi, a_psi)
+    nu, factor, psi = _one_row(sub, phases)
+    (value,), a_psi = _objective_terms(nu, factor, psi)
+    return value, _gradient(nu, factor, psi, a_psi)[0]
 
 
 def _wrap(phases: np.ndarray) -> np.ndarray:
-    return np.mod(phases, 2.0 * np.pi)
+    """phases mod 2 pi, in place."""
+    return np.mod(phases, 2.0 * np.pi, out=phases)
 
 
-def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettings):
+def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
     """Projected gradient ascent with Armijo line search; returns (phases, steps, evals).
 
     Trial steps sit on one ladder tau_init * shrink^k, k = 0, 1, ...  Each search
@@ -290,42 +317,87 @@ def _pga(sub: AnalogSubproblem, phases_init: PhaseConfig, settings: SolverSettin
     and at or above the start fails the test; then it is another Armijo step,
     or none if no step at or below the start passes.  ``evals`` counts every
     objective evaluation, rejected trials included.  A non-finite trial value
-    never passes the Armijo test, so the phases validated on return are finite.
+    never passes the Armijo test, so the phases returned are finite.
+
+    ``sub`` may hold stacked subproblems, with ``phases_init`` the (B, M) start
+    phases: each row walks its own ladder on Python scalars, and a trial point
+    costs one stacked wrap, exp, factor product and pair of dots over the rows
+    still searching, so a row gets the bits it gets alone.  A batch returns the
+    (B, M) phases and lists of steps and evals; one PhaseConfig is a batch of one.
     """
+    single = isinstance(phases_init, PhaseConfig)
+    nu, factor = sub.linear_term, sub.factor
+    phi = _wrap(np.array(phases_init.phases if single else phases_init, dtype=float))
+    if single:
+        nu, factor, phi = nu[np.newaxis], factor[np.newaxis], phi[np.newaxis]
     ladder, tau = [], settings.tau_init
     while tau >= _MIN_STEP:
         ladder.append(tau)
         tau *= settings.armijo_shrink
-    phi = _wrap(phases_init.phases)
+    zeta, out = settings.armijo_zeta, np.empty_like(phi)
     psi = np.exp(1j * phi)
-    value, a_psi = _objective_terms(sub, psi)
-    steps, evals, start = 0, 1, 0
+    value, a_psi = _objective_terms(nu, factor, psi)
+    steps, evals, start = [0] * len(value), [1] * len(value), [0] * len(value)
+    going = list(range(len(value)))  # the batch row of each row of phi, psi, a_psi, nu, factor
     for _ in range(settings.pga_max_iters):
-        grad = _gradient(sub, psi, a_psi)
-        grad_sq = float(grad @ grad)
-        k, accepted = start, None
-        while 0 <= k < len(ladder):
-            candidate = _wrap(phi + ladder[k] * grad)
-            cand_psi = np.exp(1j * candidate)
-            cand_value, cand_a_psi = _objective_terms(sub, cand_psi)
-            evals += 1
-            if cand_value - value >= settings.armijo_zeta * ladder[k] * grad_sq:
-                accepted = (k, candidate, cand_psi, cand_value, cand_a_psi)
-                if k > start:
-                    break  # first passing step below a failing start
-                k -= 1
-            elif accepted is not None:
-                break  # the step above the accepted one fails
-            else:
-                k += 1
-        if accepted is None:
-            break
-        start, phi, psi, new_value, a_psi = accepted
-        improvement, value = new_value - value, new_value
-        steps += 1
-        if improvement <= 0.0:
-            break  # flat accept (zero gradient); nothing left to gain
-    return PhaseConfig(phi), steps, evals
+        grad = _gradient(nu, factor, psi, a_psi)
+        grad_sq = np.vecdot(grad, grad).tolist()
+        k = [start[row] for row in going]
+        accepted = [None] * len(going)  # (ladder index, value) of each row's last passing trial
+        new = (np.empty_like(phi), np.empty_like(psi), np.empty_like(a_psi))  # and its point
+        searching = list(range(len(going)))
+        while searching:
+            # A[rows] is a copy, taken only when a subset of the rows is still searching
+            rows = slice(None) if len(searching) == len(going) else searching
+            trial = np.array([ladder[k[j]] for j in searching])[:, np.newaxis] * grad[rows]
+            trial += phi[rows]
+            trial_psi = _wrap(trial) * 1j
+            np.exp(trial_psi, out=trial_psi)
+            trial_value, trial_a_psi = _objective_terms(nu[rows], factor[rows], trial_psi)
+            passed, still = [], []
+            for i, (j, cand) in enumerate(zip(searching, trial_value)):
+                evals[going[j]] += 1
+                if cand - value[j] >= zeta * ladder[k[j]] * grad_sq[j]:
+                    passed.append(i)
+                    accepted[j] = (k[j], cand)
+                    if k[j] > start[going[j]]:
+                        continue  # first passing step below a failing start
+                    k[j] -= 1
+                elif accepted[j] is not None:
+                    continue  # the step above the accepted one fails
+                else:
+                    k[j] += 1
+                if 0 <= k[j] < len(ladder):
+                    still.append(j)
+            if len(passed) == len(going):
+                new = (trial, trial_psi, trial_a_psi)
+            elif passed:
+                dest = [searching[i] for i in passed]
+                for kept, part in zip(new, (trial, trial_psi, trial_a_psi)):
+                    kept[dest] = part[passed]
+            searching = still
+        moved, keep = [j for j in range(len(going)) if accepted[j] is not None], []
+        for j in moved:
+            start[going[j]], cand = accepted[j]
+            steps[going[j]] += 1
+            if cand - value[j] > 0.0:
+                keep.append(j)  # a flat accept (zero gradient) has nothing left to gain
+            value[j] = cand
+        if len(moved) == len(going):
+            phi, psi, a_psi = new
+        elif moved:
+            phi[moved], psi[moved], a_psi[moved] = (part[moved] for part in new)
+        if len(keep) < len(going):
+            stop = sorted(set(range(len(going))) - set(keep))
+            out[[going[j] for j in stop]] = phi[stop]
+            phi, psi, a_psi, nu, factor = (part[keep] for part in (phi, psi, a_psi, nu, factor))
+            value, going = [value[j] for j in keep], [going[j] for j in keep]
+            if not going:
+                break
+    out[going] = phi
+    if single:
+        return PhaseConfig(out[0]), steps[0], evals[0]
+    return out, steps, evals
 
 
 def _precoder_system(inst: SystemInstance, heff: np.ndarray, aux: AuxVariables):
@@ -475,9 +547,13 @@ def dual_search(
     V_keep (c_keep / lam_keep) with power sum_keep e_j / lam_j^2, reuses that one
     eigendecomposition.  ``heff`` is the effective channel at ``phases``, if known.
 
+    Under RP the limit (``_limit_precoder``: an eigh, often an lstsq) is built only
+    where the whitened spectrum, taken first, cannot show it infeasible: its power
+    is at least the sum of e_j / lam_j^2 over the eigenvalues above 1e-6 lam_max.
+
     A batch (``inst`` a ``_Batch``, ``phases`` one PhaseConfig per row, ``aux`` and
     ``heff`` stacked by row) is set up and solved on stacked arrays; only the
-    bracket and bisection (``_dual_root``) and the RP mu = 0 limit run row by row.
+    bracket and bisection (``_dual_root``) and the RP limit run row by row.
     It returns the stacked precoders, the mu per row and {row: error} for the
     rows that failed, whose precoders are zero.  One instance is a batch of one,
     whose error is raised.
@@ -508,21 +584,37 @@ def dual_search(
         for j in np.flatnonzero(~search[tp] & ~full):  # rank-deficient: the kept columns only
             kept = keep[j]
             matrices[tp[j]] = vecs[j][:, kept] @ (coords[j][kept] / lam[tp[j]][kept][:, None])
+    # Under RP the whitened spectrum comes first.  The mu -> 0+ power is at least
+    # sum e_j / lam_j^2 over the eigenvalues above 1e-6 lam_max; where that floor
+    # already exceeds the budget, the limit precoder is never built.
+    rp, singular = [], {}
     for row in np.flatnonzero(~inst.tp):
+        try:
+            whitening[row] = inst.insts[row].curvature_whitening
+            rp.append(row)
+        except SolverError as exc:  # decided by the mu = 0 test alone
+            singular[row] = exc
+    if rp:
+        lam_rp, _, _, energy_rp = _spectrum(whitening[rp], gram[rp], rhs[rp])
+        lam[rp], energy[rp] = lam_rp, energy_rp
+        resolved = lam_rp > 1e-6 * np.maximum(lam_rp[:, -1:], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            floor = np.sum(energy_rp / lam_rp ** 2, axis=-1, where=resolved)
+        search[rp] = floor > budget[rp] * (1.0 + 1e-9)
+    for row in np.flatnonzero(~inst.tp & ~search):
         one = inst.insts[row]
         try:
             prec0 = _limit_precoder(gram[row], rhs[row], one.curvature)
-            if constraint_value(one, phases[row], prec0) <= budget[row]:
-                matrices[row] = prec0.matrix
-                continue
-            whitening[row] = one.curvature_whitening
+            feasible = constraint_value(one, phases[row], prec0) <= budget[row]
         except _FAILURES as exc:
             failed[row] = exc
             continue
-        search[row] = True
-    rp = np.flatnonzero(search & ~inst.tp)
-    if rp.size:
-        lam[rp], _, _, energy[rp] = _spectrum(whitening[rp], gram[rp], rhs[rp])
+        if feasible:
+            matrices[row] = prec0.matrix
+        elif row in singular:
+            failed[row] = singular[row]
+        else:
+            search[row] = True
 
     for row in np.flatnonzero(search):
         limit = budget[row].item()
@@ -561,8 +653,8 @@ def bcd_solve(
     and f1 come from one heff @ B per iteration, with heff formed once per phase state.
 
     ``inst`` and ``init`` may be equal-length sequences: a batch of instances with
-    the same numbers of users and chains, iterated by one loop, each with its own
-    stop.  A batch returns, per instance, its Solution or the error
+    the same numbers of users, chains and surface elements, iterated by one loop,
+    each with its own stop.  A batch returns, per instance, its Solution or the error
     (``BeamformingError`` or ``LinAlgError``) that ended its solve; the others keep
     the bits they have alone.  One instance is a batch of one, whose error is raised.
     """
@@ -600,17 +692,14 @@ def bcd_solve(
         aux = _unchecked(AuxVariables, gamma=gamma[active], y=y)
         pga_steps, phase_evals = [0] * active.size, [0] * active.size
         if not settings.freeze_phases:
+            phi, pga_steps, phase_evals = _pga(
+                build_analog_subproblem(part, _unchecked(Precoder, matrix=precoders[active]), aux),
+                np.stack([phases[row].phases for row in active]),
+                settings,
+            )
+            heff[active] = (part.channel * np.exp(1j * phi)[:, np.newaxis, :]) @ part.transfer
             for j, row in enumerate(active):
-                try:
-                    sub = build_analog_subproblem(
-                        insts[row],
-                        _unchecked(Precoder, matrix=precoders[row]),
-                        _unchecked(AuxVariables, gamma=aux.gamma[j], y=y[j]),
-                    )
-                    phases[row], pga_steps[j], phase_evals[j] = _pga(sub, phases[row], settings)
-                    heff[row] = effective_channel(insts[row], phases[row])
-                except _FAILURES as exc:
-                    outcome[row] = exc
+                phases[row] = PhaseConfig(phi[j])
         channels = heff[active]
         matrices, mu, failed = dual_search(
             part, [phases[row] for row in active], aux, settings, heff=channels

@@ -103,7 +103,9 @@ def waterfill(
 
     Closed form per active set: p_k = w_k / (mu a_k) - sigma^2 with the water
     level mu = (sum_active w_k) / (budget + sigma^2 sum_active a_k); users whose
-    allocation goes negative are dropped and the level recomputed.
+    allocation goes negative are dropped and the level recomputed.  When
+    sigma^2 sum a dwarfs the budget, w_k / (mu a_k) - sigma^2 cancels; powers that
+    then spend more than the budget's 1e-6 tolerance are scaled back onto it.
     """
     w = np.asarray(weights, dtype=float)
     a = np.asarray(chain_costs, dtype=float)
@@ -126,6 +128,9 @@ def waterfill(
         negative = active & (p < 0)
         if not np.any(negative):
             powers = np.clip(p, 0.0, None)
+            spent = float(a @ powers)
+            if spent > power_budget * (1.0 + 1e-6):  # the tolerance a Solution allows
+                powers *= power_budget / spent
             return PowerAllocation(powers=powers, water_level=float(mu), chain_costs=a)
         active &= ~negative
     raise SolverError("water-filling failed to settle on an active set")

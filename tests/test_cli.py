@@ -167,6 +167,28 @@ def test_solve_bcd_trace_monotone(tmp_path, config_path):
     assert "stop" in payload["detail"][-1]
 
 
+def test_solve_solves_one_instance(tmp_path, config_path, monkeypatch):
+    # The config holds two trials; solve reads trial 0 at the 30 dBm budget and
+    # solves it alone, with the bits that trial's cell has in a sweep.
+    import itsbeam.harness as harness
+
+    batches = []
+    solve = harness.bcd_solve
+
+    def counting(insts, settings, inits):
+        batches.append(len(insts))
+        return solve(insts, settings, inits)
+
+    monkeypatch.setattr(harness, "bcd_solve", counting)
+    dump = tmp_path / "bcd.json"
+    assert main(["solve", "--config", config_path, "--dump-solution", str(dump)]) == 0
+    assert batches == [1]
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", config_path, "--out", str(sweep)]) == 0
+    row = next(line for line in sweep.read_text().splitlines() if ",30.0,0,wmmse_bcd," in line)
+    assert float(row.split(",")[6]) == json.loads(dump.read_text())["wsr"]
+
+
 def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -19,6 +19,7 @@ from itsbeam import (
     GeometryConfig,
     IlluminationMode,
     Method,
+    PhaseConfig,
     SolverError,
     SolverSettings,
     SweepKind,
@@ -275,6 +276,51 @@ def test_random_phases_ignore_illumination():
     rec_full = run_trial(spec, 30.0, 0, Method.RANDOM_PHASES, IlluminationMode.FULL)
     rec_sep = run_trial(spec, 30.0, 0, Method.RANDOM_PHASES, IlluminationMode.SEPARATE)
     assert rec_full.wsr == rec_sep.wsr
+
+
+def test_frozen_kinds_are_solved_once_for_all_illuminations(monkeypatch):
+    # random_phases and no_its ignore the illumination: over three illuminations
+    # the one block solves each once, and every cell equals a cold solve of it.
+    spec = tiny_spec(
+        methods=["random_phases", "no_its", "wmmse_bcd"],
+        illuminations=["full", "partial", "separate"],
+        grid=[30.0],
+        trials=3,
+    )
+    frozen = []
+    solve = harness.bcd_solve
+
+    def counting(insts, settings, inits):
+        frozen.append(settings.freeze_phases)
+        return solve(insts, settings, inits)
+
+    monkeypatch.setattr(harness, "bcd_solve", counting)
+    block.cache_clear()
+    records = run_sweep(spec)
+    assert frozen.count(True) == 2 and frozen.count(False) == 3
+    for record in records:
+        block.cache_clear()
+        cell = (Method(record.method), IlluminationMode(record.illumination))
+        assert run_trial(spec, record.sweep_value, record.trial, *cell) == record
+    assert all(math.isfinite(record.wsr) for record in records)
+
+
+def test_far_no_surface_drop_gives_finite_cells():
+    # Trial 225 of the 7.5 dB TP loss sweep at seed 901: its direct channel is so
+    # weak that the no-surface water-filling once overspent the budget by 2.9e-5,
+    # which the solution check rejected.
+    spec = spec_from_mapping({
+        "sweep": {
+            "kind": "loss", "grid": [7.5], "constraint": "tp", "base_seed": 901,
+            "methods": ["zf_wf", "random_phases", "no_its"], "trials": 226,
+        }
+    })
+    block.cache_clear()
+    for method in spec.methods:
+        record = run_trial(spec, 7.5, 225, method, IlluminationMode.FULL)
+        assert math.isfinite(record.wsr) and record.iterations >= 0
+    start = zfwf_solve(trial(spec, 7.5, 225).no_surface, phases=PhaseConfig(np.zeros(4)))
+    assert max(start.detail["chain_costs"]) > 1e20
 
 
 def test_run_sweep_order_and_shape():

@@ -35,11 +35,13 @@ from itsbeam import (
 )
 from itsbeam.harness import _bcd_init, trial
 from itsbeam.wmmse import (
+    _Batch,
     _limit_precoder,
     _pga,
     _power_curve,
     _precoder_system,
     _spectrum,
+    _unchecked,
 )
 from itsbeam.selfcheck import optimal_aux, oracle_phase_gradient
 from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
@@ -268,6 +270,133 @@ def test_pga_matches_full_backtracking_on_reference_trials():
             phases = new
             precoder = dual_search(inst, phases, aux, settings)[0]
     assert 2 * evals <= oracle_evals
+
+
+def objective_terms(sub, psi):
+    a_psi = sub.factor @ psi
+    value = 2.0 * np.real(np.vdot(psi, sub.linear_term)) - np.real(np.vdot(a_psi, a_psi))
+    return float(value), a_psi
+
+
+def phase_gradient(sub, psi, a_psi):
+    u_psi = np.conj(np.conj(a_psi) @ sub.factor)
+    return 2.0 * np.real(-1j * np.conj(psi) * (sub.linear_term - u_psi))
+
+
+def per_instance_pga(sub, phases_init, settings):
+    """The warm-started phase block on one instance, with one np.vdot per dot product.
+
+    Returns (phases, steps, evals, stop), stop being "cap", "flat" (a flat
+    accept) or "no_step" (no ladder step passes).
+    """
+    ladder = step_ladder(settings)
+    phi = np.mod(phases_init.phases, 2.0 * np.pi)
+    psi = np.exp(1j * phi)
+    value, a_psi = objective_terms(sub, psi)
+    steps, evals, start, stop = 0, 1, 0, "cap"
+    for _ in range(settings.pga_max_iters):
+        grad = phase_gradient(sub, psi, a_psi)
+        grad_sq = float(grad @ grad)
+        k, accepted = start, None
+        while 0 <= k < len(ladder):
+            candidate = np.mod(phi + ladder[k] * grad, 2.0 * np.pi)
+            cand_psi = np.exp(1j * candidate)
+            cand_value, cand_a_psi = objective_terms(sub, cand_psi)
+            evals += 1
+            if cand_value - value >= settings.armijo_zeta * ladder[k] * grad_sq:
+                accepted = (k, candidate, cand_psi, cand_value, cand_a_psi)
+                if k > start:
+                    break
+                k -= 1
+            elif accepted is not None:
+                break
+            else:
+                k += 1
+        if accepted is None:
+            stop = "no_step"
+            break
+        start, phi, psi, new_value, a_psi = accepted
+        improvement, value = new_value - value, new_value
+        steps += 1
+        if improvement <= 0.0:
+            stop = "flat"
+            break
+    return PhaseConfig(phi), steps, evals, stop
+
+
+def stack(subs):
+    return AnalogSubproblem(
+        linear_term=np.stack([sub.linear_term for sub in subs]),
+        factor=np.stack([sub.factor for sub in subs]),
+    )
+
+
+def assert_stacked_pga_matches_per_instance(subs, starts, settings):
+    """The stacked block on the whole batch and on a reversed half of it, row by row."""
+    oracle = [per_instance_pga(sub, start, settings) for sub, start in zip(subs, starts)]
+    half = list(range(len(subs)))[::-2]
+    for rows in (list(range(len(subs))), half):
+        phases, steps, evals = _pga(
+            stack([subs[r] for r in rows]), np.stack([starts[r].phases for r in rows]), settings
+        )
+        for j, row in enumerate(rows):
+            assert np.array_equal(phases[j], oracle[row][0].phases)
+            assert (steps[j], evals[j]) == oracle[row][1:3]
+    return oracle
+
+
+def test_stacked_pga_matches_per_instance_on_reference_trials():
+    # Phase subproblems of the reference RP setup at 40 dBm, from the harness's
+    # zero-forcing start and after each of two BCD iterations, solved as one batch.
+    spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
+    settings = spec.solver
+    subs, starts = [], []
+    for index in range(4):
+        state = trial(spec, 40.0, index)
+        inst = state.instance(IlluminationMode.FULL)
+        start = _bcd_init(inst, state.zfwf(IlluminationMode.FULL))
+        phases, precoder = start.phases, start.precoder
+        for _ in range(3):
+            aux = optimal_aux(inst, phases, precoder)
+            subs.append(build_analog_subproblem(inst, precoder, aux))
+            starts.append(phases)
+            phases = per_instance_pga(subs[-1], phases, settings)[0]
+            precoder = dual_search(inst, phases, aux, settings)[0]
+    oracle = assert_stacked_pga_matches_per_instance(subs, starts, settings)
+    for sub, start, expected in zip(subs, starts, oracle):  # each as a batch of one
+        phases, steps, evals = _pga(sub, start, settings)
+        assert np.array_equal(phases.phases, expected[0].phases)
+        assert (steps, evals) == expected[1:3]
+
+
+def test_stacked_pga_rows_stop_alone():
+    # One batch whose rows stop at different steps: at the step cap, on a flat
+    # accept, with no passing step, and a non-finite row that takes no step.
+    rng = np.random.default_rng(68)
+    m, r = 8, 4
+    settings = SolverSettings(pga_max_iters=40)
+    zero = np.zeros((r, m))
+    rows = [(complex_normal(rng, m), complex_normal(rng, r, m) / np.sqrt(m)) for _ in range(5)]
+    starts = [rng.uniform(0.0, 2.0 * np.pi, m) for _ in rows]
+    # Zero phases are exactly stationary for a real positive nu: a flat accept.
+    rows.append((np.abs(complex_normal(rng, m)) + 0j, zero))
+    starts.append(np.zeros(m))
+    for _ in range(3):  # linear terms only, which the ascent aligns to within roundoff
+        rows.append((complex_normal(rng, m), zero))
+        starts.append(rng.uniform(0.0, 2.0 * np.pi, m))
+    nu = complex_normal(rng, m)
+    nu[2] = np.nan
+    rows.append((nu, complex_normal(rng, r, m)))
+    starts.append(rng.uniform(0.0, 2.0 * np.pi, m))
+    subs = [AnalogSubproblem(linear_term=nu, factor=a) for nu, a in rows]
+    starts = [PhaseConfig(start) for start in starts]
+    with np.errstate(invalid="ignore"):
+        oracle = assert_stacked_pga_matches_per_instance(subs, starts, settings)
+    stops = [stop for _, _, _, stop in oracle]
+    assert {"cap", "flat", "no_step"} <= set(stops[:-1])
+    assert len({steps for _, steps, _, _ in oracle}) >= 4
+    assert oracle[-1][1:] == (0, 1 + len(step_ladder(settings)), "no_step")
+    assert np.array_equal(oracle[-1][0].phases, starts[-1].phases)
 
 
 def test_warm_started_steps_pass_armijo_and_never_descend():
@@ -600,6 +729,52 @@ def test_tp_shortcut_matches_lstsq_path():
         assert np.linalg.norm(prec.matrix - oracle_prec.matrix) <= 1e-12 * scale
         active += mu > 0
     assert 50 <= active <= 180
+
+
+def test_rp_limit_is_skipped_only_where_infeasible(monkeypatch):
+    # Under RP the search builds the mu = 0 limit only where the whitened
+    # spectrum cannot show it infeasible.  At a budget equal to the limit's
+    # power the limit is feasible: mu = 0, alone and in a batch.  Far below it,
+    # the limit is rarely built.  Half the instances have a silent user, and
+    # every gram is rank-deficient (N > K).
+    rng = np.random.default_rng(69)
+    settings = SolverSettings()
+    points = []
+    for index in range(60):
+        inst = make_instance(rng, m=8, n=4, k=3, constraint=ConstraintKind.RADIATED_POWER)
+        phases, aux = random_phases(rng, 8), random_aux(rng, 3)
+        if index % 2:
+            aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+        limit = _limit_precoder(gram, rhs, inst.curvature)
+        power0 = constraint_value(inst, phases, limit)
+        points.append((replace(inst, power_budget=power0), phases, aux, limit))
+        tight = replace(inst, power_budget=power0 * 10.0 ** rng.uniform(-2.0, -0.5))
+        points.append((tight, phases, aux, None))
+    alone = []
+    for inst, phases, aux, limit in points:
+        prec, mu = dual_search(inst, phases, aux, settings)
+        alone.append((prec.matrix, mu))
+        if limit is not None:
+            assert mu == 0.0 and np.array_equal(prec.matrix, limit.matrix)
+        else:
+            assert mu > 0.0
+    insts, phases, aux = zip(*(point[:3] for point in points))
+    batch_aux = _unchecked(
+        AuxVariables, gamma=np.stack([a.gamma for a in aux]), y=np.stack([a.y for a in aux])
+    )
+    heff = np.stack([effective_channel(i, p) for i, p in zip(insts, phases)])
+    matrices, mu, failed = dual_search(_Batch(insts), list(phases), batch_aux, settings, heff=heff)
+    assert not failed
+    for row, (matrix, row_mu) in enumerate(alone):
+        assert mu[row] == row_mu and np.array_equal(matrices[row], matrix)
+    calls = []
+    monkeypatch.setattr(
+        "itsbeam.wmmse._limit_precoder", lambda *args: calls.append(1) or _limit_precoder(*args)
+    )
+    for inst, phases, aux, limit in points[1::2]:
+        assert dual_search(inst, phases, aux, settings)[1] > 0.0
+    assert len(calls) <= 3
 
 
 def test_tp_solve_never_calls_lstsq(monkeypatch):

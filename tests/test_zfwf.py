@@ -161,6 +161,17 @@ def test_waterfill_matches_bisection_oracle():
     assert worst < 1e-6
 
 
+def test_waterfill_scales_an_overspent_allocation_onto_the_budget():
+    # Chain costs of a far no-surface drop: sigma^2 sum a is about 3e11 budgets,
+    # so w / (mu a) - sigma^2 cancels and the closed form overspends by 2.9e-5.
+    costs = np.array([
+        2.7323398570004788e20, 9.183204816927548e20, 1.1400573331777857e20, 2.6491849920875597e18,
+    ])
+    alloc = waterfill(np.ones(4), costs, 1e-7, 1.0)
+    assert np.count_nonzero(alloc.powers) == 1
+    assert abs(float(costs @ alloc.powers) - 1.0) <= 1e-12
+
+
 def test_waterfill_kkt_ratios():
     # Funded users share the marginal utility w_k / (a_k (p_k + sigma^2)),
     # which equals the water level; dropped users sit at or below it already

@@ -8,6 +8,8 @@ against the same public ``oracle_*`` functions.  Runs in a few seconds.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .geometry import (
@@ -207,6 +209,14 @@ def _check_dual_feasibility(rng) -> bool:
         if h > inst.power_budget * (1 + 1e-9):
             return False
         if mu > 0 and mu * (inst.power_budget - h) > 1e-6 * inst.power_budget:
+            return False
+        # At twice the power of the unregularised solve, mu = 0 gives that solve.
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+        free = Precoder(np.linalg.solve(gram, rhs))
+        roomy = replace(inst, power_budget=2.0 * constraint_value(inst, phases, free))
+        prec, mu = dual_search(roomy, phases, aux, SolverSettings())
+        gap = np.linalg.norm(prec.matrix - free.matrix) / np.linalg.norm(free.matrix)
+        if mu != 0.0 or gap > 1e-8 or constraint_value(roomy, phases, prec) > roomy.power_budget:
             return False
     return True
 

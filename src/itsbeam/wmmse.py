@@ -22,13 +22,16 @@ in that order.
 (Shi et al., IEEE TSP 2011, batched over channel draws as in Chowdhury et
 al., IEEE TWC 2021).  The auxiliaries, the phase subproblems, the phase
 block's trial points, the effective channels, the precoder systems, their
-eigendecompositions, the TP mu = 0 tests, the precoder solves and the link
-terms run on stacked arrays, one row per instance.  Per instance, on Python
-scalars: each row's walk along the phase block's Armijo ladder and the
-bisection on its power curve; and, only where the whitened spectrum cannot rule
-it out, the RP mu = 0 limit.  Every stacked operation gives a row the bits it
+eigendecompositions, the mu = 0 tests and limits, the precoder solves and the
+link terms run on stacked arrays, one row per instance.  Per instance, on
+Python scalars: each row's walk along the phase block's Armijo ladder and the
+bisection on its power curve.  Every stacked operation gives a row the bits it
 gives a batch of one, so a solution does not depend on the batch it was solved
 in.  One instance is a batch of one.
+
+Both power constraints are tr(B^H R B) <= P, with R = I (TP) or T^H T (RP): one
+eigendecomposition of the pencil (gram, R) gives either its power curve, mu = 0
+test and mu -> 0+ limit.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ class SolverSettings:
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):  # NaN fails both tests
                 raise SolverError(f"{name} must be finite and positive, got {value!r}")
+        if self.tau_init < _MIN_STEP:  # the phase block's step ladder would be empty
+            raise SolverError(f"tau_init must be at least {_MIN_STEP:g}, got {self.tau_init!r}")
         if min(self.bcd_max_iters, self.pga_max_iters, self.dual_max_iters) < 1:
             raise SolverError("iteration caps must be >= 1")
         if not 0 < self.armijo_shrink < 1:
@@ -408,39 +413,9 @@ def _precoder_system(inst: SystemInstance, heff: np.ndarray, aux: AuxVariables):
     return gram, scale[..., np.newaxis, :] * _adjoint(heff)  # rhs, (..., N, K)
 
 
-_RANK_RTOL = 1e-10
-
-
-def _gram_eigh(gram: np.ndarray):
-    return np.linalg.eigh(0.5 * (gram + _adjoint(gram)))
-
-
 def _kept(lam: np.ndarray) -> np.ndarray:
-    return lam > np.maximum(lam[..., -1:], 0.0) * _RANK_RTOL
-
-
-def _limit_precoder(gram: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> Precoder:
-    """mu -> 0+ limit of solve(gram + mu reg, rhs).
-
-    The gram matrix is PSD and the right-hand side lies in its range (both are
-    built from the same weighted channel rows), so the limit exists even when
-    users with y_k = 0 leave the gram rank-deficient.  Directions with zero
-    gain carry no objective value; the limit keeps them only insofar as they
-    cancel constraint power: b_null = -(Z^H reg Z)^+ Z^H reg b_range.  Only RP
-    needs it: under TP reg = I and Z is orthogonal to b_range, so b_null = 0
-    and ``dual_search`` skips this function and its ``lstsq``.
-    """
-    lam, vecs = _gram_eigh(gram)
-    keep = _kept(lam)  # none kept (gram = 0): the correction below gives B = 0
-    v_keep = vecs[:, keep]
-    matrix = v_keep @ ((v_keep.conj().T @ rhs) / lam[keep][:, None])
-    if np.all(keep):
-        return Precoder(matrix)
-    z = vecs[:, ~keep]
-    shrink = np.linalg.lstsq(
-        z.conj().T @ reg @ z, z.conj().T @ (reg @ matrix), rcond=None
-    )[0]
-    return Precoder(matrix - z @ shrink)
+    """The rank cut on ascending (stacked) eigenvalues: those above 1e-10 of the largest."""
+    return lam > np.maximum(lam[..., -1:], 0.0) * 1e-10
 
 
 def _spectrum(whitening, gram: np.ndarray, rhs: np.ndarray):
@@ -448,10 +423,13 @@ def _spectrum(whitening, gram: np.ndarray, rhs: np.ndarray):
 
     ``whitening`` is L^-1 (``SystemInstance.curvature_whitening``): L^-1 gram L^-H =
     V diag(lam) V^H, c = V^H L^-1 rhs and e_j = ||c_j||^2, so the precoder at mu > 0 is
-    L^-H V (lam + mu)^-1 c.  Under TP it is None (L = I): one eigh of the gram itself.
+    L^-H V (lam + mu)^-1 c, with power sum_j e_j / (lam_j + mu)^2, and the mu -> 0+ limit
+    (rhs lies in the gram's range) is L^-H V_keep (c_keep / lam_keep), with power
+    sum_keep e_j / lam_j^2 over the eigenvalues ``_kept`` keeps.  Under TP ``whitening``
+    is None (L = I): one eigh of the gram itself.
     """
     if whitening is None:
-        lam, vecs = _gram_eigh(gram)
+        lam, vecs = np.linalg.eigh(0.5 * (gram + _adjoint(gram)))
     else:
         lam, vecs = np.linalg.eigh(whitening @ gram @ _adjoint(whitening))
         rhs = whitening @ rhs
@@ -535,26 +513,23 @@ def dual_search(
 ):
     """Find the smallest dual mu whose precoder meets the power budget.
 
-    Returns (precoder, mu).  If the unconstrained solution (mu = 0) is already
-    feasible it is returned directly; otherwise the power h(mu), which is
-    non-increasing in mu, is bisected until the budget is met within
-    ``dual_tolerance`` relative tolerance (tightened when mu is large so that
-    complementary slackness holds at the same tolerance).  The bisection runs on
-    h(mu) = sum_j e_j / (lam_j + mu)^2 from one generalised eigendecomposition of
-    (gram, R) (``_spectrum``; Shi et al., "An Iteratively Weighted MMSE
-    Approach...", IEEE TSP 2011, eq. (15)), and the precoder is solved once, at
-    the accepted mu.  Under TP the mu = 0 limit (``_limit_precoder``, null part 0),
-    V_keep (c_keep / lam_keep) with power sum_keep e_j / lam_j^2, reuses that one
-    eigendecomposition.  ``heff`` is the effective channel at ``phases``, if known.
+    Returns (precoder, mu).  The search runs on one generalised eigendecomposition
+    of (gram, R) per instance (``_spectrum``; Shi et al., "An Iteratively Weighted
+    MMSE Approach...", IEEE TSP 2011, eq. (15)), under either constraint.  If the
+    mu -> 0+ limit fits the budget (sum_keep e_j / lam_j^2 <= P) it is the precoder
+    and mu = 0: users with y_k = 0 leave the gram singular, and a naive solve would
+    report roundoff-level power, not that limit.  Otherwise the power
+    h(mu) = sum_j e_j / (lam_j + mu)^2, non-increasing in mu, is bisected until
+    the budget is met within ``dual_tolerance`` relative tolerance (tightened when
+    mu is large so that complementary slackness holds at the same tolerance), and
+    the precoder is solved once, at the accepted mu.  An instance whose R is
+    singular has no power curve and fails with the curvature ``SolverError``
+    whatever its budget.  ``heff`` is the effective channel at ``phases``, if known.
 
-    Under RP the limit (``_limit_precoder``: an eigh, often an lstsq) is built only
-    where the whitened spectrum, taken first, cannot show it infeasible: its power
-    is at least the sum of e_j / lam_j^2 over the eigenvalues above 1e-6 lam_max.
-
-    A batch (``inst`` a ``_Batch``, ``phases`` one PhaseConfig per row, ``aux`` and
-    ``heff`` stacked by row) is set up and solved on stacked arrays; only the
-    bracket and bisection (``_dual_root``) and the RP limit run row by row.
-    It returns the stacked precoders, the mu per row and {row: error} for the
+    A batch (``inst`` a ``_Batch``, ``aux`` and ``heff`` stacked by row; ``phases``
+    is not read) is set up and solved on stacked arrays, one spectrum stack per
+    constraint; only the bracket and bisection (``_dual_root``) and the limits of
+    rank-deficient grams run row by row.  It returns the stacked precoders, the mu per row and {row: error} for the
     rows that failed, whose precoders are zero.  One instance is a batch of one,
     whose error is raised.
     """
@@ -567,54 +542,32 @@ def dual_search(
     gram, rhs = _precoder_system(inst, heff, aux)
     matrices, mu, failed = np.zeros_like(rhs), np.zeros(budget.size), {}
     lam, energy = np.zeros(gram.shape[:-1]), np.zeros(gram.shape[:-1])
-    whitening = np.zeros_like(gram)
     search = np.zeros(budget.size, dtype=bool)
-
-    # The mu = 0 optimum needs rank-aware handling: users with y_k = 0 leave the gram
-    # singular, and a naive solve reports roundoff-level power, not the mu -> 0+ limit.
-    tp = np.flatnonzero(inst.tp)
-    if tp.size:
-        lam[tp], vecs, coords, energy[tp] = _spectrum(None, gram[tp], rhs[tp])
-        keep = _kept(lam[tp])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power0 = np.sum(energy[tp] / lam[tp] ** 2, axis=-1, where=keep)
-        search[tp] = ~(power0 <= budget[tp])  # a NaN power searches, as it fails the test
-        full = ~search[tp] & np.all(keep, axis=-1)
-        matrices[tp[full]] = vecs[full] @ (coords[full] / lam[tp[full]][..., np.newaxis])
-        for j in np.flatnonzero(~search[tp] & ~full):  # rank-deficient: the kept columns only
-            kept = keep[j]
-            matrices[tp[j]] = vecs[j][:, kept] @ (coords[j][kept] / lam[tp[j]][kept][:, None])
-    # Under RP the whitened spectrum comes first.  The mu -> 0+ power is at least
-    # sum e_j / lam_j^2 over the eigenvalues above 1e-6 lam_max; where that floor
-    # already exceeds the budget, the limit precoder is never built.
-    rp, singular = [], {}
+    groups, rp, whitening = [(np.flatnonzero(inst.tp), None)], [], []
     for row in np.flatnonzero(~inst.tp):
         try:
-            whitening[row] = inst.insts[row].curvature_whitening
+            whitening.append(inst.insts[row].curvature_whitening)
             rp.append(row)
-        except SolverError as exc:  # decided by the mu = 0 test alone
-            singular[row] = exc
-    if rp:
-        lam_rp, _, _, energy_rp = _spectrum(whitening[rp], gram[rp], rhs[rp])
-        lam[rp], energy[rp] = lam_rp, energy_rp
-        resolved = lam_rp > 1e-6 * np.maximum(lam_rp[:, -1:], 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            floor = np.sum(energy_rp / lam_rp ** 2, axis=-1, where=resolved)
-        search[rp] = floor > budget[rp] * (1.0 + 1e-9)
-    for row in np.flatnonzero(~inst.tp & ~search):
-        one = inst.insts[row]
-        try:
-            prec0 = _limit_precoder(gram[row], rhs[row], one.curvature)
-            feasible = constraint_value(one, phases[row], prec0) <= budget[row]
-        except _FAILURES as exc:
+        except SolverError as exc:  # singular R: no power curve, whatever the budget
             failed[row] = exc
-            continue
-        if feasible:
-            matrices[row] = prec0.matrix
-        elif row in singular:
-            failed[row] = singular[row]
-        else:
-            search[row] = True
+    if rp:
+        groups.append((np.array(rp), np.stack(whitening)))
+    for rows, white in (group for group in groups if group[0].size):
+        group_lam, vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
+        lam[rows], keep = group_lam, _kept(group_lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power0 = np.sum(energy[rows] / group_lam ** 2, axis=-1, where=keep)
+        search[rows] = ~(power0 <= budget[rows])  # a NaN power searches, as it fails the test
+        # The mu -> 0+ limit L^-H V_keep (c_keep / lam_keep): full-rank rows stacked.
+        stay = np.flatnonzero(~search[rows])
+        ranked = np.all(keep[stay], axis=-1)
+        full = stay[ranked]
+        matrices[rows[full]] = vecs[full] @ (coords[full] / group_lam[full][..., np.newaxis])
+        for j in stay[~ranked]:  # rank-deficient: the kept columns only
+            kept = keep[j]
+            matrices[rows[j]] = vecs[j][:, kept] @ (coords[j][kept] / group_lam[j][kept][:, None])
+        if white is not None:
+            matrices[rows[stay]] = _adjoint(white[stay]) @ matrices[rows[stay]]
 
     for row in np.flatnonzero(search):
         limit = budget[row].item()
@@ -701,9 +654,7 @@ def bcd_solve(
             for j, row in enumerate(active):
                 phases[row] = PhaseConfig(phi[j])
         channels = heff[active]
-        matrices, mu, failed = dual_search(
-            part, [phases[row] for row in active], aux, settings, heff=channels
-        )
+        matrices, mu, failed = dual_search(part, None, aux, settings, heff=channels)
         precoders[active] = matrices
         terms = _link_terms(part, channels @ matrices)
         gamma[active], f[active], total[active] = terms

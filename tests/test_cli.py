@@ -96,6 +96,7 @@ def test_sweep_rejects_bad_config(tmp_path):
         TINY_CONFIG.replace("grid: [20.0, 30.0]", "grid: 30"),
         TINY_CONFIG.replace("trials: 2", "trials: abc"),
         TINY_CONFIG + '  record_timing: "no"\n',
+        TINY_CONFIG.replace("bcd_max_iters: 25", "bcd_max_iters: 25\n  tau_init: 1.0e-13"),
     ):
         bad.write_text(text)
         assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2

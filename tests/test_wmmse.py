@@ -36,7 +36,7 @@ from itsbeam import (
 from itsbeam.harness import _bcd_init, trial
 from itsbeam.wmmse import (
     _Batch,
-    _limit_precoder,
+    _kept,
     _pga,
     _power_curve,
     _precoder_system,
@@ -523,6 +523,25 @@ def test_constraint_gradient_matches_regularizer():
                 assert abs(fd - 2.0 * component(expected[idx])) < 1e-6
 
 
+def lstsq_limit(gram, rhs, reg):
+    """mu -> 0+ limit of solve(gram + mu reg, rhs), by a rank cut on the gram and an lstsq.
+
+    The gram matrix is PSD and the right-hand side lies in its range, so the limit
+    exists even when users with y_k = 0 leave the gram rank-deficient.  Directions
+    with zero gain carry no objective value; the limit keeps them only insofar as
+    they cancel constraint power: b_null = -(Z^H reg Z)^+ Z^H reg b_range.
+    """
+    lam, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    keep = lam > max(lam[-1], 0.0) * 1e-10  # none kept (gram = 0): the correction gives B = 0
+    v_keep = vecs[:, keep]
+    matrix = v_keep @ ((v_keep.conj().T @ rhs) / lam[keep][:, None])
+    if np.all(keep):
+        return Precoder(matrix)
+    z = vecs[:, ~keep]
+    shrink = np.linalg.lstsq(z.conj().T @ reg @ z, z.conj().T @ (reg @ matrix), rcond=None)[0]
+    return Precoder(matrix - z @ shrink)
+
+
 def test_dual_search_interior_solution():
     # Budget above the unconstrained optimum's power: the search must return
     # mu = 0 and that optimum untouched.
@@ -532,7 +551,7 @@ def test_dual_search_interior_solution():
     aux = random_aux(rng, 3)
     heff = effective_channel(inst, phases)
     gram, rhs = _precoder_system(inst, heff, aux)
-    prec0 = _limit_precoder(gram, rhs, inst.curvature)
+    prec0 = lstsq_limit(gram, rhs, inst.curvature)
     roomy = replace(inst, power_budget=2.0 * constraint_value(inst, phases, prec0))
     prec, mu = dual_search(roomy, phases, aux, SolverSettings())
     assert mu == 0.0
@@ -581,7 +600,7 @@ def test_limit_precoder_matches_vanishing_mu():
         heff = effective_channel(inst, phases)
         gram, rhs = _precoder_system(inst, heff, aux)
         reg = inst.curvature
-        limit = _limit_precoder(gram, rhs, reg).matrix
+        limit = lstsq_limit(gram, rhs, reg).matrix
         tiny = np.linalg.solve(gram + 1e-11 * reg, rhs)
         scale = np.linalg.norm(tiny)
         assert np.linalg.norm(limit - tiny) < 1e-4 * scale
@@ -621,7 +640,7 @@ def bisection_oracle(inst, phases, aux, settings):
         prec = Precoder(np.linalg.solve(gram + mu * reg, rhs))
         return prec, constraint_value(inst, phases, prec)
 
-    prec0 = _limit_precoder(gram, rhs, reg)
+    prec0 = lstsq_limit(gram, rhs, reg)
     if constraint_value(inst, phases, prec0) <= budget:
         return prec0, 0.0
     hi = 1.0
@@ -663,15 +682,16 @@ def test_dual_search_matches_explicit_bisection():
 
 def test_dual_search_singular_curvature_is_solver_error():
     # A dead RF chain makes R = T^H T singular under RP: no power curve exists.
+    # That holds at every budget, a roomy one too, where mu = 0 would be feasible.
     rng = np.random.default_rng(59)
-    inst = make_instance(
-        rng, m=6, n=3, k=2, constraint=ConstraintKind.RADIATED_POWER, power_budget=1e-6
-    )
+    inst = make_instance(rng, m=6, n=3, k=2, constraint=ConstraintKind.RADIATED_POWER)
     transfer = inst.transfer.copy()
     transfer[:, 2] = 0.0
-    inst = replace(inst, transfer=transfer)
-    with pytest.raises(SolverError, match="curvature"):
-        dual_search(inst, random_phases(rng, 6), random_aux(rng, 2), SolverSettings())
+    phases, aux = random_phases(rng, 6), random_aux(rng, 2)
+    for budget in (1e-6, 1e6):
+        dead = replace(inst, transfer=transfer, power_budget=budget)
+        with pytest.raises(SolverError, match="curvature"):
+            dual_search(dead, phases, aux, SolverSettings())
 
 
 def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
@@ -704,7 +724,7 @@ def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
 
 def test_tp_shortcut_matches_lstsq_path():
     # Under TP the mu = 0 limit and its power come from one eigendecomposition,
-    # without _limit_precoder's null-space lstsq, which vanishes when R = I.
+    # without the null-space lstsq of lstsq_limit, which vanishes when R = I.
     # Every instance is rank-deficient (N > K), half of them with a silent user.
     rng = np.random.default_rng(63)
     settings = SolverSettings()
@@ -715,7 +735,7 @@ def test_tp_shortcut_matches_lstsq_path():
         if index % 2:
             aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-        limit = _limit_precoder(gram, rhs, inst.curvature).matrix
+        limit = lstsq_limit(gram, rhs, inst.curvature).matrix
         power0 = float(np.linalg.norm(limit) ** 2)
         roomy = replace(inst, power_budget=2.0 * power0)
         prec0, mu0 = dual_search(roomy, phases, aux, settings)
@@ -731,53 +751,7 @@ def test_tp_shortcut_matches_lstsq_path():
     assert 50 <= active <= 180
 
 
-def test_rp_limit_is_skipped_only_where_infeasible(monkeypatch):
-    # Under RP the search builds the mu = 0 limit only where the whitened
-    # spectrum cannot show it infeasible.  At a budget equal to the limit's
-    # power the limit is feasible: mu = 0, alone and in a batch.  Far below it,
-    # the limit is rarely built.  Half the instances have a silent user, and
-    # every gram is rank-deficient (N > K).
-    rng = np.random.default_rng(69)
-    settings = SolverSettings()
-    points = []
-    for index in range(60):
-        inst = make_instance(rng, m=8, n=4, k=3, constraint=ConstraintKind.RADIATED_POWER)
-        phases, aux = random_phases(rng, 8), random_aux(rng, 3)
-        if index % 2:
-            aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
-        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
-        limit = _limit_precoder(gram, rhs, inst.curvature)
-        power0 = constraint_value(inst, phases, limit)
-        points.append((replace(inst, power_budget=power0), phases, aux, limit))
-        tight = replace(inst, power_budget=power0 * 10.0 ** rng.uniform(-2.0, -0.5))
-        points.append((tight, phases, aux, None))
-    alone = []
-    for inst, phases, aux, limit in points:
-        prec, mu = dual_search(inst, phases, aux, settings)
-        alone.append((prec.matrix, mu))
-        if limit is not None:
-            assert mu == 0.0 and np.array_equal(prec.matrix, limit.matrix)
-        else:
-            assert mu > 0.0
-    insts, phases, aux = zip(*(point[:3] for point in points))
-    batch_aux = _unchecked(
-        AuxVariables, gamma=np.stack([a.gamma for a in aux]), y=np.stack([a.y for a in aux])
-    )
-    heff = np.stack([effective_channel(i, p) for i, p in zip(insts, phases)])
-    matrices, mu, failed = dual_search(_Batch(insts), list(phases), batch_aux, settings, heff=heff)
-    assert not failed
-    for row, (matrix, row_mu) in enumerate(alone):
-        assert mu[row] == row_mu and np.array_equal(matrices[row], matrix)
-    calls = []
-    monkeypatch.setattr(
-        "itsbeam.wmmse._limit_precoder", lambda *args: calls.append(1) or _limit_precoder(*args)
-    )
-    for inst, phases, aux, limit in points[1::2]:
-        assert dual_search(inst, phases, aux, settings)[1] > 0.0
-    assert len(calls) <= 3
-
-
-def test_tp_solve_never_calls_lstsq(monkeypatch):
+def test_dual_search_never_calls_lstsq(monkeypatch):
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -787,15 +761,79 @@ def test_tp_solve_never_calls_lstsq(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     rng = np.random.default_rng(64)
-    counts = {}
     for constraint in ConstraintKind:
         # Four chains serve three users, so every gram is rank-deficient.
         inst = make_instance(rng, m=8, n=4, k=3, constraint=constraint, power_budget=50.0)
-        calls.clear()
-        bcd_solve(inst, SolverSettings(bcd_max_iters=5), zfwf_solve(inst))
-        counts[constraint] = len(calls)
-    assert counts[ConstraintKind.TRANSMITTED_POWER] == 0
-    assert counts[ConstraintKind.RADIATED_POWER] > 0  # RP keeps the null-space correction
+        sol = bcd_solve(inst, SolverSettings(bcd_max_iters=5), zfwf_solve(inst))
+        if constraint is ConstraintKind.RADIATED_POWER:  # the mu = 0 limit the lstsq corrected
+            assert any(row["mu"] == 0.0 for row in sol.detail)
+    assert not calls
+
+
+def spectrum_power0(inst, gram, rhs):
+    """sum_keep e_j / lam_j^2 over the whitened spectrum: the mu -> 0+ power."""
+    lam, _, _, energy = _spectrum(inst.curvature_whitening, gram, rhs)
+    keep = _kept(lam)
+    return float(np.sum(energy[keep] / lam[keep] ** 2))
+
+
+def test_zero_mu_limit_matches_lstsq_oracle():
+    # At twice the spectrum's mu -> 0+ power, both constraints take mu = 0 and the
+    # limit read off the spectrum: it equals the lstsq oracle and a vanishing-mu
+    # solve.  Every gram is rank-deficient (N > K), half of them with a silent user.
+    rng = np.random.default_rng(69)
+    settings = SolverSettings()
+    points = []
+    for index in range(60):
+        constraint = list(ConstraintKind)[index % 2]
+        inst = make_instance(rng, m=8, n=4, k=3, constraint=constraint)
+        phases, aux = random_phases(rng, 8), random_aux(rng, 3)
+        if index % 4 >= 2:
+            aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+        roomy = replace(inst, power_budget=2.0 * spectrum_power0(inst, gram, rhs))
+        prec, mu = dual_search(roomy, phases, aux, settings)
+        assert mu == 0.0
+        oracle = lstsq_limit(gram, rhs, inst.curvature).matrix
+        assert np.linalg.norm(prec.matrix - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        # mu = 1e-9: at 1e-11 the near-singular solve itself loses up to 3e-4 to roundoff.
+        tiny = np.linalg.solve(gram + 1e-9 * inst.curvature, rhs)
+        assert np.linalg.norm(prec.matrix - tiny) < 1e-4 * np.linalg.norm(tiny)
+        points.append((roomy, phases, aux, prec.matrix))
+    insts, phases, aux, alone = zip(*points)
+    batch_aux = _unchecked(
+        AuxVariables, gamma=np.stack([a.gamma for a in aux]), y=np.stack([a.y for a in aux])
+    )
+    heff = np.stack([effective_channel(i, p) for i, p in zip(insts, phases)])
+    matrices, mu, failed = dual_search(_Batch(insts), list(phases), batch_aux, settings, heff=heff)
+    assert not failed and not np.any(mu)
+    for row, matrix in enumerate(alone):
+        assert np.array_equal(matrices[row], matrix)
+
+
+def test_rank_cut_follows_the_whitened_spectrum():
+    # A user with a tiny |y_k| puts an eigenvalue of the gram next to the 1e-10 rank
+    # cut, where the gram and the whitened pencil (gram, R) may cut differently.  Of
+    # the seeds 0-199, at 12 the gram drops the direction and the whitened spectrum
+    # keeps it; at 81 it is the other way round.  mu = 0 iff the whitened
+    # sum_keep e_j / lam_j^2 fits the budget, between the two limits' powers too.
+    settings = SolverSettings()
+    for seed in (12, 81):
+        rng = np.random.default_rng(seed)
+        inst = make_instance(rng, m=8, n=4, k=4, constraint=ConstraintKind.RADIATED_POWER)
+        phases, aux = random_phases(rng, 8), random_aux(rng, 4)
+        aux = AuxVariables(gamma=aux.gamma, y=aux.y * np.array([1e-5, 1.0, 1.0, 1.0]))
+        gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
+        lam = _spectrum(inst.curvature_whitening, gram, rhs)[0]
+        assert np.sum(_kept(np.linalg.eigvalsh(gram))) != np.sum(_kept(lam))
+        power0 = spectrum_power0(inst, gram, rhs)
+        gram_cut = constraint_value(inst, phases, lstsq_limit(gram, rhs, inst.curvature))
+        assert max(power0, gram_cut) > 1e6 * min(power0, gram_cut)
+        low, high = sorted((power0, gram_cut))
+        for budget in (0.5 * low, np.sqrt(low * high), 2.0 * high):
+            prec, mu = dual_search(replace(inst, power_budget=budget), phases, aux, settings)
+            assert (mu == 0.0) == (power0 <= budget)
+            assert constraint_value(inst, phases, prec) <= budget * (1.0 + 1e-6)
 
 
 def test_power_curve_degenerate_denominators_give_inf():
@@ -1037,8 +1075,14 @@ def test_settings_validation():
         SolverSettings(dual_max_iters=0)
 
 
-@pytest.mark.parametrize("name", ["bcd_epsilon", "dual_tolerance", "tau_init", "armijo_zeta"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+BAD_SETTINGS = [
+    (value, name)
+    for value in (float("nan"), float("inf"), -1.0)
+    for name in ("bcd_epsilon", "dual_tolerance", "tau_init", "armijo_zeta")
+] + [(1e-13, "tau_init")]  # below the smallest phase step: an empty step ladder
+
+
+@pytest.mark.parametrize("value,name", BAD_SETTINGS, ids=[f"{v}-{n}" for v, n in BAD_SETTINGS])
 def test_settings_reject_nan_and_nonpositive(name, value):
     with pytest.raises(SolverError, match=name):
         SolverSettings(**{name: value})

@@ -11,8 +11,8 @@ the users.  The package provides
 * ``channel``   clustered stochastic surface-to-user channels with a
   log-distance pathloss law, plus the direct channel of the no-surface
   baseline;
-* ``wmmse``     the block-coordinate solver (FP surrogate, projected gradient
-  ascent on the phases, water-level dual for the precoder);
+* ``wmmse``     the block-coordinate solver (FP surrogate, gradient ascent on
+  the unit circle for the phases, water-level dual for the precoder);
 * ``zfwf``      the closed-form phase-alignment + zero-forcing +
   water-filling baseline;
 * ``harness``   seeded Monte Carlo sweeps with deterministic CSV output.

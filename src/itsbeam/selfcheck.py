@@ -254,12 +254,7 @@ def _check_zf(rng) -> bool:
     if np.any(off > 1e-6 * diag.max()):
         return False
     return bool(
-        np.allclose(
-            sinr(inst, solution.phases, solution.precoder),
-            solution.sinr,
-            rtol=1e-9,
-            atol=0,
-        )
+        np.allclose(sinr(inst, solution.phases, solution.precoder), solution.sinr, rtol=1e-9, atol=0)
     )
 
 
@@ -306,8 +301,6 @@ def _check_block_solve(rng) -> bool:
 
 
 def _check_harness_determinism() -> bool:
-    from dataclasses import replace
-
     spec = replace(default_experiment_spec(), trials=1)
     rec1 = run_trial(spec, 20.0, 0, Method.ZF_WF, spec.illuminations[0])
     block.cache_clear()  # the second run draws its own trial state, not the memo's

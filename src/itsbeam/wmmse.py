@@ -14,24 +14,19 @@ noise power of user k.  At the closed-form auxiliary optimum
 
 the last three terms cancel and f1 collapses to f0 exactly, so maximising f1
 block-by-block drives the true objective upward.  One outer iteration updates
-gamma, y, the surface phases (projected gradient ascent on a quadratic form)
-and the digital precoder (regularised least squares with a water-level dual),
-in that order.
+gamma, y, the surface phases (gradient ascent on the unit circle |psi_m| = 1 with
+a normalisation retraction) and the digital precoder (regularised least squares
+with a water-level dual on tr(B^H R B) <= P, R = I under TP and T^H T under RP;
+one eigendecomposition of the pencil (gram, R) gives its power curve, mu = 0 test
+and mu -> 0+ limit), in that order.
 
 ``bcd_solve`` runs this loop over a batch of instances that share settings
-(Shi et al., IEEE TSP 2011, batched over channel draws as in Chowdhury et
-al., IEEE TWC 2021).  The auxiliaries, the phase subproblems, the phase
-block's trial points, the effective channels, the precoder systems, their
-eigendecompositions, the mu = 0 tests and limits, the precoder solves and the
-link terms run on stacked arrays, one row per instance.  Per instance, on
-Python scalars: each row's walk along the phase block's Armijo ladder and the
-bisection on its power curve.  Every stacked operation gives a row the bits it
-gives a batch of one, so a solution does not depend on the batch it was solved
-in.  One instance is a batch of one.
-
-Both power constraints are tr(B^H R B) <= P, with R = I (TP) or T^H T (RP): one
-eigendecomposition of the pencil (gram, R) gives either its power curve, mu = 0
-test and mu -> 0+ limit.
+(Shi et al., IEEE TSP 2011, batched over channel draws as in Chowdhury et al.,
+IEEE TWC 2021): everything runs on stacked arrays, one row per instance, except
+each row's walk along the phase block's Armijo ladder and the bisection on its
+power curve, which run on Python scalars.  Every stacked operation gives a row
+the bits it gives a batch of one, so a solution does not depend on the batch it
+was solved in.  One instance is a batch of one.
 """
 
 from __future__ import annotations
@@ -81,8 +76,8 @@ class SolverSettings:
     ``freeze_phases`` skips the analog block entirely, which turns the solver
     into plain digital WMMSE for fixed surface phases (used by the
     random-phase and no-surface baselines).  ``tau_init`` is each phase-block
-    call's first trial step and largest step; later searches start at the last
-    accepted step (``_pga`` says when the steps match full backtracking).
+    call's first and largest trial step; a step tau turns phase m by atan(tau g_m),
+    g the phase gradient, and later searches start at the last accepted step.
     """
 
     bcd_epsilon: float = 1e-3
@@ -306,58 +301,59 @@ def analog_objective_and_gradient(sub: AnalogSubproblem, phases: PhaseConfig):
     return value, _gradient(nu, factor, psi, a_psi)[0]
 
 
-def _wrap(phases: np.ndarray) -> np.ndarray:
-    """phases mod 2 pi, in place."""
-    return np.mod(phases, 2.0 * np.pi, out=phases)
-
-
 def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
-    """Projected gradient ascent with Armijo line search; returns (phases, steps, evals).
+    """Ascent on the circle |psi_m| = 1 with Armijo line search; returns (phases, steps, evals).
 
-    Trial steps sit on one ladder tau_init * shrink^k, k = 0, 1, ...  Each search
-    starts at the previous accepted k (the first at k = 0): a failing start
-    backtracks down the ladder, a passing one expands up it while trials pass
-    (Nocedal & Wright, Numerical Optimization, sec. 3.5).  The step is the one
-    full backtracking from tau_init takes unless a ladder step below that one
-    and at or above the start fails the test; then it is another Armijo step,
-    or none if no step at or below the start passes.  ``evals`` counts every
-    objective evaluation, rejected trials included.  A non-finite trial value
-    never passes the Armijo test, so the phases returned are finite.
+    A trial step tau from psi = exp(j phi) along xi = j g psi, g the phase gradient, is
+    retracted by normalisation: (psi + tau xi) / |psi + tau xi| = psi (1 + j u) / sqrt(1 + u^2),
+    u = tau g, turns phase m by atan(u_m) with no exp or wrap (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008, sec. 4.1).  The retraction's
+    derivative at tau = 0 is xi, so the Armijo test is f3(tau) - f3(0) >= zeta tau ||g||^2.
+    Steps sit on one ladder tau_init * shrink^k.  Each search starts at the previous
+    accepted k (the first at k = 0), backtracks down the ladder from a failing start and
+    expands up it from a passing one while trials pass (Nocedal & Wright, Numerical
+    Optimization, sec. 3.5).  The step is full backtracking's unless a ladder step below
+    that one and at or above the start fails; then it is another Armijo step, or none if
+    no step at or below the start passes.  ``evals`` counts every objective evaluation.
+    A non-finite trial value never passes the test, so the phases returned are finite.
 
-    ``sub`` may hold stacked subproblems, with ``phases_init`` the (B, M) start
-    phases: each row walks its own ladder on Python scalars, and a trial point
-    costs one stacked wrap, exp, factor product and pair of dots over the rows
-    still searching, so a row gets the bits it gets alone.  A batch returns the
-    (B, M) phases and lists of steps and evals; one PhaseConfig is a batch of one.
+    ``sub`` may hold stacked subproblems, with ``phases_init`` the (B, M) start phases:
+    each row walks its own ladder on Python scalars, and a trial point costs one stacked
+    rotation, factor product and pair of dots over the rows still searching, so a row
+    gets the bits it gets alone.  The loop carries psi and A psi; a row that moved
+    returns the angles of its last psi, one that took no step its start phases, both
+    mod 2 pi.  A batch returns (B, M) phases and lists of steps and evals; one
+    PhaseConfig is a batch of one.
     """
     single = isinstance(phases_init, PhaseConfig)
     nu, factor = sub.linear_term, sub.factor
-    phi = _wrap(np.array(phases_init.phases if single else phases_init, dtype=float))
+    phases = np.mod(phases_init.phases if single else phases_init, 2.0 * np.pi)
     if single:
-        nu, factor, phi = nu[np.newaxis], factor[np.newaxis], phi[np.newaxis]
+        nu, factor, phases = nu[np.newaxis], factor[np.newaxis], phases[np.newaxis]
     ladder, tau = [], settings.tau_init
     while tau >= _MIN_STEP:
         ladder.append(tau)
         tau *= settings.armijo_shrink
-    zeta, out = settings.armijo_zeta, np.empty_like(phi)
-    psi = np.exp(1j * phi)
+    zeta, psi = settings.armijo_zeta, np.exp(1j * phases)
+    out = np.empty_like(psi)  # each row's last psi
     value, a_psi = _objective_terms(nu, factor, psi)
     steps, evals, start = [0] * len(value), [1] * len(value), [0] * len(value)
-    going = list(range(len(value)))  # the batch row of each row of phi, psi, a_psi, nu, factor
+    going = list(range(len(value)))  # the batch row of each row of psi, a_psi, nu, factor
     for _ in range(settings.pga_max_iters):
         grad = _gradient(nu, factor, psi, a_psi)
         grad_sq = np.vecdot(grad, grad).tolist()
         k = [start[row] for row in going]
         accepted = [None] * len(going)  # (ladder index, value) of each row's last passing trial
-        new = (np.empty_like(phi), np.empty_like(psi), np.empty_like(a_psi))  # and its point
+        new = (np.empty_like(psi), np.empty_like(a_psi))  # and its point
         searching = list(range(len(going)))
         while searching:
             # A[rows] is a copy, taken only when a subset of the rows is still searching
             rows = slice(None) if len(searching) == len(going) else searching
-            trial = np.array([ladder[k[j]] for j in searching])[:, np.newaxis] * grad[rows]
-            trial += phi[rows]
-            trial_psi = _wrap(trial) * 1j
-            np.exp(trial_psi, out=trial_psi)
+            turn = np.array([ladder[k[j]] for j in searching])[:, np.newaxis] * grad[rows]
+            scale = 1.0 / np.sqrt(turn * turn + 1.0)  # u = turn, d = scale
+            trial_psi = scale.astype(complex)
+            np.multiply(turn, scale, out=trial_psi.imag)
+            np.multiply(psi[rows], trial_psi, out=trial_psi)  # psi (d + j u d)
             trial_value, trial_a_psi = _objective_terms(nu[rows], factor[rows], trial_psi)
             passed, still = [], []
             for i, (j, cand) in enumerate(zip(searching, trial_value)):
@@ -375,11 +371,10 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
                 if 0 <= k[j] < len(ladder):
                     still.append(j)
             if len(passed) == len(going):
-                new = (trial, trial_psi, trial_a_psi)
+                new = (trial_psi, trial_a_psi)
             elif passed:
                 dest = [searching[i] for i in passed]
-                for kept, part in zip(new, (trial, trial_psi, trial_a_psi)):
-                    kept[dest] = part[passed]
+                new[0][dest], new[1][dest] = trial_psi[passed], trial_a_psi[passed]
             searching = still
         moved, keep = [j for j in range(len(going)) if accepted[j] is not None], []
         for j in moved:
@@ -389,20 +384,22 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
                 keep.append(j)  # a flat accept (zero gradient) has nothing left to gain
             value[j] = cand
         if len(moved) == len(going):
-            phi, psi, a_psi = new
+            psi, a_psi = new
         elif moved:
-            phi[moved], psi[moved], a_psi[moved] = (part[moved] for part in new)
+            psi[moved], a_psi[moved] = (part[moved] for part in new)
         if len(keep) < len(going):
             stop = sorted(set(range(len(going))) - set(keep))
-            out[[going[j] for j in stop]] = phi[stop]
-            phi, psi, a_psi, nu, factor = (part[keep] for part in (phi, psi, a_psi, nu, factor))
+            out[[going[j] for j in stop]] = psi[stop]
+            psi, a_psi, nu, factor = (part[keep] for part in (psi, a_psi, nu, factor))
             value, going = [value[j] for j in keep], [going[j] for j in keep]
             if not going:
                 break
-    out[going] = phi
+    out[going] = psi
+    moved = [row for row, count in enumerate(steps) if count]
+    phases[moved] = np.mod(np.angle(out[moved]), 2.0 * np.pi)
     if single:
-        return PhaseConfig(out[0]), steps[0], evals[0]
-    return out, steps, evals
+        return PhaseConfig(phases[0]), steps[0], evals[0]
+    return phases, steps, evals
 
 
 def _precoder_system(inst: SystemInstance, heff: np.ndarray, aux: AuxVariables):
@@ -511,27 +508,25 @@ def dual_search(
     settings: SolverSettings,
     *, heff: np.ndarray | None = None,
 ):
-    """Find the smallest dual mu whose precoder meets the power budget.
+    """Find the smallest dual mu whose precoder meets the power budget; returns (precoder, mu).
 
-    Returns (precoder, mu).  The search runs on one generalised eigendecomposition
-    of (gram, R) per instance (``_spectrum``; Shi et al., "An Iteratively Weighted
-    MMSE Approach...", IEEE TSP 2011, eq. (15)), under either constraint.  If the
-    mu -> 0+ limit fits the budget (sum_keep e_j / lam_j^2 <= P) it is the precoder
-    and mu = 0: users with y_k = 0 leave the gram singular, and a naive solve would
-    report roundoff-level power, not that limit.  Otherwise the power
-    h(mu) = sum_j e_j / (lam_j + mu)^2, non-increasing in mu, is bisected until
-    the budget is met within ``dual_tolerance`` relative tolerance (tightened when
-    mu is large so that complementary slackness holds at the same tolerance), and
-    the precoder is solved once, at the accepted mu.  An instance whose R is
-    singular has no power curve and fails with the curvature ``SolverError``
-    whatever its budget.  ``heff`` is the effective channel at ``phases``, if known.
+    The search runs on one generalised eigendecomposition of (gram, R) per instance
+    (``_spectrum``; Shi et al., "An Iteratively Weighted MMSE Approach...", IEEE TSP
+    2011, eq. (15)), under either constraint.  If the mu -> 0+ limit fits the budget
+    (sum_keep e_j / lam_j^2 <= P) it is the precoder and mu = 0: users with y_k = 0
+    leave the gram singular, and a naive solve would report roundoff-level power, not
+    that limit.  Otherwise the power h(mu) = sum_j e_j / (lam_j + mu)^2, non-increasing
+    in mu, is bisected until the budget is met within ``dual_tolerance`` relative
+    tolerance (``_dual_root``), and the precoder is solved once, at the accepted mu.
+    An instance whose R is singular fails with the curvature ``SolverError`` whatever
+    its budget.  ``heff`` is the effective channel at ``phases``, if known.
 
     A batch (``inst`` a ``_Batch``, ``aux`` and ``heff`` stacked by row; ``phases``
-    is not read) is set up and solved on stacked arrays, one spectrum stack per
-    constraint; only the bracket and bisection (``_dual_root``) and the limits of
-    rank-deficient grams run row by row.  It returns the stacked precoders, the mu per row and {row: error} for the
-    rows that failed, whose precoders are zero.  One instance is a batch of one,
-    whose error is raised.
+    is not read) runs on stacked arrays, one spectrum stack per constraint; the
+    bisection, the limits of rank-deficient grams and the spectra of a stack that
+    fails ``eigh`` run row by row.  It returns the stacked precoders, the mu per row
+    and {row: error} for the rows that failed, whose precoders are zero.  One
+    instance is a batch of one, whose error is raised.
     """
     single = isinstance(inst, SystemInstance)
     if single:
@@ -553,7 +548,17 @@ def dual_search(
     if rp:
         groups.append((np.array(rp), np.stack(whitening)))
     for rows, white in (group for group in groups if group[0].size):
-        group_lam, vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
+        try:
+            group_lam, vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
+        except np.linalg.LinAlgError:  # one non-finite row fails the whole stack: find it by row
+            for j, row in enumerate(rows):
+                try:
+                    _spectrum(None if white is None else white[j], gram[row], rhs[row])
+                except np.linalg.LinAlgError as exc:
+                    failed[row] = exc
+            ok = [j for j, row in enumerate(rows) if row not in failed]
+            rows, white = rows[ok], None if white is None else white[ok]
+            group_lam, vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
         lam[rows], keep = group_lam, _kept(group_lam)
         with np.errstate(divide="ignore", invalid="ignore"):
             power0 = np.sum(energy[rows] / group_lam ** 2, axis=-1, where=keep)

@@ -33,6 +33,7 @@ from itsbeam import (
     wsr,
     zfwf_solve,
 )
+from itsbeam import wmmse
 from itsbeam.harness import _bcd_init, trial
 from itsbeam.wmmse import (
     _Batch,
@@ -222,56 +223,6 @@ def step_ladder(settings):
     return ladder
 
 
-def full_backtracking_pga(sub, phases_init, settings):
-    """The phase block with every Armijo search restarted at tau_init."""
-    phi = np.mod(phases_init.phases, 2.0 * np.pi)
-    value = analog_objective(sub, PhaseConfig(phi))
-    steps, evals = 0, 1
-    for _ in range(settings.pga_max_iters):
-        grad = analog_objective_and_gradient(sub, PhaseConfig(phi))[1]
-        grad_sq = float(grad @ grad)
-        for tau in step_ladder(settings):
-            candidate = np.mod(phi + tau * grad, 2.0 * np.pi)
-            cand_value = analog_objective(sub, PhaseConfig(candidate))
-            evals += 1
-            if cand_value - value >= settings.armijo_zeta * tau * grad_sq:
-                break
-        else:
-            break
-        improvement = cand_value - value
-        phi, value = candidate, cand_value
-        steps += 1
-        if improvement <= 0.0:
-            break
-    return PhaseConfig(phi), steps, evals
-
-
-def test_pga_matches_full_backtracking_on_reference_trials():
-    # Phase subproblems of the reference RP setup at 40 dBm, from the
-    # harness's zero-forcing start and two BCD iterations after it.
-    # Per subproblem the saving ranges from about 1.6x to 5x; the bound is on
-    # the total.
-    spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
-    settings = spec.solver
-    evals, oracle_evals = 0, 0
-    for index in range(3):
-        state = trial(spec, 40.0, index)
-        inst = state.instance(IlluminationMode.FULL)
-        start = _bcd_init(inst, state.zfwf(IlluminationMode.FULL))
-        phases, precoder = start.phases, start.precoder
-        for _ in range(3):
-            aux = optimal_aux(inst, phases, precoder)
-            sub = build_analog_subproblem(inst, precoder, aux)
-            new, steps, count = _pga(sub, phases, settings)
-            oracle, oracle_steps, oracle_count = full_backtracking_pga(sub, phases, settings)
-            assert np.array_equal(new.phases, oracle.phases)
-            assert steps == oracle_steps
-            evals, oracle_evals = evals + count, oracle_evals + oracle_count
-            phases = new
-            precoder = dual_search(inst, phases, aux, settings)[0]
-    assert 2 * evals <= oracle_evals
-
-
 def objective_terms(sub, psi):
     a_psi = sub.factor @ psi
     value = 2.0 * np.real(np.vdot(psi, sub.linear_term)) - np.real(np.vdot(a_psi, a_psi))
@@ -283,11 +234,63 @@ def phase_gradient(sub, psi, a_psi):
     return 2.0 * np.real(-1j * np.conj(psi) * (sub.linear_term - u_psi))
 
 
-def per_instance_pga(sub, phases_init, settings):
+def retract(psi, tau, grad):
+    """(psi + tau xi) / |psi + tau xi| with xi = j grad psi: psi (d + j u d), u = tau grad."""
+    turn = tau * grad
+    scale = 1.0 / np.sqrt(turn * turn + 1.0)
+    return psi * (scale + 1j * (turn * scale))
+
+
+def returned_phases(start, psi, steps):
+    """The angles of psi mod 2 pi after a step; the start phases mod 2 pi after none."""
+    return PhaseConfig(np.mod(np.angle(psi) if steps else start, 2.0 * np.pi))
+
+
+def full_backtracking_pga(sub, phases_init, settings):
+    """The phase block with every Armijo search restarted at tau_init."""
+    phi = np.mod(phases_init.phases, 2.0 * np.pi)
+    psi = np.exp(1j * phi)
+    value, a_psi = objective_terms(sub, psi)
+    steps, evals = 0, 1
+    for _ in range(settings.pga_max_iters):
+        grad = phase_gradient(sub, psi, a_psi)
+        grad_sq = float(grad @ grad)
+        for tau in step_ladder(settings):
+            cand_psi = retract(psi, tau, grad)
+            cand_value, cand_a_psi = objective_terms(sub, cand_psi)
+            evals += 1
+            if cand_value - value >= settings.armijo_zeta * tau * grad_sq:
+                break
+        else:
+            break
+        improvement = cand_value - value
+        psi, value, a_psi = cand_psi, cand_value, cand_a_psi
+        steps += 1
+        if improvement <= 0.0:
+            break
+    return returned_phases(phi, psi, steps), steps, evals
+
+
+def test_pga_matches_full_backtracking_on_reference_trials():
+    # Per subproblem the saving ranges from about 1.6x to 5x; the bound is on
+    # the total.
+    subs, starts, settings = reference_subproblems(3)
+    evals, oracle_evals = 0, 0
+    for sub, start in zip(subs, starts):
+        new, steps, count = _pga(sub, start, settings)
+        oracle, oracle_steps, oracle_count = full_backtracking_pga(sub, start, settings)
+        assert np.array_equal(new.phases, oracle.phases)
+        assert steps == oracle_steps
+        evals, oracle_evals = evals + count, oracle_evals + oracle_count
+    assert 2 * evals <= oracle_evals
+
+
+def per_instance_pga(sub, phases_init, settings, record=None):
     """The warm-started phase block on one instance, with one np.vdot per dot product.
 
     Returns (phases, steps, evals, stop), stop being "cap", "flat" (a flat
-    accept) or "no_step" (no ladder step passes).
+    accept) or "no_step" (no ladder step passes).  ``record``, a list, gets one
+    (tau, grad, psi before, psi after, value before, value after) per step.
     """
     ladder = step_ladder(settings)
     phi = np.mod(phases_init.phases, 2.0 * np.pi)
@@ -299,12 +302,11 @@ def per_instance_pga(sub, phases_init, settings):
         grad_sq = float(grad @ grad)
         k, accepted = start, None
         while 0 <= k < len(ladder):
-            candidate = np.mod(phi + ladder[k] * grad, 2.0 * np.pi)
-            cand_psi = np.exp(1j * candidate)
+            cand_psi = retract(psi, ladder[k], grad)
             cand_value, cand_a_psi = objective_terms(sub, cand_psi)
             evals += 1
             if cand_value - value >= settings.armijo_zeta * ladder[k] * grad_sq:
-                accepted = (k, candidate, cand_psi, cand_value, cand_a_psi)
+                accepted = (k, cand_psi, cand_value, cand_a_psi)
                 if k > start:
                     break
                 k -= 1
@@ -315,13 +317,15 @@ def per_instance_pga(sub, phases_init, settings):
         if accepted is None:
             stop = "no_step"
             break
-        start, phi, psi, new_value, a_psi = accepted
+        if record is not None:
+            record.append((ladder[accepted[0]], grad, psi, accepted[1], value, accepted[2]))
+        start, psi, new_value, a_psi = accepted
         improvement, value = new_value - value, new_value
         steps += 1
         if improvement <= 0.0:
             stop = "flat"
             break
-    return PhaseConfig(phi), steps, evals, stop
+    return returned_phases(phi, psi, steps), steps, evals, stop
 
 
 def stack(subs):
@@ -345,13 +349,12 @@ def assert_stacked_pga_matches_per_instance(subs, starts, settings):
     return oracle
 
 
-def test_stacked_pga_matches_per_instance_on_reference_trials():
-    # Phase subproblems of the reference RP setup at 40 dBm, from the harness's
-    # zero-forcing start and after each of two BCD iterations, solved as one batch.
+def reference_subproblems(trials):
+    """Phase subproblems of the reference RP setup at 40 dBm, with their start phases:
+    from the harness's zero-forcing start and after each of two BCD iterations."""
     spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
-    settings = spec.solver
     subs, starts = [], []
-    for index in range(4):
+    for index in range(trials):
         state = trial(spec, 40.0, index)
         inst = state.instance(IlluminationMode.FULL)
         start = _bcd_init(inst, state.zfwf(IlluminationMode.FULL))
@@ -360,8 +363,14 @@ def test_stacked_pga_matches_per_instance_on_reference_trials():
             aux = optimal_aux(inst, phases, precoder)
             subs.append(build_analog_subproblem(inst, precoder, aux))
             starts.append(phases)
-            phases = per_instance_pga(subs[-1], phases, settings)[0]
-            precoder = dual_search(inst, phases, aux, settings)[0]
+            phases = per_instance_pga(subs[-1], phases, spec.solver)[0]
+            precoder = dual_search(inst, phases, aux, spec.solver)[0]
+    return subs, starts, spec.solver
+
+
+def test_stacked_pga_matches_per_instance_on_reference_trials():
+    # The reference subproblems of four trials, solved as one batch.
+    subs, starts, settings = reference_subproblems(4)
     oracle = assert_stacked_pga_matches_per_instance(subs, starts, settings)
     for sub, start, expected in zip(subs, starts, oracle):  # each as a batch of one
         phases, steps, evals = _pga(sub, start, settings)
@@ -400,8 +409,8 @@ def test_stacked_pga_rows_stop_alone():
 
 
 def test_warm_started_steps_pass_armijo_and_never_descend():
-    # Calls capped at n steps replay the first n steps of the uncapped search,
-    # so step n is read off as the move from the (n-1)-step to the n-step result.
+    # The steps the oracle records, which is the block bit for bit: each is a
+    # ladder step that passes the Armijo test, and none lowers the objective.
     rng = np.random.default_rng(60)
     settings = SolverSettings()
     ladder = step_ladder(settings)
@@ -409,23 +418,42 @@ def test_warm_started_steps_pass_armijo_and_never_descend():
         inst = make_instance(rng, m=6, n=3, k=3)
         sub = build_analog_subproblem(inst, random_precoder(rng, 3, 3), random_aux(rng, 3))
         init = random_phases(rng, 6)
-        prev = PhaseConfig(np.mod(init.phases, 2.0 * np.pi))
-        for n in range(1, settings.pga_max_iters + 1):
-            value, grad = analog_objective_and_gradient(sub, prev)
-            phases, steps, _ = _pga(sub, init, replace(settings, pga_max_iters=n))
-            new_value = analog_objective(sub, phases)
+        record = []
+        expected, expected_steps, _, _ = per_instance_pga(sub, init, settings, record)
+        phases, steps, _ = _pga(sub, init, settings)
+        assert np.array_equal(phases.phases, expected.phases)
+        assert steps == expected_steps == len(record) > 0
+        for tau, grad, _, _, value, new_value in record:
+            assert tau in ladder
             assert new_value >= value
-            if steps < n:
-                assert np.array_equal(phases.phases, prev.phases)
-                break
-            taus = [
-                tau
-                for tau in ladder
-                if np.array_equal(np.mod(prev.phases + tau * grad, 2.0 * np.pi), phases.phases)
-            ]
-            assert taus, "the step is not a ladder step along the gradient"
-            assert new_value - value >= settings.armijo_zeta * taus[0] * float(grad @ grad)
-            prev = phases
+            assert new_value - value >= settings.armijo_zeta * tau * float(grad @ grad)
+
+
+def test_retraction_keeps_unit_modulus_and_steps_by_arctan(monkeypatch):
+    # Every point the block evaluates lies on |psi_m| = 1, and each step (read off
+    # the oracle, which is the block bit for bit) turns phase m by atan(tau g_m).
+    subs, starts, settings = reference_subproblems(2)
+    points = []
+
+    def spy(nu, factor, psi):
+        points.append(psi.copy())
+        return objective_terms_of_block(nu, factor, psi)
+
+    objective_terms_of_block = wmmse._objective_terms
+    monkeypatch.setattr(wmmse, "_objective_terms", spy)
+    for sub, start in zip(subs, starts):
+        points.clear()
+        phases, steps, evals = _pga(sub, start, settings)
+        assert sum(len(point) for point in points) == evals
+        assert max(np.max(np.abs(np.abs(point) - 1.0)) for point in points) <= 1e-13
+        record = []
+        expected = per_instance_pga(sub, start, settings, record)
+        assert np.array_equal(phases.phases, expected[0].phases)
+        assert steps == len(record) > 0
+        for tau, grad, before, after, value, new_value in record:
+            turn = np.angle(after * np.conj(before))  # wrapped to (-pi, pi]
+            assert np.max(np.abs(turn - np.arctan(tau * grad))) <= 1e-12
+            assert new_value >= value
 
 
 def test_precoder_system_scalar_case():
@@ -588,23 +616,26 @@ def test_dual_power_monotone_in_mu():
 
 def test_limit_precoder_matches_vanishing_mu():
     # A silent user (y_k = 0) leaves the gram matrix rank-deficient; the
-    # rank-aware limit must agree with an explicit tiny-mu solve.
+    # rank-aware limit must agree with an explicit small-mu solve.  That solve's
+    # roundoff grows as mu falls: at mu = 1e-11 it reached 3e-4 relative on such
+    # draws, while at mu = 1e-9 it stays below 1e-5 on these.
     rng = np.random.default_rng(51)
     for constraint in ConstraintKind:
-        inst = make_instance(rng, m=6, n=4, k=3, constraint=constraint)
-        phases = random_phases(rng, 6)
-        gamma = rng.uniform(0.1, 2.0, 3)
-        y = complex_normal(rng, 3)
-        y[1] = 0.0
-        aux = AuxVariables(gamma=gamma, y=y)
-        heff = effective_channel(inst, phases)
-        gram, rhs = _precoder_system(inst, heff, aux)
-        reg = inst.curvature
-        limit = lstsq_limit(gram, rhs, reg).matrix
-        tiny = np.linalg.solve(gram + 1e-11 * reg, rhs)
-        scale = np.linalg.norm(tiny)
-        assert np.linalg.norm(limit - tiny) < 1e-4 * scale
-        assert np.allclose(limit[:, 1], 0.0, atol=1e-12 * scale)
+        for _ in range(20):
+            inst = make_instance(rng, m=6, n=4, k=3, constraint=constraint)
+            phases = random_phases(rng, 6)
+            gamma = rng.uniform(0.1, 2.0, 3)
+            y = complex_normal(rng, 3)
+            y[1] = 0.0
+            aux = AuxVariables(gamma=gamma, y=y)
+            heff = effective_channel(inst, phases)
+            gram, rhs = _precoder_system(inst, heff, aux)
+            reg = inst.curvature
+            limit = lstsq_limit(gram, rhs, reg).matrix
+            small = np.linalg.solve(gram + 1e-9 * reg, rhs)
+            scale = np.linalg.norm(small)
+            assert np.linalg.norm(limit - small) < 1e-5 * scale
+            assert np.allclose(limit[:, 1], 0.0, atol=1e-12 * scale)
 
 
 def test_power_curve_matches_explicit_solves():
@@ -692,6 +723,27 @@ def test_dual_search_singular_curvature_is_solver_error():
         dead = replace(inst, transfer=transfer, power_budget=budget)
         with pytest.raises(SolverError, match="curvature"):
             dual_search(dead, phases, aux, SolverSettings())
+
+
+def test_non_finite_row_fails_alone_in_dual_search():
+    # One NaN y makes the stacked eigh of its constraint group raise; that row
+    # alone fails, and the others keep the bits they get in batches of one.
+    rng = np.random.default_rng(70)
+    settings = SolverSettings()
+    for constraint in ConstraintKind:
+        insts = [make_instance(rng, m=6, n=4, k=3, constraint=constraint) for _ in range(3)]
+        heff = np.stack([effective_channel(one, random_phases(rng, 6)) for one in insts])
+        gamma, y = rng.uniform(0.1, 2.0, (3, 3)), complex_normal(rng, 3, 3)
+        y[1, 0] = np.nan
+        aux = _unchecked(AuxVariables, gamma=gamma, y=y)
+        matrices, mu, failed = dual_search(_Batch(insts), None, aux, settings, heff=heff)
+        assert list(failed) == [1] and isinstance(failed[1], np.linalg.LinAlgError)
+        assert not np.any(matrices[1])
+        for row in (0, 2):
+            one = _unchecked(AuxVariables, gamma=gamma[[row]], y=y[[row]])
+            alone = dual_search(_Batch([insts[row]]), None, one, settings, heff=heff[[row]])
+            assert np.array_equal(alone[0][0], matrices[row])
+            assert alone[1][0] == mu[row] and not alone[2]
 
 
 def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):

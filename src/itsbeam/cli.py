@@ -45,11 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--plot", default=None, help="write a matplotlib script here")
     sweep.add_argument("--summary", default=None, help="also write a summary CSV here")
     sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument(
-        "--timing",
-        action="store_true",
-        help="record measured wall times (gives up byte-stable CSV output)",
-    )
 
     solve = sub.add_parser("solve", help="solve one instance and dump the solution")
     solve.add_argument("--config", default=None)
@@ -70,7 +65,6 @@ def _overrides_from_args(args) -> dict:
             "constraint": args.constraint,
             "trials": getattr(args, "trials", None),
             "base_seed": args.seed,
-            "record_timing": getattr(args, "timing", False) or None,
         }
     }
 

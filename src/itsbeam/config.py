@@ -6,9 +6,8 @@ the spec of an empty file (:func:`default_experiment_spec`).  An omitted or
 null key takes its default; only ``median_element_gain_db: null`` means
 something else (no calibration).  Unknown keys are rejected so typos fail
 loudly, and a value must fit its default's type: no boolean for a number, no
-fraction for an integer, only ``true`` or ``false`` for a flag.  Decibel and
-degree units appear only here; everything is converted to linear/radian/metre
-units when the spec is built.
+fraction for an integer.  Decibel and degree units appear only here; everything
+is converted to linear/radian/metre units when the spec is built.
 
 Schema (values shown are the defaults)::
 
@@ -46,11 +45,6 @@ Schema (values shown are the defaults)::
       bcd_epsilon: 1.0e-3
       bcd_max_iters: 200
       pga_max_iters: 50
-      tau_init: 1.0
-      armijo_shrink: 0.5
-      armijo_zeta: 1.0e-3
-      dual_tolerance: 1.0e-6
-      dual_max_iters: 100
     sweep:
       kind: power                  # power | distance | loss
       grid: [10, 15, 20, 25, 30, 35, 40]
@@ -59,7 +53,6 @@ Schema (values shown are the defaults)::
       constraint: rp               # rp | tp
       methods: [wmmse_bcd, zf_wf, random_phases]
       illuminations: [full]
-      record_timing: false
 """
 
 from __future__ import annotations
@@ -125,7 +118,6 @@ _DEFAULTS = {
         "constraint": ConstraintKind.RADIATED_POWER,
         "methods": None,
         "illuminations": (IlluminationMode.FULL,),
-        "record_timing": False,
     },
 }
 
@@ -154,14 +146,8 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    return value
-
-
-# A key is converted by its default's type: numbers and flags strictly, enums by value.
-_CONVERTERS = {float: _real, int: _integer, bool: _flag, type(None): _real}
+# A key is converted by its default's type: numbers strictly, enums by value.
+_CONVERTERS = {float: _real, int: _integer, type(None): _real}
 
 
 def _check_keys(mapping: dict) -> None:
@@ -281,7 +267,6 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
         geometry=geometry,
         channel=channel,
         solver=solver,
-        record_timing=_get(mapping, "sweep", "record_timing"),
     )
 
 

@@ -7,10 +7,8 @@ channel, drawn from streams derived only from ``(base_seed, trial_index)``;
 the no-surface channel and the random-phase draw use independent child
 streams, so they never perturb the shared draws.
 
-Determinism contract: with ``record_timing`` False (the config default) the
-emitted CSV is a pure function of the spec and base seed, byte-identical across
-runs and worker counts.  Enabling timing fills ``wall_time_ms`` with measured
-values and intentionally gives up byte-stable output.
+Determinism contract: the emitted CSV is a pure function of the spec and base
+seed, byte-identical across runs and worker counts.  It holds no measured time.
 
 Two bounded LRU memos with read-only arrays change no draw: layout and transfer
 matrix per resolved :class:`GeometryConfig` (16 entries), and :func:`block`,
@@ -33,7 +31,6 @@ the two constraint kinds coincide at the array port.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -90,7 +87,7 @@ SPEED_OF_LIGHT = 299792458.0
 
 CSV_HEADER = (
     "sweep,sweep_value,trial,method,illumination,constraint,"
-    "wsr,iterations,wall_time_ms,seed"
+    "wsr,iterations,seed"
 )
 
 SUMMARY_HEADER = (
@@ -133,7 +130,6 @@ class ExperimentSpec:
     geometry: GeometryConfig
     channel: ChannelParams
     solver: SolverSettings
-    record_timing: bool
 
     def __post_init__(self):
         if len(self.grid) == 0:
@@ -176,7 +172,6 @@ class ResultRecord:
     constraint: str
     wsr: float
     iterations: int
-    wall_time_ms: int
     seed: int
 
     def to_csv_row(self) -> str:
@@ -190,7 +185,6 @@ class ResultRecord:
                 self.constraint,
                 repr(float(self.wsr)),
                 str(self.iterations),
-                str(self.wall_time_ms),
                 str(self.seed),
             ]
         )
@@ -454,7 +448,6 @@ def run_trial(
     NaN wsr and 0 iterations rather than exceptions, so a long sweep cannot be
     lost to a single bad trial.
     """
-    start = time.perf_counter()
     try:
         solution, applied_constraint = solve_cell(
             spec, sweep_value, trial_index, method, illumination
@@ -467,7 +460,6 @@ def run_trial(
         applied_constraint = (
             ConstraintKind.TRANSMITTED_POWER if method is Method.NO_ITS else spec.constraint
         )
-    elapsed_ms = int(round(1000.0 * (time.perf_counter() - start))) if spec.record_timing else 0
     return ResultRecord(
         sweep=spec.sweep.value,
         sweep_value=float(sweep_value),
@@ -477,7 +469,6 @@ def run_trial(
         constraint=applied_constraint.value,
         wsr=value,
         iterations=iterations,
-        wall_time_ms=elapsed_ms,
         seed=trial_seed(spec.base_seed, trial_index),
     )
 
@@ -513,7 +504,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
 
 
 def write_results(records, path) -> None:
-    """Write detail records as CSV with the fixed 10-column header."""
+    """Write detail records as CSV with the fixed 9-column header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for record in records:

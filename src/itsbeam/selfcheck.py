@@ -204,7 +204,7 @@ def _check_analog_factor(rng) -> bool:
 def _check_dual_feasibility(rng) -> bool:
     for constraint in ConstraintKind:
         inst, phases, _, aux = _random_point(rng, constraint=constraint)
-        prec, mu = dual_search(inst, phases, aux, SolverSettings())
+        prec, mu = dual_search(inst, phases, aux)
         h = constraint_value(inst, phases, prec)
         if h > inst.power_budget * (1 + 1e-9):
             return False
@@ -214,7 +214,7 @@ def _check_dual_feasibility(rng) -> bool:
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
         free = Precoder(np.linalg.solve(gram, rhs))
         roomy = replace(inst, power_budget=2.0 * constraint_value(inst, phases, free))
-        prec, mu = dual_search(roomy, phases, aux, SolverSettings())
+        prec, mu = dual_search(roomy, phases, aux)
         gap = np.linalg.norm(prec.matrix - free.matrix) / np.linalg.norm(free.matrix)
         if mu != 0.0 or gap > 1e-8 or constraint_value(roomy, phases, prec) > roomy.power_budget:
             return False

@@ -65,42 +65,37 @@ __all__ = [
     "bcd_solve",
 ]
 
-_MIN_STEP = 1e-12
+# The phase block's step ladder 1, 1/2, ..., 2^-39 (the halvings of 1 down to 1e-12)
+# and its Armijo slope fraction; the dual bisection's relative tolerance and step cap.
+_LADDER = tuple(0.5 ** k for k in range(40))
+_ARMIJO_ZETA = 1e-3
+_DUAL_TOLERANCE = 1e-6
+_DUAL_MAX_ITERS = 100
 _FAILURES = (BeamformingError, np.linalg.LinAlgError)  # fail one instance of a batch, not all
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tunable solver knobs; defaults reproduce the reference configuration.
+    """Solver knobs; defaults reproduce the reference configuration.
 
+    ``bcd_epsilon`` and ``bcd_max_iters`` stop the outer loop, and
+    ``pga_max_iters`` caps the phase block's steps per outer iteration.
     ``freeze_phases`` skips the analog block entirely, which turns the solver
     into plain digital WMMSE for fixed surface phases (used by the
-    random-phase and no-surface baselines).  ``tau_init`` is each phase-block
-    call's first and largest trial step; a step tau turns phase m by atan(tau g_m),
-    g the phase gradient, and later searches start at the last accepted step.
+    random-phase and no-surface baselines).  The phase block's step ladder and
+    Armijo fraction and the dual bisection's tolerance are module constants.
     """
 
     bcd_epsilon: float = 1e-3
     bcd_max_iters: int = 200
     pga_max_iters: int = 50
-    tau_init: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_zeta: float = 1e-3
-    dual_tolerance: float = 1e-6
-    dual_max_iters: int = 100
     freeze_phases: bool = False
 
     def __post_init__(self):
-        for name in ("bcd_epsilon", "dual_tolerance", "tau_init", "armijo_zeta"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):  # NaN fails both tests
-                raise SolverError(f"{name} must be finite and positive, got {value!r}")
-        if self.tau_init < _MIN_STEP:  # the phase block's step ladder would be empty
-            raise SolverError(f"tau_init must be at least {_MIN_STEP:g}, got {self.tau_init!r}")
-        if min(self.bcd_max_iters, self.pga_max_iters, self.dual_max_iters) < 1:
+        if not (self.bcd_epsilon > 0 and np.isfinite(self.bcd_epsilon)):  # NaN fails both tests
+            raise SolverError(f"bcd_epsilon must be finite and positive, got {self.bcd_epsilon!r}")
+        if min(self.bcd_max_iters, self.pga_max_iters) < 1:
             raise SolverError("iteration caps must be >= 1")
-        if not 0 < self.armijo_shrink < 1:
-            raise SolverError("armijo_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -309,13 +304,14 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
     u = tau g, turns phase m by atan(u_m) with no exp or wrap (Absil, Mahony & Sepulchre,
     Optimization Algorithms on Matrix Manifolds, 2008, sec. 4.1).  The retraction's
     derivative at tau = 0 is xi, so the Armijo test is f3(tau) - f3(0) >= zeta tau ||g||^2.
-    Steps sit on one ladder tau_init * shrink^k.  Each search starts at the previous
-    accepted k (the first at k = 0), backtracks down the ladder from a failing start and
-    expands up it from a passing one while trials pass (Nocedal & Wright, Numerical
-    Optimization, sec. 3.5).  The step is full backtracking's unless a ladder step below
-    that one and at or above the start fails; then it is another Armijo step, or none if
-    no step at or below the start passes.  ``evals`` counts every objective evaluation.
-    A non-finite trial value never passes the test, so the phases returned are finite.
+    Steps sit on the ladder 1, 1/2, ..., 2^-39 (``_LADDER``), and zeta = 1e-3.  Each
+    search starts at the previous accepted k (the first at k = 0), backtracks down the
+    ladder from a failing start and expands up it from a passing one while trials pass
+    (Nocedal & Wright, Numerical Optimization, sec. 3.5).  The step is full
+    backtracking's unless a ladder step below that one and at or above the start fails;
+    then it is another Armijo step, or none if no step at or below the start passes.
+    ``evals`` counts every objective evaluation.  A non-finite trial value never passes
+    the test, so the phases returned are finite.
 
     ``sub`` may hold stacked subproblems, with ``phases_init`` the (B, M) start phases:
     each row walks its own ladder on Python scalars, and a trial point costs one stacked
@@ -330,11 +326,7 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
     phases = np.mod(phases_init.phases if single else phases_init, 2.0 * np.pi)
     if single:
         nu, factor, phases = nu[np.newaxis], factor[np.newaxis], phases[np.newaxis]
-    ladder, tau = [], settings.tau_init
-    while tau >= _MIN_STEP:
-        ladder.append(tau)
-        tau *= settings.armijo_shrink
-    zeta, psi = settings.armijo_zeta, np.exp(1j * phases)
+    ladder, zeta, psi = _LADDER, _ARMIJO_ZETA, np.exp(1j * phases)
     out = np.empty_like(psi)  # each row's last psi
     value, a_psi = _objective_terms(nu, factor, psi)
     steps, evals, start = [0] * len(value), [1] * len(value), [0] * len(value)
@@ -450,15 +442,15 @@ def _power_curve(lam: np.ndarray, energy: np.ndarray):
     return power
 
 
-def _dual_root(power_at, budget: float, tol: float, settings: SolverSettings) -> float:
+def _dual_root(power_at, budget: float) -> float:
     """The mu that brackets and bisects the power curve ``power_at`` down to ``budget``.
 
     Brackets from mu = 1 by doubling, then bisects until the budget is met within
-    ``tol``, tightened when mu is large so that complementary slackness holds at the
-    same tolerance.  One row on Python floats: a step costs about 1 us here, where
+    tol = 1e-6 budget, tightened when mu is large so that complementary slackness holds
+    at the same tolerance.  One row on Python floats: a step costs about 1 us here, where
     a masked step over stacked rows costs some 25 numpy calls whatever the rows.
     """
-    hi = 1.0
+    tol, hi = _DUAL_TOLERANCE * budget, 1.0
     h_hi = power_at(hi)
     doublings = 0
     while h_hi >= budget:
@@ -468,7 +460,7 @@ def _dual_root(power_at, budget: float, tol: float, settings: SolverSettings) ->
             raise SolverError("dual bracket expansion failed: power never fell below budget")
         h_hi = power_at(hi)
     lo = hi / 2.0 if doublings else 0.0
-    for _ in range(settings.dual_max_iters):
+    for _ in range(_DUAL_MAX_ITERS):
         gap = budget - h_hi
         if gap <= tol and hi * gap <= tol:
             return hi
@@ -505,7 +497,6 @@ def dual_search(
     inst: SystemInstance,
     phases: PhaseConfig,
     aux: AuxVariables,
-    settings: SolverSettings,
     *, heff: np.ndarray | None = None,
 ):
     """Find the smallest dual mu whose precoder meets the power budget; returns (precoder, mu).
@@ -516,8 +507,8 @@ def dual_search(
     (sum_keep e_j / lam_j^2 <= P) it is the precoder and mu = 0: users with y_k = 0
     leave the gram singular, and a naive solve would report roundoff-level power, not
     that limit.  Otherwise the power h(mu) = sum_j e_j / (lam_j + mu)^2, non-increasing
-    in mu, is bisected until the budget is met within ``dual_tolerance`` relative
-    tolerance (``_dual_root``), and the precoder is solved once, at the accepted mu.
+    in mu, is bisected until the budget is met within a relative tolerance of 1e-6
+    (``_dual_root``), and the precoder is solved once, at the accepted mu.
     An instance whose R is singular fails with the curvature ``SolverError`` whatever
     its budget.  ``heff`` is the effective channel at ``phases``, if known.
 
@@ -578,7 +569,7 @@ def dual_search(
         limit = budget[row].item()
         try:
             power_at = _power_curve(lam[row], energy[row])
-            mu[row] = _dual_root(power_at, limit, settings.dual_tolerance * limit, settings)
+            mu[row] = _dual_root(power_at, limit)
         except SolverError as exc:
             failed[row] = exc
             search[row] = False
@@ -659,7 +650,7 @@ def bcd_solve(
             for j, row in enumerate(active):
                 phases[row] = PhaseConfig(phi[j])
         channels = heff[active]
-        matrices, mu, failed = dual_search(part, None, aux, settings, heff=channels)
+        matrices, mu, failed = dual_search(part, None, aux, heff=channels)
         precoders[active] = matrices
         terms = _link_terms(part, channels @ matrices)
         gamma[active], f[active], total[active] = terms

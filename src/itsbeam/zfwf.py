@@ -113,10 +113,10 @@ def waterfill(
         raise SolverError("weights and chain_costs must be 1-D with equal shape")
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
         raise SolverError("chain_costs must be positive and finite")
-    if np.any(w < 0):
-        raise SolverError("weights must be nonnegative")
-    if noise_power <= 0 or power_budget <= 0:
-        raise SolverError("noise_power and power_budget must be positive")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise SolverError("weights must be finite and nonnegative")
+    if not (0 < noise_power < np.inf and 0 < power_budget < np.inf):  # NaN fails both
+        raise SolverError("noise_power and power_budget must be finite and positive")
 
     active = w > 0
     mu = 0.0

@@ -135,7 +135,6 @@ def test_criterion_03_gradient_oracle():
 
 def test_criterion_04_kkt_suite():
     rng = np.random.default_rng(104)
-    settings = SolverSettings()
     worst_stationarity = 0.0
     worst_slackness = 0.0
     monotone = True
@@ -144,7 +143,7 @@ def test_criterion_04_kkt_suite():
         inst = desk_instance(rng, constraint)
         phases = random_phases(rng, 16)
         aux = optimal_aux(inst, phases, random_precoder(rng, 4, 4))
-        precoder, mu = dual_search(inst, phases, aux, settings)
+        precoder, mu = dual_search(inst, phases, aux)
         heff = effective_channel(inst, phases)
         gram, rhs = _precoder_system(inst, heff, aux)
         residual = (gram + mu * inst.curvature) @ precoder.matrix - rhs

@@ -87,7 +87,19 @@ def test_sweep_requires_out(config_path):
         main(["sweep", "--config", config_path])
 
 
-def test_sweep_rejects_bad_config(tmp_path):
+# Former keys, now constants of wmmse or gone with the CSV's time column: a file
+# that still sets one fails with an error that names it.
+REMOVED_KEYS = (
+    ("solver", "tau_init", "1.0"),
+    ("solver", "armijo_shrink", "0.5"),
+    ("solver", "armijo_zeta", "1.0e-3"),
+    ("solver", "dual_tolerance", "1.0e-6"),
+    ("solver", "dual_max_iters", "100"),
+    ("sweep", "record_timing", "false"),
+)
+
+
+def test_sweep_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     out = tmp_path / "never.csv"
     for text in (
@@ -95,12 +107,21 @@ def test_sweep_rejects_bad_config(tmp_path):
         TINY_CONFIG.replace("[1.0, 1.0]", "[1.0, -1.0]"),
         TINY_CONFIG.replace("grid: [20.0, 30.0]", "grid: 30"),
         TINY_CONFIG.replace("trials: 2", "trials: abc"),
-        TINY_CONFIG + '  record_timing: "no"\n',
-        TINY_CONFIG.replace("bcd_max_iters: 25", "bcd_max_iters: 25\n  tau_init: 1.0e-13"),
     ):
         bad.write_text(text)
         assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+    for section, key, value in REMOVED_KEYS:
+        bad.write_text(TINY_CONFIG.replace(f"{section}:\n", f"{section}:\n  {key}: {value}\n"))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"unknown keys in section '{section}': ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+    bad.write_text(TINY_CONFIG)
+    with pytest.raises(SystemExit) as exit_info:  # the wall-time switch is gone too
+        main(["sweep", "--config", str(bad), "--out", str(out), "--timing"])
+    assert exit_info.value.code == 2
+    assert not out.exists()
     # A section that is not a mapping, with a flag to merge into it.
     bad.write_text("sweep: [1]\n")
     assert main(["sweep", "--config", str(bad), "--trials", "2", "--out", str(out)]) == 2
@@ -117,7 +138,7 @@ def test_sweep_rejects_nan_solver_setting(tmp_path):
     bad = tmp_path / "nan.yaml"
     out = tmp_path / "never.csv"
     solver = "bcd_max_iters: 25"
-    bad.write_text(TINY_CONFIG.replace(solver, solver + "\n  dual_tolerance: .nan"))
+    bad.write_text(TINY_CONFIG.replace(solver, solver + "\n  bcd_epsilon: .nan"))
     assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
 

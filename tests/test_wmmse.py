@@ -1,6 +1,6 @@
 """FP surrogate identities, gradient/KKT oracles and the BCD solver loop."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -215,14 +215,6 @@ def test_pga_never_decreases_objective():
             value = new_value
 
 
-def step_ladder(settings):
-    ladder, tau = [], settings.tau_init
-    while tau >= 1e-12:
-        ladder.append(tau)
-        tau *= settings.armijo_shrink
-    return ladder
-
-
 def objective_terms(sub, psi):
     a_psi = sub.factor @ psi
     value = 2.0 * np.real(np.vdot(psi, sub.linear_term)) - np.real(np.vdot(a_psi, a_psi))
@@ -247,7 +239,7 @@ def returned_phases(start, psi, steps):
 
 
 def full_backtracking_pga(sub, phases_init, settings):
-    """The phase block with every Armijo search restarted at tau_init."""
+    """The phase block with every Armijo search restarted at the ladder's top step."""
     phi = np.mod(phases_init.phases, 2.0 * np.pi)
     psi = np.exp(1j * phi)
     value, a_psi = objective_terms(sub, psi)
@@ -255,11 +247,11 @@ def full_backtracking_pga(sub, phases_init, settings):
     for _ in range(settings.pga_max_iters):
         grad = phase_gradient(sub, psi, a_psi)
         grad_sq = float(grad @ grad)
-        for tau in step_ladder(settings):
+        for tau in wmmse._LADDER:
             cand_psi = retract(psi, tau, grad)
             cand_value, cand_a_psi = objective_terms(sub, cand_psi)
             evals += 1
-            if cand_value - value >= settings.armijo_zeta * tau * grad_sq:
+            if cand_value - value >= wmmse._ARMIJO_ZETA * tau * grad_sq:
                 break
         else:
             break
@@ -292,7 +284,7 @@ def per_instance_pga(sub, phases_init, settings, record=None):
     accept) or "no_step" (no ladder step passes).  ``record``, a list, gets one
     (tau, grad, psi before, psi after, value before, value after) per step.
     """
-    ladder = step_ladder(settings)
+    ladder = wmmse._LADDER
     phi = np.mod(phases_init.phases, 2.0 * np.pi)
     psi = np.exp(1j * phi)
     value, a_psi = objective_terms(sub, psi)
@@ -305,7 +297,7 @@ def per_instance_pga(sub, phases_init, settings, record=None):
             cand_psi = retract(psi, ladder[k], grad)
             cand_value, cand_a_psi = objective_terms(sub, cand_psi)
             evals += 1
-            if cand_value - value >= settings.armijo_zeta * ladder[k] * grad_sq:
+            if cand_value - value >= wmmse._ARMIJO_ZETA * ladder[k] * grad_sq:
                 accepted = (k, cand_psi, cand_value, cand_a_psi)
                 if k > start:
                     break
@@ -364,7 +356,7 @@ def reference_subproblems(trials):
             subs.append(build_analog_subproblem(inst, precoder, aux))
             starts.append(phases)
             phases = per_instance_pga(subs[-1], phases, spec.solver)[0]
-            precoder = dual_search(inst, phases, aux, spec.solver)[0]
+            precoder = dual_search(inst, phases, aux)[0]
     return subs, starts, spec.solver
 
 
@@ -404,7 +396,7 @@ def test_stacked_pga_rows_stop_alone():
     stops = [stop for _, _, _, stop in oracle]
     assert {"cap", "flat", "no_step"} <= set(stops[:-1])
     assert len({steps for _, steps, _, _ in oracle}) >= 4
-    assert oracle[-1][1:] == (0, 1 + len(step_ladder(settings)), "no_step")
+    assert oracle[-1][1:] == (0, 1 + len(wmmse._LADDER), "no_step")
     assert np.array_equal(oracle[-1][0].phases, starts[-1].phases)
 
 
@@ -413,7 +405,7 @@ def test_warm_started_steps_pass_armijo_and_never_descend():
     # ladder step that passes the Armijo test, and none lowers the objective.
     rng = np.random.default_rng(60)
     settings = SolverSettings()
-    ladder = step_ladder(settings)
+    ladder = wmmse._LADDER
     for _ in range(8):
         inst = make_instance(rng, m=6, n=3, k=3)
         sub = build_analog_subproblem(inst, random_precoder(rng, 3, 3), random_aux(rng, 3))
@@ -426,7 +418,7 @@ def test_warm_started_steps_pass_armijo_and_never_descend():
         for tau, grad, _, _, value, new_value in record:
             assert tau in ladder
             assert new_value >= value
-            assert new_value - value >= settings.armijo_zeta * tau * float(grad @ grad)
+            assert new_value - value >= wmmse._ARMIJO_ZETA * tau * float(grad @ grad)
 
 
 def test_retraction_keeps_unit_modulus_and_steps_by_arctan(monkeypatch):
@@ -486,13 +478,12 @@ def test_regularised_precoder_shrinks_with_mu():
 
 def test_kkt_stationarity_and_slackness():
     rng = np.random.default_rng(45)
-    settings = SolverSettings()
     for constraint in ConstraintKind:
         for _ in range(10):
             inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint, power_budget=0.5)
             phases = random_phases(rng, 6)
             aux = random_aux(rng, 3)
-            prec, mu = dual_search(inst, phases, aux, settings)
+            prec, mu = dual_search(inst, phases, aux)
             heff = effective_channel(inst, phases)
             gram, rhs = _precoder_system(inst, heff, aux)
             residual = (gram + mu * inst.curvature) @ prec.matrix - rhs
@@ -505,13 +496,12 @@ def test_kkt_stationarity_by_finite_differences():
     # The dual solution maximizes f1(B) - mu (h(B) - P): directional finite
     # differences of that Lagrangian vanish at the returned precoder.
     rng = np.random.default_rng(46)
-    settings = SolverSettings()
     step = 1e-6
     for constraint in ConstraintKind:
         inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint, power_budget=0.4)
         phases = random_phases(rng, 6)
         aux = random_aux(rng, 3)
-        prec, mu = dual_search(inst, phases, aux, settings)
+        prec, mu = dual_search(inst, phases, aux)
 
         def lagrangian(matrix):
             p = Precoder(matrix)
@@ -581,7 +571,7 @@ def test_dual_search_interior_solution():
     gram, rhs = _precoder_system(inst, heff, aux)
     prec0 = lstsq_limit(gram, rhs, inst.curvature)
     roomy = replace(inst, power_budget=2.0 * constraint_value(inst, phases, prec0))
-    prec, mu = dual_search(roomy, phases, aux, SolverSettings())
+    prec, mu = dual_search(roomy, phases, aux)
     assert mu == 0.0
     assert np.allclose(prec.matrix, prec0.matrix, rtol=1e-12)
 
@@ -592,7 +582,7 @@ def test_dual_search_active_constraint():
         inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint, power_budget=0.2)
         phases = random_phases(rng, 6)
         aux = random_aux(rng, 3)
-        prec, mu = dual_search(inst, phases, aux, SolverSettings())
+        prec, mu = dual_search(inst, phases, aux)
         assert mu > 0
         gap = abs(constraint_value(inst, phases, prec) - inst.power_budget)
         assert gap <= 1.01e-6 * inst.power_budget
@@ -616,9 +606,11 @@ def test_dual_power_monotone_in_mu():
 
 def test_limit_precoder_matches_vanishing_mu():
     # A silent user (y_k = 0) leaves the gram matrix rank-deficient; the
-    # rank-aware limit must agree with an explicit small-mu solve.  That solve's
-    # roundoff grows as mu falls: at mu = 1e-11 it reached 3e-4 relative on such
-    # draws, while at mu = 1e-9 it stays below 1e-5 on these.
+    # rank-aware limit must agree with the explicit solves B(mu) as mu -> 0+.
+    # B(mu) = B(0) + O(mu), and its roundoff grows as mu falls (3e-4 relative at
+    # mu = 1e-11 on such draws), so the reference is the Richardson extrapolation
+    # 2 B(1e-6) - B(2e-6), whose error is O(mu^2).  Its worst gap on these draws
+    # is 3.4e-8 under RP and 2.9e-9 under TP.
     rng = np.random.default_rng(51)
     for constraint in ConstraintKind:
         for _ in range(20):
@@ -632,7 +624,8 @@ def test_limit_precoder_matches_vanishing_mu():
             gram, rhs = _precoder_system(inst, heff, aux)
             reg = inst.curvature
             limit = lstsq_limit(gram, rhs, reg).matrix
-            small = np.linalg.solve(gram + 1e-9 * reg, rhs)
+            small = 2.0 * np.linalg.solve(gram + 1e-6 * reg, rhs)
+            small -= np.linalg.solve(gram + 2e-6 * reg, rhs)
             scale = np.linalg.norm(small)
             assert np.linalg.norm(limit - small) < 1e-5 * scale
             assert np.allclose(limit[:, 1], 0.0, atol=1e-12 * scale)
@@ -660,10 +653,10 @@ def test_power_curve_matches_explicit_solves():
                 assert abs(power(mu) - explicit) <= 1e-10 * explicit
 
 
-def bisection_oracle(inst, phases, aux, settings):
+def bisection_oracle(inst, phases, aux):
     """The dual search as bisection over explicit solves, one per trial mu."""
     budget = inst.power_budget
-    tol = settings.dual_tolerance * budget
+    tol = wmmse._DUAL_TOLERANCE * budget
     gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
     reg = inst.curvature
 
@@ -680,7 +673,7 @@ def bisection_oracle(inst, phases, aux, settings):
         hi *= 2.0
         prec_hi, h_hi = power_at(hi)
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(settings.dual_max_iters):
+    for _ in range(wmmse._DUAL_MAX_ITERS):
         gap = budget - h_hi
         if gap <= tol and hi * gap <= tol:
             return prec_hi, hi
@@ -695,7 +688,6 @@ def bisection_oracle(inst, phases, aux, settings):
 
 def test_dual_search_matches_explicit_bisection():
     rng = np.random.default_rng(58)
-    settings = SolverSettings()
     for constraint in ConstraintKind:
         active = 0
         for _ in range(20):
@@ -703,8 +695,8 @@ def test_dual_search_matches_explicit_bisection():
             inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint, power_budget=budget)
             phases = random_phases(rng, 6)
             aux = random_aux(rng, 3)
-            prec, mu = dual_search(inst, phases, aux, settings)
-            oracle_prec, oracle_mu = bisection_oracle(inst, phases, aux, settings)
+            prec, mu = dual_search(inst, phases, aux)
+            oracle_prec, oracle_mu = bisection_oracle(inst, phases, aux)
             assert abs(mu - oracle_mu) <= 1e-12 * oracle_mu
             assert np.allclose(prec.matrix, oracle_prec.matrix, rtol=1e-12, atol=0)
             active += mu > 0
@@ -722,26 +714,25 @@ def test_dual_search_singular_curvature_is_solver_error():
     for budget in (1e-6, 1e6):
         dead = replace(inst, transfer=transfer, power_budget=budget)
         with pytest.raises(SolverError, match="curvature"):
-            dual_search(dead, phases, aux, SolverSettings())
+            dual_search(dead, phases, aux)
 
 
 def test_non_finite_row_fails_alone_in_dual_search():
     # One NaN y makes the stacked eigh of its constraint group raise; that row
     # alone fails, and the others keep the bits they get in batches of one.
     rng = np.random.default_rng(70)
-    settings = SolverSettings()
     for constraint in ConstraintKind:
         insts = [make_instance(rng, m=6, n=4, k=3, constraint=constraint) for _ in range(3)]
         heff = np.stack([effective_channel(one, random_phases(rng, 6)) for one in insts])
         gamma, y = rng.uniform(0.1, 2.0, (3, 3)), complex_normal(rng, 3, 3)
         y[1, 0] = np.nan
         aux = _unchecked(AuxVariables, gamma=gamma, y=y)
-        matrices, mu, failed = dual_search(_Batch(insts), None, aux, settings, heff=heff)
+        matrices, mu, failed = dual_search(_Batch(insts), None, aux, heff=heff)
         assert list(failed) == [1] and isinstance(failed[1], np.linalg.LinAlgError)
         assert not np.any(matrices[1])
         for row in (0, 2):
             one = _unchecked(AuxVariables, gamma=gamma[[row]], y=y[[row]])
-            alone = dual_search(_Batch([insts[row]]), None, one, settings, heff=heff[[row]])
+            alone = dual_search(_Batch([insts[row]]), None, one, heff=heff[[row]])
             assert np.array_equal(alone[0][0], matrices[row])
             assert alone[1][0] == mu[row] and not alone[2]
 
@@ -750,7 +741,7 @@ def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
     rng = np.random.default_rng(60)
     inst = make_instance(rng, m=6, n=3, k=3, power_budget=0.05)
     phases, aux = random_phases(rng, 6), random_aux(rng, 3)
-    expected = dual_search(inst, phases, aux, SolverSettings())
+    expected = dual_search(inst, phases, aux)
     calls = []
     eigh = np.linalg.eigh
 
@@ -759,7 +750,7 @@ def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    prec, mu = dual_search(inst, phases, aux, SolverSettings())
+    prec, mu = dual_search(inst, phases, aux)
     assert mu > 0 and len(calls) == 1
     assert mu == expected[1] and np.array_equal(prec.matrix, expected[0].matrix)
     # The shared decomposition gives the whitened curve of R = I: an RP
@@ -779,7 +770,6 @@ def test_tp_shortcut_matches_lstsq_path():
     # without the null-space lstsq of lstsq_limit, which vanishes when R = I.
     # Every instance is rank-deficient (N > K), half of them with a silent user.
     rng = np.random.default_rng(63)
-    settings = SolverSettings()
     active = 0
     for index in range(200):
         inst = make_instance(rng, m=6, n=4, k=3)
@@ -790,12 +780,12 @@ def test_tp_shortcut_matches_lstsq_path():
         limit = lstsq_limit(gram, rhs, inst.curvature).matrix
         power0 = float(np.linalg.norm(limit) ** 2)
         roomy = replace(inst, power_budget=2.0 * power0)
-        prec0, mu0 = dual_search(roomy, phases, aux, settings)
+        prec0, mu0 = dual_search(roomy, phases, aux)
         assert mu0 == 0.0
         assert np.linalg.norm(prec0.matrix - limit) <= 1e-12 * np.linalg.norm(limit)
         inst = replace(inst, power_budget=power0 * 10.0 ** rng.uniform(-1.0, 0.5))
-        prec, mu = dual_search(inst, phases, aux, settings)
-        oracle_prec, oracle_mu = bisection_oracle(inst, phases, aux, settings)
+        prec, mu = dual_search(inst, phases, aux)
+        oracle_prec, oracle_mu = bisection_oracle(inst, phases, aux)
         assert abs(mu - oracle_mu) <= 1e-12 * oracle_mu
         scale = np.linalg.norm(oracle_prec.matrix)
         assert np.linalg.norm(prec.matrix - oracle_prec.matrix) <= 1e-12 * scale
@@ -834,7 +824,6 @@ def test_zero_mu_limit_matches_lstsq_oracle():
     # limit read off the spectrum: it equals the lstsq oracle and a vanishing-mu
     # solve.  Every gram is rank-deficient (N > K), half of them with a silent user.
     rng = np.random.default_rng(69)
-    settings = SolverSettings()
     points = []
     for index in range(60):
         constraint = list(ConstraintKind)[index % 2]
@@ -844,7 +833,7 @@ def test_zero_mu_limit_matches_lstsq_oracle():
             aux = AuxVariables(gamma=aux.gamma, y=np.where(np.arange(3) == 1, 0.0, aux.y))
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
         roomy = replace(inst, power_budget=2.0 * spectrum_power0(inst, gram, rhs))
-        prec, mu = dual_search(roomy, phases, aux, settings)
+        prec, mu = dual_search(roomy, phases, aux)
         assert mu == 0.0
         oracle = lstsq_limit(gram, rhs, inst.curvature).matrix
         assert np.linalg.norm(prec.matrix - oracle) <= 1e-9 * np.linalg.norm(oracle)
@@ -857,7 +846,7 @@ def test_zero_mu_limit_matches_lstsq_oracle():
         AuxVariables, gamma=np.stack([a.gamma for a in aux]), y=np.stack([a.y for a in aux])
     )
     heff = np.stack([effective_channel(i, p) for i, p in zip(insts, phases)])
-    matrices, mu, failed = dual_search(_Batch(insts), list(phases), batch_aux, settings, heff=heff)
+    matrices, mu, failed = dual_search(_Batch(insts), list(phases), batch_aux, heff=heff)
     assert not failed and not np.any(mu)
     for row, matrix in enumerate(alone):
         assert np.array_equal(matrices[row], matrix)
@@ -869,7 +858,6 @@ def test_rank_cut_follows_the_whitened_spectrum():
     # the seeds 0-199, at 12 the gram drops the direction and the whitened spectrum
     # keeps it; at 81 it is the other way round.  mu = 0 iff the whitened
     # sum_keep e_j / lam_j^2 fits the budget, between the two limits' powers too.
-    settings = SolverSettings()
     for seed in (12, 81):
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, m=8, n=4, k=4, constraint=ConstraintKind.RADIATED_POWER)
@@ -883,7 +871,7 @@ def test_rank_cut_follows_the_whitened_spectrum():
         assert max(power0, gram_cut) > 1e6 * min(power0, gram_cut)
         low, high = sorted((power0, gram_cut))
         for budget in (0.5 * low, np.sqrt(low * high), 2.0 * high):
-            prec, mu = dual_search(replace(inst, power_budget=budget), phases, aux, settings)
+            prec, mu = dual_search(replace(inst, power_budget=budget), phases, aux)
             assert (mu == 0.0) == (power0 <= budget)
             assert constraint_value(inst, phases, prec) <= budget * (1.0 + 1e-6)
 
@@ -981,7 +969,7 @@ def textbook_bcd(inst, settings, init):
         if not settings.freeze_phases:
             sub = build_analog_subproblem(inst, precoder, aux)
             phases, steps, evals = _pga(sub, phases, settings)
-        precoder, mu = dual_search(inst, phases, aux, settings)
+        precoder, mu = dual_search(inst, phases, aux)
         new = wsr(inst, phases, precoder)
         trace.append((iteration, new))
         detail.append(
@@ -1121,20 +1109,36 @@ def test_bcd_rejects_infeasible_init():
 def test_settings_validation():
     with pytest.raises(SolverError):
         SolverSettings(bcd_epsilon=0.0)
-    with pytest.raises(SolverError):
-        SolverSettings(armijo_shrink=1.0)
-    with pytest.raises(SolverError):
-        SolverSettings(dual_max_iters=0)
+    for cap in ("bcd_max_iters", "pga_max_iters"):
+        with pytest.raises(SolverError):
+            SolverSettings(**{cap: 0})
+    with pytest.raises(TypeError, match="tau_init"):  # the step ladder is a module constant
+        SolverSettings(tau_init=0.5)
+    assert [f.name for f in fields(SolverSettings)] == [
+        "bcd_epsilon", "bcd_max_iters", "pga_max_iters", "freeze_phases"
+    ]
 
 
+def test_step_ladder_halves_from_one_down_to_1e_12():
+    ladder, tau = [], 1.0
+    while tau >= 1e-12:
+        ladder.append(tau)
+        tau *= 0.5
+    assert wmmse._LADDER == tuple(ladder)
+    assert len(ladder) == 40 and ladder[-1] == 2.0 ** -39
+
+
+# These are constants of wmmse, so SolverSettings refuses them by name as unknown
+# keywords, whatever the value.
+REMOVED_SETTINGS = ("dual_tolerance", "tau_init", "armijo_zeta")
 BAD_SETTINGS = [
     (value, name)
     for value in (float("nan"), float("inf"), -1.0)
-    for name in ("bcd_epsilon", "dual_tolerance", "tau_init", "armijo_zeta")
-] + [(1e-13, "tau_init")]  # below the smallest phase step: an empty step ladder
+    for name in ("bcd_epsilon",) + REMOVED_SETTINGS
+] + [(1e-13, "tau_init")]
 
 
 @pytest.mark.parametrize("value,name", BAD_SETTINGS, ids=[f"{v}-{n}" for v, n in BAD_SETTINGS])
 def test_settings_reject_nan_and_nonpositive(name, value):
-    with pytest.raises(SolverError, match=name):
+    with pytest.raises(TypeError if name in REMOVED_SETTINGS else SolverError, match=name):
         SolverSettings(**{name: value})

@@ -141,6 +141,16 @@ def test_waterfill_rejects_empty_problem():
         waterfill(np.zeros(2), np.ones(2), noise_power=0.1, power_budget=1.0)
     with pytest.raises(SolverError):
         waterfill(np.ones(2), np.ones(2), noise_power=0.1, power_budget=0.0)
+    for weights, noise, budget in (
+        ([1.0, 1.0], np.nan, 1.0),
+        ([1.0, 1.0], 0.1, np.nan),
+        ([1.0, 1.0], np.inf, 1.0),
+        ([1.0, 1.0], 0.1, np.inf),
+        ([1.0, np.nan], 0.1, 1.0),
+        ([1.0, np.inf], 0.1, 1.0),
+    ):
+        with pytest.raises(SolverError):
+            waterfill(np.array(weights), np.ones(2), noise_power=noise, power_budget=budget)
 
 
 def test_waterfill_matches_bisection_oracle():

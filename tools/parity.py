@@ -1,0 +1,145 @@
+"""Write the benchmark workloads' sweep CSVs, and compare two sets of them.
+
+Usage, from the root of a checkout:
+
+    python tools/parity.py write DIR --seeds 300 500-519
+    python tools/parity.py compare A B
+
+``write`` builds each workload of ``perfbench/bench.py`` at each seed, runs it
+with ``run_sweep(spec, workers=1)`` on the ``src`` of the checkout this file
+sits in, writes ``<workload>-<seed>.csv`` into DIR and prints each file's
+sha256.  To get a parent commit's files, run a copy of this file from the root
+of that commit's checkout.
+
+``compare`` pairs the files of A and B by name and their columns by header
+name.  Per file it prints the rows whose shared columns differ, the rows whose
+``iterations`` changed, the largest relative WSR change and the mean finite
+WSR on each side, and names any column that only one side has.  It exits 1 if
+a file is missing on one side, the row counts differ or a shared column
+differs in any row, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_seeds(items) -> list:
+    """Seeds from items such as "300" and "500-519" (inclusive ranges)."""
+    seeds = []
+    for item in items:
+        first, _, last = item.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def write(directory: str, seeds) -> dict:
+    """Write every workload at every seed into ``directory``; return {file name: sha256}."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import bench
+    from itsbeam.harness import run_sweep, write_results
+
+    os.makedirs(directory, exist_ok=True)
+    digests = {}
+    for workload in bench.WORKLOADS:
+        for seed in seeds:
+            name = f"{workload}-{seed}.csv"
+            path = os.path.join(directory, name)
+            write_results(run_sweep(bench.build_spec(bench.mapping(workload, seed)), workers=1), path)
+            with open(path, "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digests[name]}  {name}", flush=True)
+    return digests
+
+
+def _read(path: str):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return list(reader), list(reader.fieldnames or [])
+
+
+def _mean_wsr(rows) -> float:
+    finite = [v for v in (float(row.get("wsr", "nan")) for row in rows) if math.isfinite(v)]
+    return math.fsum(finite) / len(finite) if finite else math.nan
+
+
+def compare_files(path_a: str, path_b: str) -> dict:
+    """The differences between two sweep CSVs, matched row by row and column by name."""
+    rows_a, columns_a = _read(path_a)
+    rows_b, columns_b = _read(path_b)
+    shared = [name for name in columns_a if name in columns_b]
+    differing = iterations = 0
+    max_rel_wsr = 0.0
+    for a, b in zip(rows_a, rows_b):
+        differing += any(a[name] != b[name] for name in shared)
+        if "iterations" in shared:
+            iterations += a["iterations"] != b["iterations"]
+        if "wsr" in shared and a["wsr"] != b["wsr"]:
+            wsr_a, wsr_b = float(a["wsr"]), float(b["wsr"])
+            rel = abs(wsr_b - wsr_a) / abs(wsr_a) if wsr_a else math.inf
+            max_rel_wsr = max(max_rel_wsr, math.inf if math.isnan(rel) else rel)  # nan vs number
+    return {
+        "rows": (len(rows_a), len(rows_b)),
+        "only_a": [name for name in columns_a if name not in columns_b],
+        "only_b": [name for name in columns_b if name not in columns_a],
+        "differing_rows": differing,
+        "iterations_changed": iterations,
+        "max_rel_wsr": max_rel_wsr,
+        "mean_wsr": (_mean_wsr(rows_a), _mean_wsr(rows_b)),
+    }
+
+
+def same(report: dict) -> bool:
+    """Whether a report shows equal row counts and equal shared columns in every row."""
+    return report["rows"][0] == report["rows"][1] and report["differing_rows"] == 0
+
+
+def compare(dir_a: str, dir_b: str) -> bool:
+    """Print the report of every file of A and B; return whether all of them are the same."""
+    names_a = {n for n in os.listdir(dir_a) if n.endswith(".csv")}
+    names_b = {n for n in os.listdir(dir_b) if n.endswith(".csv")}
+    ok = names_a == names_b
+    for name in sorted(names_a ^ names_b):
+        print(f"{name}: only in {dir_a if name in names_a else dir_b}")
+    for name in sorted(names_a & names_b):
+        report = compare_files(os.path.join(dir_a, name), os.path.join(dir_b, name))
+        ok = ok and same(report)
+        columns = "".join(
+            f"; only in {side}: {','.join(report[key])}"
+            for side, key in (("A", "only_a"), ("B", "only_b")) if report[key]
+        )
+        print(
+            f"{name}: rows {report['rows'][0]}/{report['rows'][1]}, "
+            f"{report['differing_rows']} differ, {report['iterations_changed']} iterations changed, "
+            f"max rel wsr {report['max_rel_wsr']:.3g}, "
+            f"mean wsr {report['mean_wsr'][0]!r} / {report['mean_wsr'][1]!r}{columns}"
+        )
+    print("same" if ok else "DIFFERENT")
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="parity", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    writer = sub.add_parser("write", help="write <workload>-<seed>.csv for every workload and seed")
+    writer.add_argument("directory")
+    writer.add_argument("--seeds", nargs="+", required=True, help='seeds or ranges, e.g. 300 500-519')
+    comparer = sub.add_parser("compare", help="compare the CSV files of two directories")
+    comparer.add_argument("a")
+    comparer.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "write":
+        write(args.directory, parse_seeds(args.seeds))
+        return 0
+    return 0 if compare(args.a, args.b) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -82,11 +82,16 @@ print("  per-user rate :", np.round(sol.spectral_efficiency, 3))
 print(f"  gain over zf  : {sol.wsr - zf.wsr:.4f} ({sol.wsr / zf.wsr:.2f}x)")
 print(f"  budget slack  : {sol.constraint_slack:.2e}")
 
-# Each outer iteration's detail row records the phase block's accepted steps
-# and its objective evaluations, rejected trial steps included.
-steps = sum(row["pga_steps"] for row in sol.detail)
+# Each outer iteration's detail row records the phase block's L-BFGS
+# iterations (each one accepted step) and its objective evaluations, rejected
+# trial steps included.
+lbfgs = sum(row["pga_steps"] for row in sol.detail)
 evals = sum(row["phase_evals"] for row in sol.detail)
-print(f"  phase block   : {steps} steps, {evals / max(steps, 1):.2f} evaluations per step")
+print(
+    f"  phase block   : {lbfgs} L-BFGS iterations "
+    f"({lbfgs / len(sol.detail):.1f} per outer iteration, cap {settings.pga_max_iters}), "
+    f"{evals / max(lbfgs, 1):.2f} evaluations per L-BFGS iteration"
+)
 
 # The trace is (iteration, wsr) pairs and must never go down.
 values = np.array([v for _, v in sol.trace])

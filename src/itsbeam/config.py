@@ -44,7 +44,7 @@ Schema (values shown are the defaults)::
     solver:
       bcd_epsilon: 1.0e-3
       bcd_max_iters: 200
-      pga_max_iters: 50
+      pga_max_iters: 20            # phase-block L-BFGS iterations per outer iteration
     sweep:
       kind: power                  # power | distance | loss
       grid: [10, 15, 20, 25, 30, 35, 40]

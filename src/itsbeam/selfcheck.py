@@ -270,8 +270,8 @@ def _check_bcd_monotone(rng) -> bool:
 def _check_block_solve(rng) -> bool:
     """A batch of 6 (both constraints, one silent user) against 6 batches of one, bit for bit.
 
-    The phase-step cap of 200 lets rows of the stacked phase block stop at
-    different steps, before the cap, in the same iteration.
+    The phase block's cap of 200 L-BFGS iterations lets rows of the stacked block stop
+    at different iterations, before the cap, in the same outer iteration.
     """
     insts, inits = [], []
     for index in range(6):
@@ -287,7 +287,7 @@ def _check_block_solve(rng) -> bool:
     block = bcd_solve(insts, settings, inits)
     steps = [row["pga_steps"] for solution in block for row in solution.detail]
     if min(steps) == settings.pga_max_iters:
-        return False  # no row stopped early: the check would not cover the ladder's stops
+        return False  # no row stopped early: the check would not cover the block's stops
     for inst, init, together in zip(insts, inits, block):
         alone = bcd_solve(inst, settings, init)
         if not (

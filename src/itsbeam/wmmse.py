@@ -14,8 +14,8 @@ noise power of user k.  At the closed-form auxiliary optimum
 
 the last three terms cancel and f1 collapses to f0 exactly, so maximising f1
 block-by-block drives the true objective upward.  One outer iteration updates
-gamma, y, the surface phases (gradient ascent on the unit circle |psi_m| = 1 with
-a normalisation retraction) and the digital precoder (regularised least squares
+gamma, y, the surface phases (L-BFGS ascent on the circles |psi_m| = 1 with a
+normalisation retraction) and the digital precoder (regularised least squares
 with a water-level dual on tr(B^H R B) <= P, R = I under TP and T^H T under RP;
 one eigendecomposition of the pencil (gram, R) gives its power curve, mu = 0 test
 and mu -> 0+ limit), in that order.
@@ -23,8 +23,8 @@ and mu -> 0+ limit), in that order.
 ``bcd_solve`` runs this loop over a batch of instances that share settings
 (Shi et al., IEEE TSP 2011, batched over channel draws as in Chowdhury et al.,
 IEEE TWC 2021): everything runs on stacked arrays, one row per instance, except
-each row's walk along the phase block's Armijo ladder and the bisection on its
-power curve, which run on Python scalars.  Every stacked operation gives a row
+each row's Armijo backtracking in the phase block and the bisection on its power
+curve, which run on Python scalars.  Every stacked operation gives a row
 the bits it gives a batch of one, so a solution does not depend on the batch it
 was solved in.  One instance is a batch of one.
 """
@@ -65,10 +65,12 @@ __all__ = [
     "bcd_solve",
 ]
 
-# The phase block's step ladder 1, 1/2, ..., 2^-39 (the halvings of 1 down to 1e-12)
-# and its Armijo slope fraction; the dual bisection's relative tolerance and step cap.
+# The phase block's step ladder 1, 1/2, ..., 2^-39 (the halvings of 1 down to 1e-12),
+# its Armijo slope fraction and its L-BFGS memory in (s, y) pairs per row; the dual
+# bisection's relative tolerance and step cap.
 _LADDER = tuple(0.5 ** k for k in range(40))
 _ARMIJO_ZETA = 1e-3
+_MEMORY = 10
 _DUAL_TOLERANCE = 1e-6
 _DUAL_MAX_ITERS = 100
 _FAILURES = (BeamformingError, np.linalg.LinAlgError)  # fail one instance of a batch, not all
@@ -78,24 +80,26 @@ _FAILURES = (BeamformingError, np.linalg.LinAlgError)  # fail one instance of a 
 class SolverSettings:
     """Solver knobs; defaults reproduce the reference configuration.
 
-    ``bcd_epsilon`` and ``bcd_max_iters`` stop the outer loop, and
-    ``pga_max_iters`` caps the phase block's steps per outer iteration.
-    ``freeze_phases`` skips the analog block entirely, which turns the solver
-    into plain digital WMMSE for fixed surface phases (used by the
-    random-phase and no-surface baselines).  The phase block's step ladder and
-    Armijo fraction and the dual bisection's tolerance are module constants.
+    ``bcd_epsilon`` and ``bcd_max_iters`` stop the outer loop, and ``pga_max_iters`` caps
+    the phase block's L-BFGS iterations per outer iteration.  ``freeze_phases`` skips the
+    analog block entirely, which turns the solver into plain digital WMMSE for fixed surface
+    phases (used by the random-phase and no-surface baselines).  The phase block's step
+    ladder, Armijo fraction and L-BFGS memory and the dual bisection's tolerance are module
+    constants.
     """
 
     bcd_epsilon: float = 1e-3
     bcd_max_iters: int = 200
-    pga_max_iters: int = 50
+    pga_max_iters: int = 20
     freeze_phases: bool = False
 
     def __post_init__(self):
         if not (self.bcd_epsilon > 0 and np.isfinite(self.bcd_epsilon)):  # NaN fails both tests
             raise SolverError(f"bcd_epsilon must be finite and positive, got {self.bcd_epsilon!r}")
-        if min(self.bcd_max_iters, self.pga_max_iters) < 1:
-            raise SolverError("iteration caps must be >= 1")
+        for name in ("bcd_max_iters", "pga_max_iters"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+                raise SolverError(f"{name} must be an int >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -297,51 +301,80 @@ def analog_objective_and_gradient(sub: AnalogSubproblem, phases: PhaseConfig):
 
 
 def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
-    """Ascent on the circle |psi_m| = 1 with Armijo line search; returns (phases, steps, evals).
+    """L-BFGS ascent on the torus of phases, Armijo backtracking; returns (phases, steps, evals).
 
-    A trial step tau from psi = exp(j phi) along xi = j g psi, g the phase gradient, is
-    retracted by normalisation: (psi + tau xi) / |psi + tau xi| = psi (1 + j u) / sqrt(1 + u^2),
-    u = tau g, turns phase m by atan(u_m) with no exp or wrap (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008, sec. 4.1).  The retraction's
-    derivative at tau = 0 is xi, so the Armijo test is f3(tau) - f3(0) >= zeta tau ||g||^2.
-    Steps sit on the ladder 1, 1/2, ..., 2^-39 (``_LADDER``), and zeta = 1e-3.  Each
-    search starts at the previous accepted k (the first at k = 0), backtracks down the
-    ladder from a failing start and expands up it from a passing one while trials pass
-    (Nocedal & Wright, Numerical Optimization, sec. 3.5).  The step is full
-    backtracking's unless a ladder step below that one and at or above the start fails;
-    then it is another Armijo step, or none if no step at or below the start passes.
-    ``evals`` counts every objective evaluation.  A non-finite trial value never passes
-    the test, so the phases returned are finite.
+    A step tau along the phase direction d is retracted by normalisation: psi (1 + j u) /
+    sqrt(1 + u^2), u = tau d, turns phase m by atan(u_m) with no exp or wrap (Absil, Mahony &
+    Sepulchre, 2008, sec. 4.1), so the Armijo test is f3(tau) - f3(0) >= zeta tau g^T d, g the
+    phase gradient, zeta = 1e-3.  Each search tries tau = 1 and halves down ``_LADDER``.  On
+    the flat torus L-BFGS needs no transport (Nocedal & Wright, alg. 7.4-7.5; Huang, Gallivan &
+    Absil, SIAM J. Optim. 2015): d = H g from the last ``_MEMORY`` pairs s = atan(tau d) and
+    y = g_old - g_new that have s^T y > 0, in the compact form (Byrd, Nocedal & Schnabel, Math.
+    Prog. 1994) H g = gamma g + S p - gamma Y w, w = R^-1 S^T g,
+    p = R^-T ((D + gamma Y^T Y) w - gamma Y^T g), gamma = s^T y / y^T y of the newest pair,
+    R_ij = s_i^T y_j for pair i not newer than j, D = diag(s_i^T y_i).  A new pair takes the
+    oldest's slot t, drops its row and column of R^-1 and adds the column (e_t - R^-1 r) / s^T y,
+    r = S^T y; an empty slot is zeros and an identity row of R^-1.  A row whose g^T d is not
+    positive steps along g and clears its memory.  A row stops at ``settings.pga_max_iters``
+    iterations, on a flat accept (zero gradient) or when no step passes.  ``evals`` counts
+    every objective evaluation; a non-finite trial never passes, so the phases are finite.
 
-    ``sub`` may hold stacked subproblems, with ``phases_init`` the (B, M) start phases:
-    each row walks its own ladder on Python scalars, and a trial point costs one stacked
-    rotation, factor product and pair of dots over the rows still searching, so a row
-    gets the bits it gets alone.  The loop carries psi and A psi; a row that moved
-    returns the angles of its last psi, one that took no step its start phases, both
-    mod 2 pi.  A batch returns (B, M) phases and lists of steps and evals; one
-    PhaseConfig is a batch of one.
+    ``sub`` may hold stacked subproblems, with ``phases_init`` the (B, M) start phases: memories
+    and directions are stacked, each row backtracks on Python scalars, and a trial point costs
+    one stacked rotation, factor product and pair of dots over the rows still searching.  Stacked
+    products make each row's own BLAS call, so a row gets the bits it gets alone.  A row that
+    moved returns the angles of its last psi, one that took no step its start phases, mod 2 pi.
+    A batch returns (B, M) phases and lists of steps and evals; one PhaseConfig is a batch of one.
     """
     single = isinstance(phases_init, PhaseConfig)
     nu, factor = sub.linear_term, sub.factor
     phases = np.mod(phases_init.phases if single else phases_init, 2.0 * np.pi)
     if single:
         nu, factor, phases = nu[np.newaxis], factor[np.newaxis], phases[np.newaxis]
-    ladder, zeta, psi = _LADDER, _ARMIJO_ZETA, np.exp(1j * phases)
+    m, psi = _MEMORY, np.exp(1j * phases)
     out = np.empty_like(psi)  # each row's last psi
     value, a_psi = _objective_terms(nu, factor, psi)
-    steps, evals, start = [0] * len(value), [1] * len(value), [0] * len(value)
+    steps, evals = [0] * len(value), [1] * len(value)
     going = list(range(len(value)))  # the batch row of each row of psi, a_psi, nu, factor
-    for _ in range(settings.pga_max_iters):
+    # pairs [S; Y], R^-1, Y^T Y, diag(S^T Y), gamma and the next slot; reset as ``empty``
+    n, empty = len(going), (0.0, np.eye(m), 0.0, 0.0, 1.0, 0)
+    memory = [np.zeros((n, 2 * m, psi.shape[-1])), np.tile(np.eye(m), (n, 1, 1)),
+              np.zeros((n, m, m)), np.zeros((n, m)), np.ones(n), np.zeros(n, dtype=int)]
+    for iteration in range(settings.pga_max_iters):
         grad = _gradient(nu, factor, psi, a_psi)
-        grad_sq = np.vecdot(grad, grad).tolist()
-        k = [start[row] for row in going]
-        accepted = [None] * len(going)  # (ladder index, value) of each row's last passing trial
+        pairs, r_inv, yty, sy, gamma, slot = memory
+        if iteration:  # every row moved: remember (s, y) where s^T y > 0
+            y = grad_old - grad
+            dots = np.vecdot(step, y)
+            good = np.flatnonzero(dots > 0.0)  # the rows whose pair is kept
+            at, dots, kept = slot[good], dots[good], np.arange(good.size)
+            pairs[good, at], pairs[good, m + at] = step[good], y[good]
+            r_inv[good, at, :] = r_inv[good, :, at] = 0.0  # drop the oldest pair
+            col = np.matvec(pairs, y)[good]  # S^T y, Y^T y
+            column = -(1.0 / dots)[:, np.newaxis] * np.matvec(r_inv[good], col[:, :m])
+            column[kept, at] = 1.0 / dots
+            r_inv[good, :, at], yty[good, at, :], yty[good, :, at] = column, col[:, m:], col[:, m:]
+            sy[good, at], gamma[good], slot[good] = dots, dots / col[kept, m + at], (at + 1) % m
+        proj = np.matvec(pairs, grad)  # S^T g, Y^T g
+        w = np.matvec(r_inv, proj[:, :m])
+        c = sy * w + gamma[:, np.newaxis] * (np.matvec(yty, w) - proj[:, m:])
+        coef = np.concatenate([np.vecmat(c, r_inv), -gamma[:, np.newaxis] * w], axis=1)
+        direction = gamma[:, np.newaxis] * grad + np.vecmat(coef, pairs)
+        slope = np.vecdot(grad, direction).tolist()
+        reset = [j for j, dot in enumerate(slope) if not dot > 0.0]  # NaN included
+        if reset:
+            direction[reset] = grad[reset]
+            for part, value_at_reset in zip(memory, empty):
+                part[reset] = value_at_reset
+            slope = np.vecdot(grad, direction).tolist()
+        k = [0] * len(going)
+        accepted = [None] * len(going)  # the value of each row's passing trial
         new = (np.empty_like(psi), np.empty_like(a_psi))  # and its point
         searching = list(range(len(going)))
         while searching:
             # A[rows] is a copy, taken only when a subset of the rows is still searching
             rows = slice(None) if len(searching) == len(going) else searching
-            turn = np.array([ladder[k[j]] for j in searching])[:, np.newaxis] * grad[rows]
+            turn = np.array([_LADDER[k[j]] for j in searching])[:, np.newaxis] * direction[rows]
             scale = 1.0 / np.sqrt(turn * turn + 1.0)  # u = turn, d = scale
             trial_psi = scale.astype(complex)
             np.multiply(turn, scale, out=trial_psi.imag)
@@ -350,17 +383,11 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
             passed, still = [], []
             for i, (j, cand) in enumerate(zip(searching, trial_value)):
                 evals[going[j]] += 1
-                if cand - value[j] >= zeta * ladder[k[j]] * grad_sq[j]:
+                if cand - value[j] >= _ARMIJO_ZETA * _LADDER[k[j]] * slope[j]:
                     passed.append(i)
-                    accepted[j] = (k[j], cand)
-                    if k[j] > start[going[j]]:
-                        continue  # first passing step below a failing start
-                    k[j] -= 1
-                elif accepted[j] is not None:
-                    continue  # the step above the accepted one fails
-                else:
+                    accepted[j] = cand
+                elif k[j] + 1 < len(_LADDER):
                     k[j] += 1
-                if 0 <= k[j] < len(ladder):
                     still.append(j)
             if len(passed) == len(going):
                 new = (trial_psi, trial_a_psi)
@@ -370,11 +397,10 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
             searching = still
         moved, keep = [j for j in range(len(going)) if accepted[j] is not None], []
         for j in moved:
-            start[going[j]], cand = accepted[j]
             steps[going[j]] += 1
-            if cand - value[j] > 0.0:
+            if accepted[j] - value[j] > 0.0:
                 keep.append(j)  # a flat accept (zero gradient) has nothing left to gain
-            value[j] = cand
+            value[j] = accepted[j]
         if len(moved) == len(going):
             psi, a_psi = new
         elif moved:
@@ -382,10 +408,14 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
         if len(keep) < len(going):
             stop = sorted(set(range(len(going))) - set(keep))
             out[[going[j] for j in stop]] = psi[stop]
-            psi, a_psi, nu, factor = (part[keep] for part in (psi, a_psi, nu, factor))
-            value, going = [value[j] for j in keep], [going[j] for j in keep]
+            psi, a_psi, nu, factor, grad, direction, *memory = (
+                part[keep] for part in (psi, a_psi, nu, factor, grad, direction, *memory)
+            )
+            value, going, k = ([part[j] for j in keep] for part in (value, going, k))
             if not going:
                 break
+        step = np.arctan(np.array([_LADDER[j] for j in k])[:, np.newaxis] * direction)
+        grad_old = grad
     out[going] = psi
     moved = [row for row, count in enumerate(steps) if count]
     phases[moved] = np.mod(np.angle(out[moved]), 2.0 * np.pi)

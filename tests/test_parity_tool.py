@@ -54,5 +54,39 @@ def test_compare_reports_a_moved_wsr_and_a_dropped_column(tmp_path, capsys):
     assert parity.main(["compare", str(a), str(b)]) == 0
 
 
+def test_compare_reports_rises_and_drops_per_method(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    rows_a = ROWS + [
+        "power,40.0,1,wmmse_bcd,full,rp,40.0,50,7",
+        "power,40.0,1,zf_wf,full,rp,nan,0,7",
+        "power,40.0,2,wmmse_bcd,full,rp,10.0,34,7",
+        "power,40.0,2,zf_wf,full,rp,5.0,0,7",
+    ]
+    rows_b = list(rows_a)
+    rows_b[0] = rows_b[0].replace("20.0,50", "21.0,50")  # up 5%
+    rows_b[2] = rows_b[2].replace("40.0,50", "39.0,50")  # down 2.5%
+    rows_b[4] = rows_b[4].replace("10.0,34", "10.5,50")  # up 5%, iterations 34 -> 50
+    rows_b[3] = rows_b[3].replace("nan", "1.0")  # nan to a number: no rise or drop
+    write(a, "mixed.csv", HEADER, rows_a)
+    write(b, "mixed.csv", HEADER, rows_b)
+
+    methods = parity.compare_files(a / "mixed.csv", b / "mixed.csv")["methods"]
+    assert list(methods) == ["wmmse_bcd", "zf_wf"]
+    bcd, zf = methods["wmmse_bcd"], methods["zf_wf"]
+    assert bcd["mean_wsr"] == (pytest.approx(70.0 / 3), pytest.approx(70.5 / 3))
+    assert (bcd["up"], bcd["down"], bcd["iterations_changed"]) == (2, 1, 1)
+    assert bcd["largest_rise"] == pytest.approx(0.05)
+    assert bcd["largest_drop"] == pytest.approx(-0.025)
+    assert zf["mean_wsr"] == (7.5, pytest.approx(16.0 / 3))
+    assert (zf["up"], zf["down"], zf["iterations_changed"]) == (0, 0, 0)
+    assert (zf["largest_rise"], zf["largest_drop"]) == (0.0, 0.0)
+
+    assert parity.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "wmmse_bcd: mean wsr" in out
+    assert "2 up, 1 down, largest rise +5.000%, largest drop -2.500%, 1 iterations changed" in out
+    assert "0 up, 0 down, largest rise +0.000%, largest drop +0.000%, 0 iterations changed" in out
+
+
 def test_seed_ranges():
     assert parity.parse_seeds(["300", "500-502"]) == [300, 500, 501, 502]

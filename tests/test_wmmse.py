@@ -1,5 +1,6 @@
 """FP surrogate identities, gradient/KKT oracles and the BCD solver loop."""
 
+import copy
 from dataclasses import fields, replace
 
 import numpy as np
@@ -226,9 +227,10 @@ def phase_gradient(sub, psi, a_psi):
     return 2.0 * np.real(-1j * np.conj(psi) * (sub.linear_term - u_psi))
 
 
-def retract(psi, tau, grad):
-    """(psi + tau xi) / |psi + tau xi| with xi = j grad psi: psi (d + j u d), u = tau grad."""
-    turn = tau * grad
+def retract(psi, tau, direction):
+    """(psi + tau xi) / |psi + tau xi| with xi = j d psi: psi (c + j u c),
+    u = tau d, c = 1 / sqrt(1 + u^2)."""
+    turn = tau * direction
     scale = 1.0 / np.sqrt(turn * turn + 1.0)
     return psi * (scale + 1j * (turn * scale))
 
@@ -239,7 +241,11 @@ def returned_phases(start, psi, steps):
 
 
 def full_backtracking_pga(sub, phases_init, settings):
-    """The phase block with every Armijo search restarted at the ladder's top step."""
+    """Steepest ascent with every Armijo search started at the ladder's top step.
+
+    The phase block before L-BFGS, at its cap of 50 steps, gained what this
+    gains; it is the quality reference of the L-BFGS block.
+    """
     phi = np.mod(phases_init.phases, 2.0 * np.pi)
     psi = np.exp(1j * phi)
     value, a_psi = objective_terms(sub, psi)
@@ -263,61 +269,103 @@ def full_backtracking_pga(sub, phases_init, settings):
     return returned_phases(phi, psi, steps), steps, evals
 
 
-def test_pga_matches_full_backtracking_on_reference_trials():
-    # Per subproblem the saving ranges from about 1.6x to 5x; the bound is on
-    # the total.
-    subs, starts, settings = reference_subproblems(3)
-    evals, oracle_evals = 0, 0
-    for sub, start in zip(subs, starts):
-        new, steps, count = _pga(sub, start, settings)
-        oracle, oracle_steps, oracle_count = full_backtracking_pga(sub, start, settings)
-        assert np.array_equal(new.phases, oracle.phases)
-        assert steps == oracle_steps
-        evals, oracle_evals = evals + count, oracle_evals + oracle_count
-    assert 2 * evals <= oracle_evals
+def empty_memory(size):
+    m = wmmse._MEMORY
+    return {
+        "pairs": np.zeros((2 * m, size)), "r_inv": np.eye(m), "yty": np.zeros((m, m)),
+        "sy": np.zeros(m), "gamma": 1.0, "slot": 0,
+    }
+
+
+def remember(memory, s, y):
+    """Put (s, y) in the slot of the oldest pair and give R^-1 its new column."""
+    m, at = wmmse._MEMORY, memory["slot"]
+    pairs, r_inv, yty, sy = memory["pairs"], memory["r_inv"], memory["yty"], np.vdot(s, y)
+    pairs[at], pairs[m + at] = s, y
+    r_inv[at, :] = r_inv[:, at] = 0.0
+    col = pairs @ y  # S^T y, Y^T y
+    column = -(1.0 / sy) * (r_inv @ col[:m])
+    column[at] = 1.0 / sy
+    r_inv[:, at], yty[at, :], yty[:, at] = column, col[m:], col[m:]
+    memory["sy"][at], memory["gamma"] = sy, sy / col[m + at]
+    memory["slot"] = (at + 1) % m
+
+
+def lbfgs_direction(memory, grad):
+    """H g in the compact form: gamma g + S p - gamma Y w."""
+    m, pairs, r_inv, gamma = wmmse._MEMORY, memory["pairs"], memory["r_inv"], memory["gamma"]
+    proj = pairs @ grad  # S^T g, Y^T g
+    w = r_inv @ proj[:m]
+    c = memory["sy"] * w + gamma * (memory["yty"] @ w - proj[m:])
+    return gamma * grad + np.concatenate([c @ r_inv, -gamma * w]) @ pairs
 
 
 def per_instance_pga(sub, phases_init, settings, record=None):
-    """The warm-started phase block on one instance, with one np.vdot per dot product.
+    """The L-BFGS phase block on one instance, with one np.vdot per dot product.
 
     Returns (phases, steps, evals, stop), stop being "cap", "flat" (a flat
     accept) or "no_step" (no ladder step passes).  ``record``, a list, gets one
-    (tau, grad, psi before, psi after, value before, value after) per step.
+    dict per iteration: the gradient, direction and slope g^T d; from the second
+    iteration on, s^T y of the pair offered and copies of the memory before and
+    after it; and for an accepted step tau, psi and the value before and after.
     """
-    ladder = wmmse._LADDER
     phi = np.mod(phases_init.phases, 2.0 * np.pi)
     psi = np.exp(1j * phi)
     value, a_psi = objective_terms(sub, psi)
-    steps, evals, start, stop = 0, 1, 0, "cap"
-    for _ in range(settings.pga_max_iters):
+    memory = empty_memory(psi.size)
+    steps, evals, stop = 0, 1, "cap"
+    for iteration in range(settings.pga_max_iters):
         grad = phase_gradient(sub, psi, a_psi)
-        grad_sq = float(grad @ grad)
-        k, accepted = start, None
-        while 0 <= k < len(ladder):
-            cand_psi = retract(psi, ladder[k], grad)
+        entry = {}
+        if iteration:
+            y = grad_old - grad
+            entry.update(sy=np.vdot(s, y), before=copy.deepcopy(memory))
+            if entry["sy"] > 0.0:
+                remember(memory, s, y)
+            entry["after"] = copy.deepcopy(memory)
+        direction = lbfgs_direction(memory, grad)
+        slope = np.vdot(grad, direction)
+        if not slope > 0.0:
+            direction, slope, memory = grad, np.vdot(grad, grad), empty_memory(psi.size)
+        entry.update(grad=grad, direction=direction, slope=slope)
+        if record is not None:
+            record.append(entry)
+        for tau in wmmse._LADDER:
+            cand_psi = retract(psi, tau, direction)
             cand_value, cand_a_psi = objective_terms(sub, cand_psi)
             evals += 1
-            if cand_value - value >= wmmse._ARMIJO_ZETA * ladder[k] * grad_sq:
-                accepted = (k, cand_psi, cand_value, cand_a_psi)
-                if k > start:
-                    break
-                k -= 1
-            elif accepted is not None:
+            if cand_value - value >= wmmse._ARMIJO_ZETA * tau * slope:
                 break
-            else:
-                k += 1
-        if accepted is None:
+        else:
             stop = "no_step"
             break
-        if record is not None:
-            record.append((ladder[accepted[0]], grad, psi, accepted[1], value, accepted[2]))
-        start, psi, new_value, a_psi = accepted
-        improvement, value = new_value - value, new_value
+        entry.update(tau=tau, before_psi=psi, after_psi=cand_psi, value=value, new_value=cand_value)
+        s, grad_old = np.arctan(tau * direction), grad
+        improvement, value = cand_value - value, cand_value
+        psi, a_psi = cand_psi, cand_a_psi
         steps += 1
         if improvement <= 0.0:
             stop = "flat"
             break
     return returned_phases(phi, psi, steps), steps, evals, stop
+
+
+def test_pga_outgains_full_backtracking_on_reference_trials():
+    # L-BFGS at its default cap of 20 iterations against steepest ascent at the
+    # former cap of 50 steps, on 18 subproblems: every gain at least as large.
+    # The former block warm-started its searches and took about a third of full
+    # backtracking's evaluations here; L-BFGS takes at most a tenth of them.
+    subs, starts, settings = reference_subproblems(6)
+    assert settings.pga_max_iters == 20
+    ladder = replace(settings, pga_max_iters=50)
+    evals = ladder_evals = 0
+    for sub, start in zip(subs, starts):
+        phases, _, count = _pga(sub, start, settings)
+        reference, _, ladder_count = full_backtracking_pga(sub, start, ladder)
+        base = analog_objective(sub, start)
+        assert analog_objective(sub, phases) - base >= analog_objective(sub, reference) - base
+        evals, ladder_evals = evals + count, ladder_evals + ladder_count
+    assert 10 * evals <= ladder_evals
 
 
 def stack(subs):
@@ -371,11 +419,11 @@ def test_stacked_pga_matches_per_instance_on_reference_trials():
 
 
 def test_stacked_pga_rows_stop_alone():
-    # One batch whose rows stop at different steps: at the step cap, on a flat
+    # One batch whose rows stop at different iterations: at the cap, on a flat
     # accept, with no passing step, and a non-finite row that takes no step.
     rng = np.random.default_rng(68)
     m, r = 8, 4
-    settings = SolverSettings(pga_max_iters=40)
+    settings = SolverSettings()
     zero = np.zeros((r, m))
     rows = [(complex_normal(rng, m), complex_normal(rng, r, m) / np.sqrt(m)) for _ in range(5)]
     starts = [rng.uniform(0.0, 2.0 * np.pi, m) for _ in rows]
@@ -400,12 +448,12 @@ def test_stacked_pga_rows_stop_alone():
     assert np.array_equal(oracle[-1][0].phases, starts[-1].phases)
 
 
-def test_warm_started_steps_pass_armijo_and_never_descend():
-    # The steps the oracle records, which is the block bit for bit: each is a
-    # ladder step that passes the Armijo test, and none lowers the objective.
+def test_accepted_steps_pass_armijo_and_never_descend():
+    # The steps the oracle records, which is the block bit for bit: each goes
+    # along an ascent direction (g^T d > 0), passes the Armijo test at a ladder
+    # step and does not lower the objective.
     rng = np.random.default_rng(60)
     settings = SolverSettings()
-    ladder = wmmse._LADDER
     for _ in range(8):
         inst = make_instance(rng, m=6, n=3, k=3)
         sub = build_analog_subproblem(inst, random_precoder(rng, 3, 3), random_aux(rng, 3))
@@ -414,16 +462,46 @@ def test_warm_started_steps_pass_armijo_and_never_descend():
         expected, expected_steps, _, _ = per_instance_pga(sub, init, settings, record)
         phases, steps, _ = _pga(sub, init, settings)
         assert np.array_equal(phases.phases, expected.phases)
-        assert steps == expected_steps == len(record) > 0
-        for tau, grad, _, _, value, new_value in record:
-            assert tau in ladder
-            assert new_value >= value
-            assert new_value - value >= wmmse._ARMIJO_ZETA * tau * float(grad @ grad)
+        taken = [entry for entry in record if "tau" in entry]
+        assert steps == expected_steps == len(taken) > 0
+        for entry in taken:
+            assert entry["tau"] in wmmse._LADDER
+            assert entry["slope"] == np.vdot(entry["grad"], entry["direction"]) > 0.0
+            assert entry["new_value"] >= entry["value"]
+            gain = entry["new_value"] - entry["value"]
+            assert gain >= wmmse._ARMIJO_ZETA * entry["tau"] * entry["slope"]
+
+
+def test_pair_without_curvature_leaves_memory_unchanged():
+    # Where f3 curves the wrong way along a step, s^T y <= 0 and the pair is not
+    # kept: the oracle's memory after it equals the memory before, and every
+    # kept pair changes it.  The block matches the oracle bit for bit on these
+    # subproblems, so it skips the same pairs.
+    rng = np.random.default_rng(70)
+    settings = SolverSettings()
+    subs, starts, skipped = [], [], 0
+    for _ in range(40):
+        inst = make_instance(rng, m=6, n=3, k=3)
+        subs.append(build_analog_subproblem(inst, random_precoder(rng, 3, 3), random_aux(rng, 3)))
+        starts.append(random_phases(rng, 6))
+        record = []
+        per_instance_pga(subs[-1], starts[-1], settings, record)
+        for entry in record[1:]:
+            before, after = entry["before"], entry["after"]
+            unchanged = all(np.array_equal(before[key], after[key]) for key in before)
+            assert unchanged == (not entry["sy"] > 0.0)
+            skipped += unchanged
+    assert skipped >= 3
+    oracle = assert_stacked_pga_matches_per_instance(subs, starts, settings)
+    for sub, start, expected in zip(subs, starts, oracle):  # each as a batch of one
+        phases, steps, evals = _pga(sub, start, settings)
+        assert np.array_equal(phases.phases, expected[0].phases)
+        assert (steps, evals) == expected[1:3]
 
 
 def test_retraction_keeps_unit_modulus_and_steps_by_arctan(monkeypatch):
     # Every point the block evaluates lies on |psi_m| = 1, and each step (read off
-    # the oracle, which is the block bit for bit) turns phase m by atan(tau g_m).
+    # the oracle, which is the block bit for bit) turns phase m by atan(tau d_m).
     subs, starts, settings = reference_subproblems(2)
     points = []
 
@@ -441,11 +519,13 @@ def test_retraction_keeps_unit_modulus_and_steps_by_arctan(monkeypatch):
         record = []
         expected = per_instance_pga(sub, start, settings, record)
         assert np.array_equal(phases.phases, expected[0].phases)
-        assert steps == len(record) > 0
-        for tau, grad, before, after, value, new_value in record:
-            turn = np.angle(after * np.conj(before))  # wrapped to (-pi, pi]
-            assert np.max(np.abs(turn - np.arctan(tau * grad))) <= 1e-12
-            assert new_value >= value
+        taken = [entry for entry in record if "tau" in entry]
+        assert steps == len(taken) > 0
+        for entry in taken:
+            # wrapped to (-pi, pi]
+            turn = np.angle(entry["after_psi"] * np.conj(entry["before_psi"]))
+            assert np.max(np.abs(turn - np.arctan(entry["tau"] * entry["direction"]))) <= 1e-12
+            assert entry["new_value"] >= entry["value"]
 
 
 def test_precoder_system_scalar_case():
@@ -1141,4 +1221,18 @@ BAD_SETTINGS = [
 @pytest.mark.parametrize("value,name", BAD_SETTINGS, ids=[f"{v}-{n}" for v, n in BAD_SETTINGS])
 def test_settings_reject_nan_and_nonpositive(name, value):
     with pytest.raises(TypeError if name in REMOVED_SETTINGS else SolverError, match=name):
+        SolverSettings(**{name: value})
+
+
+BAD_CAPS = [
+    (name, value)
+    for name in ("bcd_max_iters", "pga_max_iters")
+    for value in (2.5, float("nan"), True, 0, -3)
+]
+
+
+@pytest.mark.parametrize("name,value", BAD_CAPS, ids=[f"{n}-{v}" for n, v in BAD_CAPS])
+def test_settings_reject_caps_that_are_not_positive_ints(name, value):
+    # A fractional cap would otherwise fail later, inside range(), mid-sweep.
+    with pytest.raises(SolverError, match=name):
         SolverSettings(**{name: value})

@@ -14,9 +14,12 @@ of that commit's checkout.
 ``compare`` pairs the files of A and B by name and their columns by header
 name.  Per file it prints the rows whose shared columns differ, the rows whose
 ``iterations`` changed, the largest relative WSR change and the mean finite
-WSR on each side, and names any column that only one side has.  It exits 1 if
-a file is missing on one side, the row counts differ or a shared column
-differs in any row, and 0 otherwise.
+WSR on each side, and names any column that only one side has.  Under each
+file it prints one line per method: the mean finite WSR on each side, the
+cells whose WSR went up and down, the largest relative rise and drop (over
+the rows finite on both sides) and the rows whose ``iterations`` changed.  It
+exits 1 if a file is missing on one side, the row counts differ or a shared
+column differs in any row, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -70,6 +73,21 @@ def _mean_wsr(rows) -> float:
     return math.fsum(finite) / len(finite) if finite else math.nan
 
 
+def _changes(rows_a, rows_b) -> dict:
+    """Cells up and down, the largest relative WSR rise and drop, and the iterations changes."""
+    up = down = iterations = 0
+    rise = drop = 0.0
+    for a, b in zip(rows_a, rows_b):
+        iterations += a.get("iterations") != b.get("iterations")
+        wsr_a, wsr_b = float(a.get("wsr", "nan")), float(b.get("wsr", "nan"))
+        if math.isfinite(wsr_a) and math.isfinite(wsr_b) and wsr_a != wsr_b:
+            rel = (wsr_b - wsr_a) / abs(wsr_a) if wsr_a else math.copysign(math.inf, wsr_b - wsr_a)
+            up, down = up + (rel > 0), down + (rel < 0)
+            rise, drop = max(rise, rel), min(drop, rel)
+    return {"up": up, "down": down, "largest_rise": rise, "largest_drop": drop,
+            "iterations_changed": iterations}
+
+
 def compare_files(path_a: str, path_b: str) -> dict:
     """The differences between two sweep CSVs, matched row by row and column by name."""
     rows_a, columns_a = _read(path_a)
@@ -85,7 +103,15 @@ def compare_files(path_a: str, path_b: str) -> dict:
             wsr_a, wsr_b = float(a["wsr"]), float(b["wsr"])
             rel = abs(wsr_b - wsr_a) / abs(wsr_a) if wsr_a else math.inf
             max_rel_wsr = max(max_rel_wsr, math.inf if math.isnan(rel) else rel)  # nan vs number
+    methods = {}
+    for side, rows in enumerate((rows_a, rows_b)):
+        for row in rows:
+            methods.setdefault(row.get("method", ""), ([], []))[side].append(row)
     return {
+        "methods": {
+            name: dict(mean_wsr=(_mean_wsr(a), _mean_wsr(b)), **_changes(a, b))
+            for name, (a, b) in sorted(methods.items())
+        },
         "rows": (len(rows_a), len(rows_b)),
         "only_a": [name for name in columns_a if name not in columns_b],
         "only_b": [name for name in columns_b if name not in columns_a],
@@ -121,6 +147,13 @@ def compare(dir_a: str, dir_b: str) -> bool:
             f"max rel wsr {report['max_rel_wsr']:.3g}, "
             f"mean wsr {report['mean_wsr'][0]!r} / {report['mean_wsr'][1]!r}{columns}"
         )
+        for method, part in report["methods"].items():
+            print(
+                f"  {method}: mean wsr {part['mean_wsr'][0]!r} / {part['mean_wsr'][1]!r}, "
+                f"{part['up']} up, {part['down']} down, largest rise {part['largest_rise']:+.3%}, "
+                f"largest drop {part['largest_drop']:+.3%}, "
+                f"{part['iterations_changed']} iterations changed"
+            )
     print("same" if ok else "DIFFERENT")
     return ok
 

@@ -413,6 +413,11 @@ def trial(spec: ExperimentSpec, sweep_value: float, trial_index: int) -> Trial:
     return block(spec, sweep_value, trial_index // BLOCK_TRIALS).trial(trial_index)
 
 
+def _applied_constraint(spec: ExperimentSpec, method: Method) -> ConstraintKind:
+    """The constraint a cell applies: TRANSMITTED_POWER without a surface, else the spec's."""
+    return ConstraintKind.TRANSMITTED_POWER if method is Method.NO_ITS else spec.constraint
+
+
 def solve_cell(
     spec: ExperimentSpec,
     sweep_value: float,
@@ -428,11 +433,12 @@ def solve_cell(
     """
     state = block(spec, sweep_value, trial_index // BLOCK_TRIALS)
     if method is Method.ZF_WF:
-        return state.trial(trial_index).zfwf(illumination), spec.constraint
-    if method not in _BCD_METHODS:
+        solved = state.trial(trial_index).zfwf(illumination)
+    elif method in _BCD_METHODS:
+        solved = state.solution(method, illumination, trial_index)
+    else:
         raise SolverError(f"unknown method {method!r}")
-    solved = state.solution(method, illumination, trial_index)
-    return solved, ConstraintKind.TRANSMITTED_POWER if method is Method.NO_ITS else spec.constraint
+    return solved, _applied_constraint(spec, method)
 
 
 def run_trial(
@@ -449,24 +455,19 @@ def run_trial(
     lost to a single bad trial.
     """
     try:
-        solution, applied_constraint = solve_cell(
-            spec, sweep_value, trial_index, method, illumination
-        )
+        solution = solve_cell(spec, sweep_value, trial_index, method, illumination)[0]
         value = solution.wsr
         iterations = int(solution.trace[-1][0])
     except _FAILURES:
         value = math.nan
         iterations = 0
-        applied_constraint = (
-            ConstraintKind.TRANSMITTED_POWER if method is Method.NO_ITS else spec.constraint
-        )
     return ResultRecord(
         sweep=spec.sweep.value,
         sweep_value=float(sweep_value),
         trial=trial_index,
         method=method.value,
         illumination=illumination.value,
-        constraint=applied_constraint.value,
+        constraint=_applied_constraint(spec, method).value,
         wsr=value,
         iterations=iterations,
         seed=trial_seed(spec.base_seed, trial_index),

@@ -117,13 +117,11 @@ class SystemInstance:
         return r
 
     @cached_property
-    def curvature_whitening(self) -> np.ndarray | None:
+    def curvature_whitening(self) -> np.ndarray:
         """L^-1 for the Cholesky factor R = L L^H, built once; SolverError if R is singular.
 
-        None under TP, where R = I needs no whitening.
+        Under TP, R = I factors exactly, so this is the identity.
         """
-        if self.constraint is ConstraintKind.TRANSMITTED_POWER:
-            return None
         try:
             return np.linalg.inv(np.linalg.cholesky(self.curvature))
         except np.linalg.LinAlgError as exc:

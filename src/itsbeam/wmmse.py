@@ -38,7 +38,6 @@ import numpy as np
 from .errors import BeamformingError, DimensionMismatchError, SolverError
 # wsr stays a module attribute: call-site tracers wrap it here.
 from .model import (
-    ConstraintKind,
     PhaseConfig,
     Precoder,
     Solution,
@@ -156,12 +155,13 @@ def _unchecked(cls, **values):
 class _Batch:
     """Instances solved together; weights, noise powers, budgets and curvatures stacked by row.
 
-    The helpers below that read only these attributes, or the stacked channels and
-    transfer matrices, take a batch where they take one instance, so each formula
-    is written once for both.
+    The curvature R carries the constraint kind (I under TP), so TP and RP rows mix in
+    one batch and nothing below reads the kind.  The helpers below that read only these
+    attributes, or the stacked channels and transfer matrices, take a batch where they
+    take one instance, so each formula is written once for both.
     """
 
-    _STACKED = ("weights", "noise_power", "power_budget", "curvature", "tp")
+    _STACKED = ("weights", "noise_power", "power_budget", "curvature")
 
     def __init__(self, insts):
         self.insts = list(insts)
@@ -173,8 +173,6 @@ class _Batch:
         self.noise_power = np.array([[one.noise_power] for one in self.insts])
         self.power_budget = np.array([one.power_budget for one in self.insts])
         self.curvature = np.stack([one.curvature for one in self.insts])
-        tp = ConstraintKind.TRANSMITTED_POWER
-        self.tp = np.array([one.constraint is tp for one in self.insts])
 
     def take(self, rows: np.ndarray) -> _Batch:
         part = object.__new__(_Batch)
@@ -437,22 +435,18 @@ def _kept(lam: np.ndarray) -> np.ndarray:
     return lam > np.maximum(lam[..., -1:], 0.0) * 1e-10
 
 
-def _spectrum(whitening, gram: np.ndarray, rhs: np.ndarray):
+def _spectrum(whitening: np.ndarray, gram: np.ndarray, rhs: np.ndarray):
     """Eigendata (lam, V, c, e) of the pencil (gram, R = L L^H); stacked grams give stacked data.
 
-    ``whitening`` is L^-1 (``SystemInstance.curvature_whitening``): L^-1 gram L^-H =
-    V diag(lam) V^H, c = V^H L^-1 rhs and e_j = ||c_j||^2, so the precoder at mu > 0 is
-    L^-H V (lam + mu)^-1 c, with power sum_j e_j / (lam_j + mu)^2, and the mu -> 0+ limit
-    (rhs lies in the gram's range) is L^-H V_keep (c_keep / lam_keep), with power
-    sum_keep e_j / lam_j^2 over the eigenvalues ``_kept`` keeps.  Under TP ``whitening``
-    is None (L = I): one eigh of the gram itself.
+    ``whitening`` is L^-1 (``SystemInstance.curvature_whitening``, the identity under TP):
+    the Hermitian part of L^-1 gram L^-H is V diag(lam) V^H, c = V^H L^-1 rhs and
+    e_j = ||c_j||^2, so the precoder at mu > 0 is L^-H V (lam + mu)^-1 c, with power
+    sum_j e_j / (lam_j + mu)^2, and the mu -> 0+ limit (rhs lies in the gram's range) is
+    L^-H V (c_j / lam_j, or 0 where ``_kept`` cuts lam_j), with power sum_keep e_j / lam_j^2.
     """
-    if whitening is None:
-        lam, vecs = np.linalg.eigh(0.5 * (gram + _adjoint(gram)))
-    else:
-        lam, vecs = np.linalg.eigh(whitening @ gram @ _adjoint(whitening))
-        rhs = whitening @ rhs
-    coords = _adjoint(vecs) @ rhs
+    white_gram = whitening @ gram @ _adjoint(whitening)
+    lam, vecs = np.linalg.eigh(0.5 * (white_gram + _adjoint(white_gram)))
+    coords = _adjoint(vecs) @ (whitening @ rhs)
     return lam, vecs, coords, np.sum(np.abs(coords) ** 2, axis=-1)
 
 
@@ -543,8 +537,8 @@ def dual_search(
     its budget.  ``heff`` is the effective channel at ``phases``, if known.
 
     A batch (``inst`` a ``_Batch``, ``aux`` and ``heff`` stacked by row; ``phases``
-    is not read) runs on stacked arrays, one spectrum stack per constraint; the
-    bisection, the limits of rank-deficient grams and the spectra of a stack that
+    is not read) runs on stacked arrays, one whitening stack and one spectrum stack
+    whatever the rows' constraints; the bisection and the spectra of a stack that
     fails ``eigh`` run row by row.  It returns the stacked precoders, the mu per row
     and {row: error} for the rows that failed, whose precoders are zero.  One
     instance is a batch of one, whose error is raised.
@@ -558,42 +552,35 @@ def dual_search(
     gram, rhs = _precoder_system(inst, heff, aux)
     matrices, mu, failed = np.zeros_like(rhs), np.zeros(budget.size), {}
     lam, energy = np.zeros(gram.shape[:-1]), np.zeros(gram.shape[:-1])
-    search = np.zeros(budget.size, dtype=bool)
-    groups, rp, whitening = [(np.flatnonzero(inst.tp), None)], [], []
-    for row in np.flatnonzero(~inst.tp):
+    rows, whitening = [], []
+    for row, one in enumerate(inst.insts):
         try:
-            whitening.append(inst.insts[row].curvature_whitening)
-            rp.append(row)
+            whitening.append(one.curvature_whitening)
+            rows.append(row)
         except SolverError as exc:  # singular R: no power curve, whatever the budget
             failed[row] = exc
-    if rp:
-        groups.append((np.array(rp), np.stack(whitening)))
-    for rows, white in (group for group in groups if group[0].size):
-        try:
-            group_lam, vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
-        except np.linalg.LinAlgError:  # one non-finite row fails the whole stack: find it by row
-            for j, row in enumerate(rows):
-                try:
-                    _spectrum(None if white is None else white[j], gram[row], rhs[row])
-                except np.linalg.LinAlgError as exc:
-                    failed[row] = exc
-            ok = [j for j, row in enumerate(rows) if row not in failed]
-            rows, white = rows[ok], None if white is None else white[ok]
-            group_lam, vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
-        lam[rows], keep = group_lam, _kept(group_lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power0 = np.sum(energy[rows] / group_lam ** 2, axis=-1, where=keep)
-        search[rows] = ~(power0 <= budget[rows])  # a NaN power searches, as it fails the test
-        # The mu -> 0+ limit L^-H V_keep (c_keep / lam_keep): full-rank rows stacked.
-        stay = np.flatnonzero(~search[rows])
-        ranked = np.all(keep[stay], axis=-1)
-        full = stay[ranked]
-        matrices[rows[full]] = vecs[full] @ (coords[full] / group_lam[full][..., np.newaxis])
-        for j in stay[~ranked]:  # rank-deficient: the kept columns only
-            kept = keep[j]
-            matrices[rows[j]] = vecs[j][:, kept] @ (coords[j][kept] / group_lam[j][kept][:, None])
-        if white is not None:
-            matrices[rows[stay]] = _adjoint(white[stay]) @ matrices[rows[stay]]
+    # The stacked L^-1, (0, N, N) when every R is singular.
+    rows, white = np.array(rows, dtype=int), np.reshape(whitening, (-1, *gram.shape[1:]))
+    try:
+        lam[rows], vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
+    except np.linalg.LinAlgError:  # one non-finite row fails the whole stack: find it by row
+        for j, row in enumerate(rows):
+            try:
+                _spectrum(white[j], gram[row], rhs[row])
+            except np.linalg.LinAlgError as exc:
+                failed[row] = exc
+        ok = [j for j, row in enumerate(rows) if row not in failed]
+        rows, white = rows[ok], white[ok]
+        lam[rows], vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
+    keep = _kept(lam[rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power0 = np.sum(energy[rows] / lam[rows] ** 2, axis=-1, where=keep)
+        scaled = np.where(keep[..., np.newaxis], coords / lam[rows][..., np.newaxis], 0.0)
+    search = np.zeros(budget.size, dtype=bool)
+    search[rows] = ~(power0 <= budget[rows])  # a NaN power searches, as it fails the test
+    # The mu -> 0+ limit L^-H V (c_j / lam_j, 0 where cut) of each row that fits, at any rank.
+    stay = np.flatnonzero(~search[rows])
+    matrices[rows[stay]] = _adjoint(white[stay]) @ (vecs[stay] @ scaled[stay])
 
     for row in np.flatnonzero(search):
         limit = budget[row].item()
@@ -645,7 +632,7 @@ def bcd_solve(
         return []
     batch, n = _Batch(insts), len(insts)
     outcome = [None] * n  # the error that ended a row's solve, at the end its Solution
-    phases = [start.phases for start in inits]
+    phases = np.zeros((n, insts[0].n_elements))
     heff = np.zeros((n, insts[0].n_users, insts[0].n_chains), dtype=complex)
     precoders = np.zeros(_adjoint(heff).shape, dtype=complex)
     for row, (one, start) in enumerate(zip(insts, inits)):
@@ -656,7 +643,7 @@ def bcd_solve(
             if one.power_budget - init_power < -1e-6 * one.power_budget:
                 raise SolverError("initial point violates the power constraint")
             heff[row] = effective_channel(one, start.phases)
-            precoders[row] = start.precoder.matrix
+            phases[row], precoders[row] = start.phases.phases, start.precoder.matrix
         except _FAILURES as exc:
             outcome[row] = exc
     gamma, f, total = map(np.array, _link_terms(batch, heff @ precoders))
@@ -673,12 +660,11 @@ def bcd_solve(
         if not settings.freeze_phases:
             phi, pga_steps, phase_evals = _pga(
                 build_analog_subproblem(part, _unchecked(Precoder, matrix=precoders[active]), aux),
-                np.stack([phases[row].phases for row in active]),
+                phases[active],
                 settings,
             )
             heff[active] = (part.channel * np.exp(1j * phi)[:, np.newaxis, :]) @ part.transfer
-            for j, row in enumerate(active):
-                phases[row] = PhaseConfig(phi[j])
+            phases[active] = phi
         channels = heff[active]
         matrices, mu, failed = dual_search(part, None, aux, heff=channels)
         precoders[active] = matrices
@@ -707,7 +693,8 @@ def bcd_solve(
     for row in (row for row in range(n) if outcome[row] is None):
         try:
             outcome[row] = Solution.from_state(
-                insts[row], phases[row], Precoder(precoders[row]), traces[row], details[row]
+                insts[row], PhaseConfig(phases[row]), Precoder(precoders[row]),
+                traces[row], details[row],
             )
         except _FAILURES as exc:
             outcome[row] = exc

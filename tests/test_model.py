@@ -1,5 +1,7 @@
 """Objective and constraint arithmetic checked against scalar-loop oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,11 @@ def test_constraint_rp_unitary_invariance():
     for _ in range(5):
         value = constraint_value(inst, random_phases(rng, 6), prec)
         assert abs(value - reference) < 1e-12 * reference
+    # The whitening L^-1 of R = T^H T takes R to I; under TP it is I itself, exactly.
+    white = inst.curvature_whitening
+    assert np.linalg.norm(white @ inst.curvature @ white.conj().T - np.eye(3)) < 1e-12
+    tp = replace(inst, constraint=ConstraintKind.TRANSMITTED_POWER)
+    assert np.array_equal(tp.curvature_whitening, np.eye(3))
 
 
 def test_constraint_rp_loop_oracle():

@@ -845,6 +845,45 @@ def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
         assert abs(shared(trial_mu) - whitened(trial_mu)) <= 1e-12 * whitened(trial_mu)
 
 
+def test_mixed_batch_takes_one_eigendecomposition(monkeypatch):
+    # TP and RP rows share one whitening stack and one eigh.  The last row has a
+    # silent user and a roomy budget: its mu -> 0+ limit cuts an eigenvalue, and it is
+    # formed by the same stacked product as the full-rank limit of the TP row before it.
+    rng = np.random.default_rng(66)
+    kinds = [ConstraintKind.TRANSMITTED_POWER, ConstraintKind.RADIATED_POWER] * 2
+    insts, phases, aux = [], [], []
+    for row, constraint in enumerate(kinds):
+        inst = make_instance(rng, m=6, n=3, k=3, constraint=constraint)
+        one_phases, one_aux = random_phases(rng, 6), random_aux(rng, 3)
+        if row == 3:
+            one_aux = AuxVariables(gamma=one_aux.gamma, y=one_aux.y * np.array([1.0, 0.0, 1.0]))
+        gram, rhs = _precoder_system(inst, effective_channel(inst, one_phases), one_aux)
+        if row == 3:
+            assert not np.all(_kept(_spectrum(inst.curvature_whitening, gram, rhs)[0]))
+        scale = 0.1 if row < 2 else 2.0
+        insts.append(replace(inst, power_budget=scale * spectrum_power0(inst, gram, rhs)))
+        phases.append(one_phases)
+        aux.append(one_aux)
+    alone = [dual_search(*point) for point in zip(insts, phases, aux)]
+    assert [mu > 0 for _, mu in alone] == [True, True, False, False]
+    batch_aux = _unchecked(
+        AuxVariables, gamma=np.stack([a.gamma for a in aux]), y=np.stack([a.y for a in aux])
+    )
+    heff = np.stack([effective_channel(i, p) for i, p in zip(insts, phases)])
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    matrices, mu, failed = dual_search(_Batch(insts), phases, batch_aux, heff=heff)
+    assert len(calls) == 1 and not failed
+    for row, (prec, mu_alone) in enumerate(alone):
+        assert mu[row] == mu_alone and np.array_equal(matrices[row], prec.matrix)
+
+
 def test_tp_shortcut_matches_lstsq_path():
     # Under TP the mu = 0 limit and its power come from one eigendecomposition,
     # without the null-space lstsq of lstsq_limit, which vanishes when R = I.

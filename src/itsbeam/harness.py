@@ -24,8 +24,8 @@ do not depend on its batch, and ``run_sweep`` gives workers whole blocks.
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
 identities, the channel comes from :func:`itsbeam.channel.sample_direct_channel`,
-and the power constraint is always TRANSMITTED_POWER since without a surface
-the two constraint kinds coincide at the array port.
+and the power constraint is always TRANSMITTED_POWER: with T = I both power
+maps are I, so the two constraint kinds coincide.
 """
 
 from __future__ import annotations
@@ -275,7 +275,8 @@ class Trial:
     def no_surface(self) -> SystemInstance:
         """The no-surface baseline: identity transfer, direct channel, always TP."""
         direct = sample_direct_channel(self.layout, self.drop, self.spec.channel, self.streams[1])
-        return self._build(np.eye(self.geometry.n_active), direct, ConstraintKind.TRANSMITTED_POWER)
+        constraint = _applied_constraint(self.spec, Method.NO_ITS)
+        return self._build(np.eye(self.geometry.n_active), direct, constraint)
 
     @cached_property
     def random_phases(self) -> PhaseConfig:
@@ -335,10 +336,10 @@ class Block:
 
     Each :class:`Trial` is built on first use.  The BCD cells of one (method,
     illumination) are solved together, in one ``bcd_solve`` call, on the first
-    request for any of them; a request takes its cell's solution out.  The
-    frozen-phase methods ignore the illumination, so each of them is solved once
-    for all illuminations: its solution is taken out by the last of the sweep's
-    illuminations to ask for it.
+    request for any of them, and each outcome is stored under its cell (method,
+    illumination, trial) until a request takes it out.  The frozen-phase methods
+    ignore the illumination, so each of them is solved once and fills the cells of
+    every illumination of the spec.
     """
 
     def __init__(self, spec: ExperimentSpec, sweep_value: float, index: int):
@@ -367,41 +368,36 @@ class Block:
 
     def solution(self, method: Method, illumination: IlluminationMode, trial_index: int):
         """The BCD solution of one cell; its error (an itsbeam or LinAlgError) is raised."""
-        frozen = method is not Method.WMMSE_BCD
-        solved = self._solved.setdefault((method, None if frozen else illumination), {})
-        if trial_index not in solved:
-            self._solve(method, illumination, solved)
-        outcome, uses = solved[trial_index]
-        if uses > 1:
-            solved[trial_index] = (outcome, uses - 1)
-        else:
-            del solved[trial_index]
+        cell = (method, illumination, trial_index)
+        if cell not in self._solved:
+            self._solve(method, illumination)
+        outcome = self._solved.pop(cell)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    def _solve(self, method: Method, illumination: IlluminationMode, solved: dict) -> None:
-        """Solve the cells of one kind for every trial of the block that ``solved`` lacks.
-
-        Each outcome is stored with the number of cells that take it.
-        """
+    def _solve(self, method: Method, illumination: IlluminationMode) -> None:
+        """Solve one kind for the trials whose cell is not stored; frozen, in every illumination."""
         frozen = method is not Method.WMMSE_BCD
-        uses = len(self.spec.illuminations) if frozen else 1
-        starts = {}
-        for trial_index in (t for t in self.trials if t not in solved):
+        lights = {illumination, *self.spec.illuminations} if frozen else {illumination}
+        starts, outcomes = {}, {}
+        missing = [t for t in self.trials if (method, illumination, t) not in self._solved]
+        for trial_index in missing:
             try:
                 starts[trial_index] = self._start(method, illumination, trial_index)
             except _FAILURES as exc:
-                solved[trial_index] = (exc, uses)
-        if not starts:
-            return
-        settings = replace(self.spec.solver, freeze_phases=True) if frozen else self.spec.solver
-        insts, inits = zip(*starts.values())
-        try:
-            outcomes = bcd_solve(insts, settings, inits)
-        except _FAILURES as exc:
-            outcomes = [exc] * len(starts)
-        solved.update((t, (outcome, uses)) for t, outcome in zip(starts, outcomes))
+                outcomes[trial_index] = exc
+        if starts:
+            settings = replace(self.spec.solver, freeze_phases=True) if frozen else self.spec.solver
+            insts, inits = zip(*starts.values())
+            try:
+                solved = bcd_solve(insts, settings, inits)
+            except _FAILURES as exc:
+                solved = [exc] * len(starts)
+            outcomes.update(zip(starts, solved))
+        self._solved.update(
+            ((method, light, t), outcome) for t, outcome in outcomes.items() for light in lights
+        )
 
 
 # block(spec, sweep_value, index): the last block; cells run block by block.

@@ -9,8 +9,9 @@ precoder is therefore
     heff = H @ diag(exp(j*phi)) @ T          (K x N)
 
 with H the (K, M) user channels and T the (M, N) array-to-surface transfer
-matrix.  All powers in this module are linear (watts); decibels only appear at
-the configuration boundary.
+matrix.  The power budget caps ||P B||_F^2, the power map P being I_N under TP
+and T under RP (the unit-modulus D drops out of ||D T B||_F^2).  All powers in
+this module are linear (watts); decibels only appear at the configuration boundary.
 """
 
 from __future__ import annotations
@@ -109,10 +110,21 @@ class SystemInstance:
         object.__setattr__(self, "weights", w)
 
     @cached_property
-    def curvature(self) -> np.ndarray:
-        """R in the constraint value tr(B^H R B): I under TP, T^H T under RP; read-only."""
+    def power_map(self) -> np.ndarray:
+        """P in the constraint value ||P B||_F^2: I_N under TP, T under RP; read-only.
+
+        The one reader of the constraint kind.  Under RP it is a view, so ``transfer``
+        keeps the flags its caller set.
+        """
         tp = self.constraint is ConstraintKind.TRANSMITTED_POWER
-        r = np.eye(self.n_chains, dtype=complex) if tp else self.transfer.conj().T @ self.transfer
+        p = np.eye(self.n_chains, dtype=complex) if tp else self.transfer.view()
+        p.setflags(write=False)
+        return p
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """R = P^H P in the constraint value tr(B^H R B): I under TP, T^H T under RP; read-only."""
+        r = self.power_map.conj().T @ self.power_map
         r.setflags(write=False)
         return r
 
@@ -215,7 +227,7 @@ class Solution:
             sinr=s,
             spectral_efficiency=se,
             wsr=value,
-            constraint_slack=inst.power_budget - constraint_value(inst, phases, precoder),
+            constraint_slack=inst.power_budget - constraint_value(inst, precoder),
             power_budget=inst.power_budget,
             trace=((0, value),) if trace is None else tuple(trace),
             detail=detail,
@@ -285,15 +297,11 @@ def wsr(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> float:
     return _rates(inst, sinr(inst, phases, precoder))[1]
 
 
-def constraint_value(inst: SystemInstance, phases: PhaseConfig, precoder: Precoder) -> float:
-    """Left-hand side of the active power constraint.
+def constraint_value(inst: SystemInstance, precoder: Precoder) -> float:
+    """Left-hand side of the active power constraint, ||P B||_F^2 with P = ``inst.power_map``.
 
-    RADIATED_POWER:    ||diag(exp(j*phi)) T B||_F^2
+    RADIATED_POWER:    ||T B||_F^2, equal to ||diag(exp(j*phi)) T B||_F^2 at any phases
     TRANSMITTED_POWER: ||B||_F^2
     """
     _check_precoder(inst, precoder)
-    if inst.constraint is ConstraintKind.TRANSMITTED_POWER:
-        return float(np.linalg.norm(precoder.matrix) ** 2)
-    _check_phases(inst, phases)
-    radiated = phases.phasor()[:, np.newaxis] * (inst.transfer @ precoder.matrix)
-    return float(np.linalg.norm(radiated) ** 2)
+    return float(np.linalg.norm(inst.power_map @ precoder.matrix) ** 2)

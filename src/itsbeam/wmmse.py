@@ -16,9 +16,9 @@ the last three terms cancel and f1 collapses to f0 exactly, so maximising f1
 block-by-block drives the true objective upward.  One outer iteration updates
 gamma, y, the surface phases (L-BFGS ascent on the circles |psi_m| = 1 with a
 normalisation retraction) and the digital precoder (regularised least squares
-with a water-level dual on tr(B^H R B) <= P, R = I under TP and T^H T under RP;
-one eigendecomposition of the pencil (gram, R) gives its power curve, mu = 0 test
-and mu -> 0+ limit), in that order.
+with a water-level dual on tr(B^H R B) <= p_max, R = P^H P for the power map P,
+I under TP and T under RP; one eigendecomposition of the pencil (gram, R) gives
+its power curve, mu = 0 test and mu -> 0+ limit), in that order.
 
 ``bcd_solve`` runs this loop over a batch of instances that share settings
 (Shi et al., IEEE TSP 2011, batched over channel draws as in Chowdhury et al.,
@@ -157,8 +157,8 @@ class _Batch:
 
     The curvature R carries the constraint kind (I under TP), so TP and RP rows mix in
     one batch and nothing below reads the kind.  The helpers below that read only these
-    attributes, or the stacked channels and transfer matrices, take a batch where they
-    take one instance, so each formula is written once for both.
+    attributes, or the stacked channels, transfer matrices and whitenings, take a batch
+    where they take one instance, so each formula is written once for both.
     """
 
     _STACKED = ("weights", "noise_power", "power_budget", "curvature")
@@ -188,6 +188,11 @@ class _Batch:
     @property
     def transfer(self) -> np.ndarray:
         return np.stack([one.transfer for one in self.insts])
+
+    @property
+    def whitening(self) -> np.ndarray:
+        """The stacked L^-1 of each row's R = L L^H; the curvature SolverError if one is singular."""
+        return np.stack([one.curvature_whitening for one in self.insts])
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -528,7 +533,7 @@ def dual_search(
     The search runs on one generalised eigendecomposition of (gram, R) per instance
     (``_spectrum``; Shi et al., "An Iteratively Weighted MMSE Approach...", IEEE TSP
     2011, eq. (15)), under either constraint.  If the mu -> 0+ limit fits the budget
-    (sum_keep e_j / lam_j^2 <= P) it is the precoder and mu = 0: users with y_k = 0
+    (sum_keep e_j / lam_j^2 <= p_max) it is the precoder and mu = 0: users with y_k = 0
     leave the gram singular, and a naive solve would report roundoff-level power, not
     that limit.  Otherwise the power h(mu) = sum_j e_j / (lam_j + mu)^2, non-increasing
     in mu, is bisected until the budget is met within a relative tolerance of 1e-6
@@ -536,42 +541,33 @@ def dual_search(
     An instance whose R is singular fails with the curvature ``SolverError`` whatever
     its budget.  ``heff`` is the effective channel at ``phases``, if known.
 
-    A batch (``inst`` a ``_Batch``, ``aux`` and ``heff`` stacked by row; ``phases``
-    is not read) runs on stacked arrays, one whitening stack and one spectrum stack
-    whatever the rows' constraints; the bisection and the spectra of a stack that
-    fails ``eigh`` run row by row.  It returns the stacked precoders, the mu per row
-    and {row: error} for the rows that failed, whose precoders are zero.  One
-    instance is a batch of one, whose error is raised.
+    A batch (``inst`` a ``_Batch`` of rows whose R is not singular, ``aux`` and ``heff``
+    stacked by row; ``phases`` is not read) runs on stacked arrays, one whitening stack
+    and one spectrum stack whatever the rows' constraints; the bisection and the spectra
+    of a stack that fails ``eigh`` run row by row.  It returns the stacked precoders,
+    the mu per row and {row: error} for the rows that failed, whose precoders are zero.
+    One instance is a batch of one, whose error is raised.
     """
     single = isinstance(inst, SystemInstance)
     if single:
         heff = (effective_channel(inst, phases) if heff is None else heff)[np.newaxis]
         inst, phases = _Batch([inst]), [phases]
         aux = _unchecked(AuxVariables, gamma=aux.gamma[np.newaxis], y=aux.y[np.newaxis])
-    budget = inst.power_budget
+    budget, white = inst.power_budget, inst.whitening
     gram, rhs = _precoder_system(inst, heff, aux)
     matrices, mu, failed = np.zeros_like(rhs), np.zeros(budget.size), {}
-    lam, energy = np.zeros(gram.shape[:-1]), np.zeros(gram.shape[:-1])
-    rows, whitening = [], []
-    for row, one in enumerate(inst.insts):
-        try:
-            whitening.append(one.curvature_whitening)
-            rows.append(row)
-        except SolverError as exc:  # singular R: no power curve, whatever the budget
-            failed[row] = exc
-    # The stacked L^-1, (0, N, N) when every R is singular.
-    rows, white = np.array(rows, dtype=int), np.reshape(whitening, (-1, *gram.shape[1:]))
+    rows = np.arange(budget.size)
     try:
-        lam[rows], vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
+        lam, vecs, coords, energy = _spectrum(white, gram, rhs)
     except np.linalg.LinAlgError:  # one non-finite row fails the whole stack: find it by row
-        for j, row in enumerate(rows):
+        for row in rows:
             try:
-                _spectrum(white[j], gram[row], rhs[row])
+                _spectrum(white[row], gram[row], rhs[row])
             except np.linalg.LinAlgError as exc:
                 failed[row] = exc
-        ok = [j for j, row in enumerate(rows) if row not in failed]
-        rows, white = rows[ok], white[ok]
-        lam[rows], vecs, coords, energy[rows] = _spectrum(white, gram[rows], rhs[rows])
+        rows = np.array([row for row in rows if row not in failed], dtype=int)
+        lam, energy = np.zeros(gram.shape[:-1]), np.zeros(gram.shape[:-1])
+        lam[rows], vecs, coords, energy[rows] = _spectrum(white[rows], gram[rows], rhs[rows])
     keep = _kept(lam[rows])
     with np.errstate(divide="ignore", invalid="ignore"):
         power0 = np.sum(energy[rows] / lam[rows] ** 2, axis=-1, where=keep)
@@ -580,7 +576,7 @@ def dual_search(
     search[rows] = ~(power0 <= budget[rows])  # a NaN power searches, as it fails the test
     # The mu -> 0+ limit L^-H V (c_j / lam_j, 0 where cut) of each row that fits, at any rank.
     stay = np.flatnonzero(~search[rows])
-    matrices[rows[stay]] = _adjoint(white[stay]) @ (vecs[stay] @ scaled[stay])
+    matrices[rows[stay]] = _adjoint(white[rows[stay]]) @ (vecs[stay] @ scaled[stay])
 
     for row in np.flatnonzero(search):
         limit = budget[row].item()
@@ -621,8 +617,9 @@ def bcd_solve(
     ``inst`` and ``init`` may be equal-length sequences: a batch of instances with
     the same numbers of users, chains and surface elements, iterated by one loop,
     each with its own stop.  A batch returns, per instance, its Solution or the error
-    (``BeamformingError`` or ``LinAlgError``) that ended its solve; the others keep
-    the bits they have alone.  One instance is a batch of one, whose error is raised.
+    (``BeamformingError`` or ``LinAlgError``) that ended its solve, a singular R at
+    entry; the others keep the bits they have alone.  One instance is a batch of one,
+    whose error is raised.
     """
     single = isinstance(inst, SystemInstance)
     insts, inits = ([inst], [init]) if single else (list(inst), list(init))
@@ -637,9 +634,10 @@ def bcd_solve(
     precoders = np.zeros(_adjoint(heff).shape, dtype=complex)
     for row, (one, start) in enumerate(zip(insts, inits)):
         try:
+            one.curvature_whitening  # a singular R has no power curve: the row fails here
             # Recompute slack against this instance rather than trusting the value
             # stored on the init, which may have been produced for another budget.
-            init_power = constraint_value(one, start.phases, start.precoder)
+            init_power = constraint_value(one, start.precoder)
             if one.power_budget - init_power < -1e-6 * one.power_budget:
                 raise SolverError("initial point violates the power constraint")
             heff[row] = effective_channel(one, start.phases)

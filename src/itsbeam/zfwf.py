@@ -8,8 +8,8 @@ The three stages are closed-form:
 2. zf_directions inverts the effective channel from the right, so stream k
    reaches user k free of interference;
 3. waterfill spends the power budget on the interference-free parallel
-   channels, accounting for the per-chain power cost a_k of each unit-rate
-   direction under the active constraint.
+   channels, accounting for the power cost a_k = ||P f_k||^2 of each unit-rate
+   direction f_k, P the instance's power map (I under TP, T under RP).
 
 The resulting SINRs are exactly p_k / sigma^2.
 """
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import SolverError
 # sinr and constraint_value stay module attributes: call-site tracers wrap them here.
 from .model import (
-    ConstraintKind,
     PhaseConfig,
     Precoder,
     Solution,
@@ -150,11 +149,7 @@ def zfwf_solve(inst: SystemInstance, phases: PhaseConfig | None = None) -> Solut
         )
     heff = effective_channel(inst, phases)
     directions = zf_directions(heff)
-    if inst.constraint is ConstraintKind.RADIATED_POWER:
-        radiated = phases.phasor()[:, np.newaxis] * (inst.transfer @ directions)
-        costs = np.sum(np.abs(radiated) ** 2, axis=0)
-    else:
-        costs = np.sum(np.abs(directions) ** 2, axis=0)
+    costs = np.sum(np.abs(inst.power_map @ directions) ** 2, axis=0)
     alloc = waterfill(inst.weights, costs, inst.noise_power, inst.power_budget)
     precoder = Precoder(directions * np.sqrt(alloc.powers)[np.newaxis, :])
     detail = {

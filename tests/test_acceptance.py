@@ -151,14 +151,10 @@ def test_criterion_04_kkt_suite():
             worst_stationarity,
             float(np.linalg.norm(residual) / max(np.linalg.norm(rhs), 1.0)),
         )
-        slack = inst.power_budget - constraint_value(inst, phases, precoder)
+        slack = inst.power_budget - constraint_value(inst, precoder)
         worst_slackness = max(worst_slackness, mu * slack / inst.power_budget)
         powers = [
-            constraint_value(
-                inst,
-                phases,
-                Precoder(np.linalg.solve(gram + grid_mu * inst.curvature, rhs)),
-            )
+            constraint_value(inst, Precoder(np.linalg.solve(gram + grid_mu * inst.curvature, rhs)))
             for grid_mu in np.logspace(-3.0, 3.0, 20)
         ]
         monotone &= all(a >= b - 1e-12 for a, b in zip(powers, powers[1:]))
@@ -183,7 +179,7 @@ def test_criterion_05_zf_suite():
         worst_interference = max(
             worst_interference, float(off.max() / np.abs(np.diag(cross)).min())
         )
-        used = constraint_value(inst, solution.phases, solution.precoder)
+        used = constraint_value(inst, solution.precoder)
         worst_budget = max(worst_budget, abs(used - inst.power_budget) / inst.power_budget)
 
     worst_waterfill = 0.0

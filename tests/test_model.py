@@ -167,7 +167,7 @@ def test_constraint_tp_single_entry():
     inst = identity_instance(2)
     matrix = np.zeros((2, 2), dtype=complex)
     matrix[1, 0] = np.sqrt(3.7)
-    value = constraint_value(inst, PhaseConfig(np.zeros(2)), Precoder(matrix))
+    value = constraint_value(inst, Precoder(matrix))
     assert abs(value - 3.7) < 1e-12
 
 
@@ -175,15 +175,30 @@ def test_constraint_rp_unitary_invariance():
     rng = np.random.default_rng(18)
     inst = make_instance(rng, m=6, n=3, k=3, constraint=ConstraintKind.RADIATED_POWER)
     prec = random_precoder(rng, 3, 3)
-    reference = float(np.linalg.norm(inst.transfer @ prec.matrix) ** 2)
-    for _ in range(5):
-        value = constraint_value(inst, random_phases(rng, 6), prec)
-        assert abs(value - reference) < 1e-12 * reference
+    value = constraint_value(inst, prec)
+    for _ in range(5):  # the radiated power ||D T B||^2 at five random surface states D
+        phasor = random_phases(rng, 6).phasor()
+        radiated = float(np.linalg.norm(phasor[:, np.newaxis] * (inst.transfer @ prec.matrix)) ** 2)
+        assert abs(value - radiated) < 1e-12 * radiated
     # The whitening L^-1 of R = T^H T takes R to I; under TP it is I itself, exactly.
     white = inst.curvature_whitening
     assert np.linalg.norm(white @ inst.curvature @ white.conj().T - np.eye(3)) < 1e-12
     tp = replace(inst, constraint=ConstraintKind.TRANSMITTED_POWER)
     assert np.array_equal(tp.curvature_whitening, np.eye(3))
+
+
+def test_power_map_is_identity_under_tp_and_transfer_under_rp():
+    rng = np.random.default_rng(22)
+    rp = make_instance(rng, m=6, n=3, k=3, constraint=ConstraintKind.RADIATED_POWER)
+    tp = replace(rp, constraint=ConstraintKind.TRANSMITTED_POWER)
+    assert np.array_equal(tp.power_map, np.eye(3)) and np.array_equal(rp.power_map, rp.transfer)
+    assert not (tp.power_map.flags.writeable or rp.power_map.flags.writeable)
+    assert rp.transfer.flags.writeable  # the view is read-only, the caller's transfer is not
+    assert np.array_equal(tp.curvature, np.eye(3))
+    # Under TP the value is ||B||^2 bit for bit: the identity product is exact.
+    for _ in range(5):
+        prec = random_precoder(rng, 3, 3)
+        assert constraint_value(tp, prec) == float(np.linalg.norm(prec.matrix) ** 2)
 
 
 def test_constraint_rp_loop_oracle():
@@ -197,7 +212,7 @@ def test_constraint_rp_loop_oracle():
         for k in range(2):
             entry = psi[m] * sum(inst.transfer[m, j] * prec.matrix[j, k] for j in range(2))
             acc += abs(entry) ** 2
-    fast = constraint_value(inst, phases, prec)
+    fast = constraint_value(inst, prec)
     assert abs(fast - acc) < 1e-12 * acc
 
 

@@ -84,8 +84,26 @@ def test_compare_reports_rises_and_drops_per_method(tmp_path, capsys):
     assert parity.main(["compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "wmmse_bcd: mean wsr" in out
-    assert "2 up, 1 down, largest rise +5.000%, largest drop -2.500%, 1 iterations changed" in out
-    assert "0 up, 0 down, largest rise +0.000%, largest drop +0.000%, 0 iterations changed" in out
+    assert "2 up, 1 down, largest rise +5.00e-02, largest drop -2.50e-02, 1 iterations changed" in out
+    assert "0 up, 0 down, largest rise +0.00e+00, largest drop +0.00e+00, 0 iterations changed" in out
+    assert "  trial 2 wmmse_bcd full: wsr 10.0 / 10.5 (+5.00e-02), iterations 34 / 50\n" in out
+    assert "  trial 1 zf_wf full: wsr nan / 1.0 (+nan), iterations 0 / 0\n" in out
+
+
+def test_compare_lists_a_change_below_the_old_percent_resolution(tmp_path, capsys):
+    # A -5.0e-7 change printed as "-0.000%" in a percent format; each such cell is listed.
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "small.csv", HEADER, ROWS)
+    write(b, "small.csv", HEADER, [ROWS[0].replace("20.0,50", "19.99999,50"), ROWS[1]])
+    report = parity.compare_files(a / "small.csv", b / "small.csv")
+    (row,) = report["changed"]
+    assert (row["trial"], row["method"], row["illumination"]) == ("0", "wmmse_bcd", "full")
+    assert row["wsr"] == ("20.0", "19.99999") and row["iterations"] == ("50", "50")
+    assert row["relative"] == pytest.approx(-5.0e-7)
+    assert parity.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "1 down, largest rise +0.00e+00, largest drop -5.00e-07, 0 iterations changed" in out
+    assert "  trial 0 wmmse_bcd full: wsr 20.0 / 19.99999 (-5.00e-07), iterations 50 / 50\n" in out
 
 
 def test_seed_ranges():

@@ -568,7 +568,7 @@ def test_kkt_stationarity_and_slackness():
             gram, rhs = _precoder_system(inst, heff, aux)
             residual = (gram + mu * inst.curvature) @ prec.matrix - rhs
             assert np.linalg.norm(residual) < 1e-8 * max(np.linalg.norm(rhs), 1.0)
-            slack = inst.power_budget - constraint_value(inst, phases, prec)
+            slack = inst.power_budget - constraint_value(inst, prec)
             assert mu * slack < 1e-6 * inst.power_budget
 
 
@@ -585,9 +585,7 @@ def test_kkt_stationarity_by_finite_differences():
 
         def lagrangian(matrix):
             p = Precoder(matrix)
-            return surrogate_objective(inst, phases, p, aux) - mu * constraint_value(
-                inst, phases, p
-            )
+            return surrogate_objective(inst, phases, p, aux) - mu * constraint_value(inst, p)
 
         for _ in range(6):
             direction = complex_normal(rng, 3, 3)
@@ -615,8 +613,8 @@ def test_constraint_gradient_matches_regularizer():
                 up[idx] += step * axis
                 down[idx] -= step * axis
                 fd = (
-                    constraint_value(inst, phases, Precoder(up))
-                    - constraint_value(inst, phases, Precoder(down))
+                    constraint_value(inst, Precoder(up))
+                    - constraint_value(inst, Precoder(down))
                 ) / (2.0 * step)
                 assert abs(fd - 2.0 * component(expected[idx])) < 1e-6
 
@@ -650,7 +648,7 @@ def test_dual_search_interior_solution():
     heff = effective_channel(inst, phases)
     gram, rhs = _precoder_system(inst, heff, aux)
     prec0 = lstsq_limit(gram, rhs, inst.curvature)
-    roomy = replace(inst, power_budget=2.0 * constraint_value(inst, phases, prec0))
+    roomy = replace(inst, power_budget=2.0 * constraint_value(inst, prec0))
     prec, mu = dual_search(roomy, phases, aux)
     assert mu == 0.0
     assert np.allclose(prec.matrix, prec0.matrix, rtol=1e-12)
@@ -664,7 +662,7 @@ def test_dual_search_active_constraint():
         aux = random_aux(rng, 3)
         prec, mu = dual_search(inst, phases, aux)
         assert mu > 0
-        gap = abs(constraint_value(inst, phases, prec) - inst.power_budget)
+        gap = abs(constraint_value(inst, prec) - inst.power_budget)
         assert gap <= 1.01e-6 * inst.power_budget
 
 
@@ -676,9 +674,7 @@ def test_dual_power_monotone_in_mu():
         aux = random_aux(rng, 3)
         gram, rhs = _precoder_system(inst, effective_channel(inst, phases), aux)
         values = [
-            constraint_value(
-                inst, phases, Precoder(np.linalg.solve(gram + mu * inst.curvature, rhs))
-            )
+            constraint_value(inst, Precoder(np.linalg.solve(gram + mu * inst.curvature, rhs)))
             for mu in np.logspace(-3, 3, 20)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -727,9 +723,7 @@ def test_power_curve_matches_explicit_solves():
             reg = inst.curvature
             power = _power_curve(*_spectrum(inst.curvature_whitening, gram, rhs)[::3])
             for mu in np.logspace(-6, 6, 25):
-                explicit = constraint_value(
-                    inst, phases, Precoder(np.linalg.solve(gram + mu * reg, rhs))
-                )
+                explicit = constraint_value(inst, Precoder(np.linalg.solve(gram + mu * reg, rhs)))
                 assert abs(power(mu) - explicit) <= 1e-10 * explicit
 
 
@@ -742,10 +736,10 @@ def bisection_oracle(inst, phases, aux):
 
     def power_at(mu):
         prec = Precoder(np.linalg.solve(gram + mu * reg, rhs))
-        return prec, constraint_value(inst, phases, prec)
+        return prec, constraint_value(inst, prec)
 
     prec0 = lstsq_limit(gram, rhs, reg)
-    if constraint_value(inst, phases, prec0) <= budget:
+    if constraint_value(inst, prec0) <= budget:
         return prec0, 0.0
     hi = 1.0
     prec_hi, h_hi = power_at(hi)
@@ -986,13 +980,13 @@ def test_rank_cut_follows_the_whitened_spectrum():
         lam = _spectrum(inst.curvature_whitening, gram, rhs)[0]
         assert np.sum(_kept(np.linalg.eigvalsh(gram))) != np.sum(_kept(lam))
         power0 = spectrum_power0(inst, gram, rhs)
-        gram_cut = constraint_value(inst, phases, lstsq_limit(gram, rhs, inst.curvature))
+        gram_cut = constraint_value(inst, lstsq_limit(gram, rhs, inst.curvature))
         assert max(power0, gram_cut) > 1e6 * min(power0, gram_cut)
         low, high = sorted((power0, gram_cut))
         for budget in (0.5 * low, np.sqrt(low * high), 2.0 * high):
             prec, mu = dual_search(replace(inst, power_budget=budget), phases, aux)
             assert (mu == 0.0) == (power0 <= budget)
-            assert constraint_value(inst, phases, prec) <= budget * (1.0 + 1e-6)
+            assert constraint_value(inst, prec) <= budget * (1.0 + 1e-6)
 
 
 def test_power_curve_degenerate_denominators_give_inf():
@@ -1172,19 +1166,24 @@ def test_batch_solution_does_not_depend_on_its_batch():
         assert any(row["mu"] > 0.0 for sol in whole for row in sol.detail)
 
 
-def test_singular_instance_fails_alone_in_its_batch():
-    # A dead RF chain makes R = T^H T singular under RP: that instance's solve
-    # fails, alone as in the batch, and its batch-mates keep their bits.
-    rng = np.random.default_rng(66)
-    insts, inits = mixed_batch(rng)
+def dead_chain_instance(rng):
+    """An RP instance with a dead RF chain, so R = T^H T is singular, and a feasible start."""
     dead = make_instance(rng, m=16, n=4, k=4, constraint=ConstraintKind.RADIATED_POWER)
     transfer = dead.transfer.copy()
     transfer[:, 2] = 0.0
     dead = replace(dead, transfer=transfer, power_budget=1e-6)
     start = random_phases(rng, 16)
     matrix = random_precoder(rng, 4, 4).matrix
-    matrix *= np.sqrt(0.5e-6 / constraint_value(dead, start, Precoder(matrix)))
-    dead_init = Solution.from_state(dead, start, Precoder(matrix))
+    matrix *= np.sqrt(0.5e-6 / constraint_value(dead, Precoder(matrix)))
+    return dead, Solution.from_state(dead, start, Precoder(matrix))
+
+
+def test_singular_instance_fails_alone_in_its_batch():
+    # A dead RF chain makes R = T^H T singular under RP: that instance's solve
+    # fails, alone as in the batch, and its batch-mates keep their bits.
+    rng = np.random.default_rng(66)
+    insts, inits = mixed_batch(rng)
+    dead, dead_init = dead_chain_instance(rng)
     for freeze in (False, True):
         settings = SolverSettings(bcd_max_iters=20, pga_max_iters=5, freeze_phases=freeze)
         with pytest.raises(SolverError, match="curvature"):
@@ -1195,6 +1194,26 @@ def test_singular_instance_fails_alone_in_its_batch():
         assert isinstance(batch[3], SolverError)
         for inst, init, sol in zip(insts, inits, batch[:3] + batch[4:]):
             assert_same_solution(bcd_solve(inst, settings, init), sol)
+
+
+def test_singular_instance_fails_before_the_phase_block(monkeypatch):
+    # A singular R is a property of the instance: its row fails at entry, so no
+    # phase block of the batch holds it, not even the first.
+    rng = np.random.default_rng(67)
+    insts, inits = mixed_batch(rng)
+    dead, dead_init = dead_chain_instance(rng)
+    calls, pga = [], wmmse._pga
+
+    def recording_pga(sub, phases_init, settings):
+        calls.append(np.array(phases_init))
+        return pga(sub, phases_init, settings)
+
+    monkeypatch.setattr(wmmse, "_pga", recording_pga)
+    settings = SolverSettings(bcd_max_iters=3, pga_max_iters=5)
+    batch = bcd_solve(insts[:2] + [dead] + insts[2:], settings, inits[:2] + [dead_init] + inits[2:])
+    assert isinstance(batch[2], SolverError) and calls
+    assert len(calls[0]) == len(insts)
+    assert not any(np.array_equal(row, dead_init.phases.phases) for call in calls for row in call)
 
 
 def test_batch_rejects_mismatched_shapes():

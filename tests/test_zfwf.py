@@ -229,9 +229,24 @@ def test_zfwf_solve_spends_entire_budget():
     for constraint in ConstraintKind:
         inst = make_instance(rng, m=10, n=4, k=4, constraint=constraint, power_budget=0.8)
         sol = zfwf_solve(inst)
-        used = constraint_value(inst, sol.phases, sol.precoder)
+        used = constraint_value(inst, sol.precoder)
         assert abs(used - 0.8) < 1e-9 * 0.8
         assert sol.constraint_slack >= -1e-12
+
+
+def test_chain_costs_are_column_powers_of_the_power_map():
+    # TP: ||I f_k||^2 is ||f_k||^2 bit for bit.  RP: ||T f_k||^2 is the radiated ||D T f_k||^2.
+    rng = np.random.default_rng(76)
+    for constraint in ConstraintKind:
+        inst = make_instance(rng, m=10, n=4, k=4, constraint=constraint)
+        sol = zfwf_solve(inst)
+        directions = zf_directions(effective_channel(inst, sol.phases))
+        costs = np.asarray(sol.detail["chain_costs"])
+        if constraint is ConstraintKind.TRANSMITTED_POWER:
+            assert np.array_equal(costs, np.sum(np.abs(directions) ** 2, axis=0))
+        else:
+            radiated = sol.phases.phasor()[:, np.newaxis] * (inst.transfer @ directions)
+            assert np.allclose(costs, np.sum(np.abs(radiated) ** 2, axis=0), rtol=1e-12, atol=0)
 
 
 def test_zfwf_solve_wsr_consistency():

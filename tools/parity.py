@@ -12,12 +12,14 @@ sha256.  To get a parent commit's files, run a copy of this file from the root
 of that commit's checkout.
 
 ``compare`` pairs the files of A and B by name and their columns by header
-name.  Per file it prints the rows whose shared columns differ, the rows whose
-``iterations`` changed, the largest relative WSR change and the mean finite
-WSR on each side, and names any column that only one side has.  Under each
-file it prints one line per method: the mean finite WSR on each side, the
-cells whose WSR went up and down, the largest relative rise and drop (over
-the rows finite on both sides) and the rows whose ``iterations`` changed.  It
+name.  Per file it prints the number of rows whose shared columns differ, the
+rows whose ``iterations`` changed, the largest relative WSR change and the
+mean finite WSR on each side, and names any column that only one side has.
+Under each file it prints one line per method: the mean finite WSR on each
+side, the cells whose WSR went up and down, the largest relative rise and
+drop (over the rows finite on both sides) and the rows whose ``iterations``
+changed; then one line per differing row: its trial, method and
+illumination, both WSRs, the relative change and both ``iterations``.  It
 exits 1 if a file is missing on one side, the row counts differ or a shared
 column differs in any row, and 0 otherwise.
 """
@@ -73,19 +75,24 @@ def _mean_wsr(rows) -> float:
     return math.fsum(finite) / len(finite) if finite else math.nan
 
 
+def _relative(a: dict, b: dict) -> float:
+    """The relative WSR change from row a to row b; nan unless both are finite."""
+    wsr_a, wsr_b = float(a.get("wsr", "nan")), float(b.get("wsr", "nan"))
+    if not (math.isfinite(wsr_a) and math.isfinite(wsr_b)):
+        return math.nan
+    if wsr_a == wsr_b:
+        return 0.0
+    return (wsr_b - wsr_a) / abs(wsr_a) if wsr_a else math.copysign(math.inf, wsr_b - wsr_a)
+
+
 def _changes(rows_a, rows_b) -> dict:
     """Cells up and down, the largest relative WSR rise and drop, and the iterations changes."""
-    up = down = iterations = 0
-    rise = drop = 0.0
-    for a, b in zip(rows_a, rows_b):
-        iterations += a.get("iterations") != b.get("iterations")
-        wsr_a, wsr_b = float(a.get("wsr", "nan")), float(b.get("wsr", "nan"))
-        if math.isfinite(wsr_a) and math.isfinite(wsr_b) and wsr_a != wsr_b:
-            rel = (wsr_b - wsr_a) / abs(wsr_a) if wsr_a else math.copysign(math.inf, wsr_b - wsr_a)
-            up, down = up + (rel > 0), down + (rel < 0)
-            rise, drop = max(rise, rel), min(drop, rel)
-    return {"up": up, "down": down, "largest_rise": rise, "largest_drop": drop,
-            "iterations_changed": iterations}
+    rel = [_relative(a, b) for a, b in zip(rows_a, rows_b)]
+    return {"up": sum(r > 0 for r in rel), "down": sum(r < 0 for r in rel),
+            "largest_rise": max([0.0] + [r for r in rel if r > 0]),
+            "largest_drop": min([0.0] + [r for r in rel if r < 0]),
+            "iterations_changed": sum(a.get("iterations") != b.get("iterations")
+                                      for a, b in zip(rows_a, rows_b))}
 
 
 def compare_files(path_a: str, path_b: str) -> dict:
@@ -93,16 +100,13 @@ def compare_files(path_a: str, path_b: str) -> dict:
     rows_a, columns_a = _read(path_a)
     rows_b, columns_b = _read(path_b)
     shared = [name for name in columns_a if name in columns_b]
-    differing = iterations = 0
-    max_rel_wsr = 0.0
-    for a, b in zip(rows_a, rows_b):
-        differing += any(a[name] != b[name] for name in shared)
-        if "iterations" in shared:
-            iterations += a["iterations"] != b["iterations"]
-        if "wsr" in shared and a["wsr"] != b["wsr"]:
-            wsr_a, wsr_b = float(a["wsr"]), float(b["wsr"])
-            rel = abs(wsr_b - wsr_a) / abs(wsr_a) if wsr_a else math.inf
-            max_rel_wsr = max(max_rel_wsr, math.inf if math.isnan(rel) else rel)  # nan vs number
+    changed = [
+        {"trial": a.get("trial"), "method": a.get("method"), "illumination": a.get("illumination"),
+         "wsr": (a.get("wsr"), b.get("wsr")), "relative": _relative(a, b),
+         "iterations": (a.get("iterations"), b.get("iterations"))}
+        for a, b in zip(rows_a, rows_b) if any(a[name] != b[name] for name in shared)
+    ]
+    moved = [abs(row["relative"]) for row in changed if row["wsr"][0] != row["wsr"][1]]
     methods = {}
     for side, rows in enumerate((rows_a, rows_b)):
         for row in rows:
@@ -115,9 +119,10 @@ def compare_files(path_a: str, path_b: str) -> dict:
         "rows": (len(rows_a), len(rows_b)),
         "only_a": [name for name in columns_a if name not in columns_b],
         "only_b": [name for name in columns_b if name not in columns_a],
-        "differing_rows": differing,
-        "iterations_changed": iterations,
-        "max_rel_wsr": max_rel_wsr,
+        "changed": changed,
+        "differing_rows": len(changed),
+        "iterations_changed": sum(row["iterations"][0] != row["iterations"][1] for row in changed),
+        "max_rel_wsr": max([0.0] + [math.inf if math.isnan(r) else r for r in moved]),  # nan vs number
         "mean_wsr": (_mean_wsr(rows_a), _mean_wsr(rows_b)),
     }
 
@@ -150,9 +155,15 @@ def compare(dir_a: str, dir_b: str) -> bool:
         for method, part in report["methods"].items():
             print(
                 f"  {method}: mean wsr {part['mean_wsr'][0]!r} / {part['mean_wsr'][1]!r}, "
-                f"{part['up']} up, {part['down']} down, largest rise {part['largest_rise']:+.3%}, "
-                f"largest drop {part['largest_drop']:+.3%}, "
+                f"{part['up']} up, {part['down']} down, largest rise {part['largest_rise']:+.2e}, "
+                f"largest drop {part['largest_drop']:+.2e}, "
                 f"{part['iterations_changed']} iterations changed"
+            )
+        for row in report["changed"]:
+            print(
+                f"  trial {row['trial']} {row['method']} {row['illumination']}: "
+                f"wsr {row['wsr'][0]} / {row['wsr'][1]} ({row['relative']:+.2e}), "
+                f"iterations {row['iterations'][0]} / {row['iterations'][1]}"
             )
     print("same" if ok else "DIFFERENT")
     return ok

@@ -8,8 +8,6 @@ feed boresights, and how that shows up in the transfer matrix.
 Run it from anywhere, it only prints.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from itsbeam import (
@@ -52,7 +50,6 @@ base = GeometryConfig(
     separation=10.0 * r0,
     kappa=49.0,
     surface_efficiency=10.0 ** (-3.5 / 10.0),
-    illumination=IlluminationMode.FULL,
     grid_shape=(16, 8),
 )
 
@@ -63,9 +60,8 @@ base = GeometryConfig(
 # concrete: rows are feeds, columns are sectors, entries are the share of
 # the feed's column energy landing in that sector.
 for mode in IlluminationMode:
-    cfg = replace(base, illumination=mode)
-    layout = build_layout(cfg)
-    transfer = build_transfer_matrix(cfg, layout)
+    layout = build_layout(base, mode)
+    transfer = build_transfer_matrix(layout)
     norms = np.linalg.norm(transfer, axis=0)
     svals = np.linalg.svd(transfer, compute_uv=False)
     print(f"{mode.value:9s} column norms {np.round(norms * 1e3, 3)} (x1e-3)")
@@ -82,8 +78,8 @@ for mode in IlluminationMode:
 
 # The SEPARATE matrix is exactly the PARTIAL one with off-sector entries
 # masked to zero, so the sector-share table above is the identity.
-tp = build_transfer_matrix(replace(base, illumination=IlluminationMode.PARTIAL))
-ts = build_transfer_matrix(replace(base, illumination=IlluminationMode.SEPARATE))
+tp = build_transfer_matrix(build_layout(base, IlluminationMode.PARTIAL))
+ts = build_transfer_matrix(build_layout(base, IlluminationMode.SEPARATE))
 mask = ts != 0
 print(f"separate == masked partial: {np.allclose(ts[mask], tp[mask])}")
 print(f"masked-out fraction: {1.0 - mask.mean():.3f}")

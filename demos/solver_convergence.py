@@ -15,7 +15,6 @@ from itsbeam import (
     ChannelParams,
     ConstraintKind,
     GeometryConfig,
-    IlluminationMode,
     SPEED_OF_LIGHT,
     SolverSettings,
     SystemInstance,
@@ -41,11 +40,10 @@ cfg = GeometryConfig(
     separation=10.0 * r0,
     kappa=49.0,
     surface_efficiency=10.0 ** (-3.5 / 10.0),
-    illumination=IlluminationMode.FULL,
     grid_shape=(16, 8),
 )
 layout = build_layout(cfg)
-transfer = build_transfer_matrix(cfg, layout)
+transfer = build_transfer_matrix(layout)
 
 params = ChannelParams()
 drop = sample_user_drop(params, 4, rng)

@@ -27,7 +27,6 @@ Schema (values shown are the defaults)::
       separation_m: null           # overrides separation_r0 when set
       kappa: 49.0
       surface_loss_db: 3.5
-      illumination: full           # full | partial | separate
     channel:
       n_clusters_min: 1
       n_clusters_max: 6
@@ -93,7 +92,6 @@ _DEFAULTS = {
         "separation_m": None,
         "kappa": 49.0,
         "surface_loss_db": 3.5,
-        "illumination": IlluminationMode.FULL,
     },
     "channel": {
         "n_clusters_min": 1,
@@ -221,7 +219,6 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
         separation=separation,
         kappa=_get(mapping, "geometry", "kappa"),
         surface_efficiency=10.0 ** (-_get(mapping, "geometry", "surface_loss_db") / 10.0),
-        illumination=_get(mapping, "geometry", "illumination"),
         grid_shape=(_get(mapping, "geometry", "grid_rows"), _get(mapping, "geometry", "grid_cols")),
     )
 

@@ -12,6 +12,9 @@ Each active antenna has a rotationally symmetric cosine-power element pattern
 G(theta) = 2 (1 + kappa) cos(theta)^kappa for |theta| < pi/2 and zero behind,
 where theta is measured from that antenna's own boresight.  The pattern
 integrates to 1 over the sphere for every kappa >= 0.
+
+The illumination is an argument of build_layout, not part of GeometryConfig;
+build_transfer_matrix(build_layout(cfg, illumination)) reads it off the layout.
 """
 
 from __future__ import annotations
@@ -69,8 +72,6 @@ class GeometryConfig:
         Cosine-power exponent of the antenna element pattern.
     surface_efficiency : float
         Fraction of captured power re-radiated by the surface, in (0, 1].
-    illumination : IlluminationMode
-        Aiming strategy, see IlluminationMode.
     grid_shape : (rows, cols)
         Surface grid dimensions.
     """
@@ -82,7 +83,6 @@ class GeometryConfig:
     separation: float
     kappa: float
     surface_efficiency: float
-    illumination: IlluminationMode
     grid_shape: tuple
 
     def __post_init__(self):
@@ -103,8 +103,6 @@ class GeometryConfig:
             raise GeometryError("kappa must be nonnegative")
         if not 0 < self.surface_efficiency <= 1:
             raise GeometryError("surface_efficiency must lie in (0, 1]")
-        if not isinstance(self.illumination, IlluminationMode):
-            raise GeometryError("illumination must be an IlluminationMode")
         object.__setattr__(self, "grid_shape", (int(rows), int(cols)))
 
 
@@ -112,8 +110,8 @@ class GeometryConfig:
 class ArrayLayout:
     """Concrete positions and orientations produced by build_layout.
 
-    Carries the geometry metadata (wavelength, kappa, efficiency, illumination)
-    needed by downstream channel sampling and transfer-matrix construction.
+    Carries everything build_transfer_matrix reads: the positions, the aim and
+    sectors of one illumination, and the wavelength, kappa and efficiency.
     """
 
     element_positions: np.ndarray   # (M, 3)
@@ -211,8 +209,12 @@ def _grid_positions(cfg: GeometryConfig) -> np.ndarray:
     return pos.reshape(rows * cols, 3)  # row-major element order
 
 
-def build_layout(cfg: GeometryConfig) -> ArrayLayout:
-    """Place elements and antennas and aim each antenna per the illumination mode."""
+def build_layout(
+    cfg: GeometryConfig, illumination: IlluminationMode = IlluminationMode.FULL
+) -> ArrayLayout:
+    """Place elements and antennas and aim each antenna per ``illumination``."""
+    if not isinstance(illumination, IlluminationMode):
+        raise GeometryError("illumination must be an IlluminationMode")
     elements = _grid_positions(cfg)
     rows, cols = cfg.grid_shape
 
@@ -233,7 +235,7 @@ def build_layout(cfg: GeometryConfig) -> ArrayLayout:
     c_idx = np.arange(rows * cols) % cols
     sector = (r_idx // sector_rows) * block_cols + (c_idx // sector_cols)
 
-    if cfg.illumination is IlluminationMode.FULL:
+    if illumination is IlluminationMode.FULL:
         targets = np.zeros((cfg.n_active, 3))
     else:
         targets = np.stack(
@@ -254,33 +256,31 @@ def build_layout(cfg: GeometryConfig) -> ArrayLayout:
         wavelength=cfg.wavelength,
         kappa=cfg.kappa,
         surface_efficiency=cfg.surface_efficiency,
-        illumination=cfg.illumination,
+        illumination=illumination,
     )
 
 
-def build_transfer_matrix(cfg: GeometryConfig, layout: ArrayLayout | None = None) -> np.ndarray:
+def build_transfer_matrix(layout: ArrayLayout) -> np.ndarray:
     """Free-space coupling T between antennas and surface elements, shape (M, N).
 
     Entry (m, n) has magnitude (lambda / (4 pi r_mn)) sqrt(eff * G(theta_mn))
     and phase -2 pi r_mn / lambda, with r_mn the antenna-element distance and
-    theta_mn the departure angle off antenna n's boresight.  SEPARATE mode
-    zeroes every entry outside the antenna's own sector.
+    theta_mn the departure angle off antenna n's boresight.  A SEPARATE layout
+    zeroes every entry outside the antenna's own sector.  Everything is read
+    from ``layout``, so the aim and the mask come from one illumination.
     """
-    if layout is None:
-        layout = build_layout(cfg)
     delta = layout.element_positions[np.newaxis, :, :] - layout.active_positions[:, np.newaxis, :]
     dist = np.linalg.norm(delta, axis=-1)  # (N, M)
     if np.any(dist < 1e-12):
         raise GeometryError("an antenna coincides with a surface element")
     cos_theta = np.einsum("nmk,nk->nm", delta, layout.active_boresights) / dist
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    gain = antenna_gain(theta, cfg.kappa)
-    amplitude = (cfg.wavelength / (4.0 * np.pi * dist)) * np.sqrt(
-        cfg.surface_efficiency * gain
+    gain = antenna_gain(theta, layout.kappa)
+    amplitude = (layout.wavelength / (4.0 * np.pi * dist)) * np.sqrt(
+        layout.surface_efficiency * gain
     )
-    transfer = (amplitude * np.exp(-2j * np.pi * dist / cfg.wavelength)).T  # (M, N)
-    if cfg.illumination is IlluminationMode.SEPARATE:
-        mask = layout.sector_assignment[:, np.newaxis] == np.arange(cfg.n_active)[np.newaxis, :]
+    transfer = (amplitude * np.exp(-2j * np.pi * dist / layout.wavelength)).T  # (M, N)
+    if layout.illumination is IlluminationMode.SEPARATE:
+        mask = layout.sector_assignment[:, np.newaxis] == np.arange(layout.n_active)[np.newaxis, :]
         transfer = np.where(mask, transfer, 0.0 + 0.0j)
     return transfer
-

@@ -11,15 +11,15 @@ Determinism contract: the emitted CSV is a pure function of the spec and base
 seed, byte-identical across runs and worker counts.  It holds no measured time.
 
 Two bounded LRU memos with read-only arrays change no draw: layout and transfer
-matrix per resolved :class:`GeometryConfig` (16 entries), and :func:`block`,
-the last :class:`Block` (1 entry): the trials ``[b*B, (b+1)*B)`` of one grid
-value, ``B = BLOCK_TRIALS``.  A block builds each :class:`Trial` on first use,
-so a trial's cells share its drop, channel and ZF-WF solutions.  The first
-BCD cell of a (method, illumination) solves that kind for every trial of the
-block in one batched ``bcd_solve`` call; the frozen-phase methods ignore the
+matrix per resolved :class:`GeometryConfig` and illumination (16 entries), and
+:func:`block`, the last :class:`Block` (1 entry): the trials ``[b*B, (b+1)*B)``
+of one grid value, ``B = BLOCK_TRIALS``.  A block builds each :class:`Trial` on
+first use, so a trial's cells share its drop, channel and ZF-WF solutions.  The
+first BCD cell of a (method, illumination) solves that kind for every trial of
+the block in one batched ``bcd_solve`` call; the frozen-phase methods ignore the
 illumination, so theirs is solved once for all illuminations.  Each cell takes
-its solution out, so asking for a cell again solves it again.  A solve's bits
-do not depend on its batch, and ``run_sweep`` gives workers whole blocks.
+its solution out, so asking for a cell again solves it again.  A solve's bits do
+not depend on its batch, and ``run_sweep`` gives workers whole blocks.
 
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
@@ -227,10 +227,10 @@ def _read_only(*arrays):
 
 
 @lru_cache(maxsize=16)  # grid values x illuminations of a sweep
-def _geometry(geometry: GeometryConfig):
-    """(layout, transfer) of one resolved geometry, built once; arrays read-only."""
-    layout = build_layout(geometry)
-    transfer = build_transfer_matrix(geometry, layout)
+def _geometry(geometry: GeometryConfig, illumination: IlluminationMode):
+    """(layout, transfer) of one resolved geometry and illumination; arrays read-only."""
+    layout = build_layout(geometry, illumination)
+    transfer = build_transfer_matrix(layout)
     _read_only(transfer, *(a for a in vars(layout).values() if isinstance(a, np.ndarray)))
     return layout, transfer
 
@@ -246,7 +246,7 @@ class Trial:
     def __init__(self, spec: ExperimentSpec, sweep_value: float, trial_index: int):
         self.spec = spec
         self.geometry, self.budget = _resolve_sweep(spec, sweep_value)
-        self.layout = _geometry(replace(self.geometry, illumination=IlluminationMode.FULL))[0]
+        self.layout = _geometry(self.geometry, IlluminationMode.FULL)[0]
         self.streams = _trial_streams(spec.base_seed, trial_index)
         self.drop = sample_user_drop(spec.channel, spec.n_users, self.streams[0])
         self._surface, self._zfwf = {}, {}
@@ -267,7 +267,7 @@ class Trial:
     def instance(self, illumination: IlluminationMode) -> SystemInstance:
         """The surface instance under ``illumination``."""
         if illumination not in self._surface:
-            transfer = _geometry(replace(self.geometry, illumination=illumination))[1]
+            transfer = _geometry(self.geometry, illumination)[1]
             self._surface[illumination] = self._build(transfer, self.channel, self.spec.constraint)
         return self._surface[illumination]
 

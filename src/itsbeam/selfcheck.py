@@ -12,13 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import (
-    GeometryConfig,
-    IlluminationMode,
-    antenna_gain,
-    build_layout,
-    build_transfer_matrix,
-)
+from .geometry import GeometryConfig, antenna_gain, build_layout, build_transfer_matrix
 from .model import (
     ConstraintKind,
     PhaseConfig,
@@ -148,11 +142,10 @@ def _check_transfer_magnitude() -> bool:
         separation=0.08,
         kappa=9.0,
         surface_efficiency=0.5,
-        illumination=IlluminationMode.FULL,
         grid_shape=(8, 4),
     )
     layout = build_layout(cfg)
-    transfer = build_transfer_matrix(cfg, layout)
+    transfer = build_transfer_matrix(layout)
     dists = np.linalg.norm(
         layout.element_positions[:, None, :] - layout.active_positions[None, :, :], axis=-1
     )

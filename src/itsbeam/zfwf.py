@@ -143,10 +143,6 @@ def zfwf_solve(inst: SystemInstance, phases: PhaseConfig | None = None) -> Solut
     """
     if phases is None:
         phases = phase_align(inst)
-    elif inst.n_users > inst.n_chains:
-        raise SolverError(
-            f"zero-forcing requires K <= N, got K={inst.n_users}, N={inst.n_chains}"
-        )
     heff = effective_channel(inst, phases)
     directions = zf_directions(heff)
     costs = np.sum(np.abs(inst.power_map @ directions) ** 2, axis=0)

@@ -87,9 +87,11 @@ def test_sweep_requires_out(config_path):
         main(["sweep", "--config", config_path])
 
 
-# Former keys, now constants of wmmse or gone with the CSV's time column: a file
-# that still sets one fails with an error that names it.
+# Former keys, now constants of wmmse, gone with the CSV's time column, or
+# (illumination) read only from sweep.illuminations: a file that still sets one
+# fails with an error that names it.
 REMOVED_KEYS = (
+    ("geometry", "illumination", "separate"),
     ("solver", "tau_init", "1.0"),
     ("solver", "armijo_shrink", "0.5"),
     ("solver", "armijo_zeta", "1.0e-3"),

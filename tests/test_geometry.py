@@ -25,7 +25,6 @@ def config(
     separation=None,
     kappa=49.0,
     surface_efficiency=1.0,
-    illumination=IlluminationMode.FULL,
 ):
     if separation is None:
         separation = 10.0 * characteristic_distance(n_elements, n_active, wavelength)
@@ -37,9 +36,12 @@ def config(
         separation=separation,
         kappa=kappa,
         surface_efficiency=surface_efficiency,
-        illumination=illumination,
         grid_shape=grid_shape,
     )
+
+
+def transfer_of(cfg, illumination=IlluminationMode.FULL):
+    return build_transfer_matrix(build_layout(cfg, illumination))
 
 
 def test_characteristic_distance_reference_value():
@@ -110,7 +112,7 @@ def test_single_antenna_full_boresight_is_normal():
 
 
 def test_sector_partition_16x8_into_four():
-    layout = build_layout(config(illumination=IlluminationMode.PARTIAL))
+    layout = build_layout(config(), IlluminationMode.PARTIAL)
     sectors = layout.sector_assignment
     counts = np.bincount(sectors, minlength=4)
     assert np.all(counts == 32)  # four equal 8x4 sectors
@@ -146,17 +148,16 @@ def test_transfer_single_antenna_on_axis():
         separation=7.0,
         kappa=49.0,
         surface_efficiency=1.0,
-        illumination=IlluminationMode.FULL,
         grid_shape=(1, 1),
     )
-    transfer = build_transfer_matrix(cfg)
+    transfer = transfer_of(cfg)
     expected = (1.0 / (4.0 * np.pi * 7.0)) * 10.0 * np.exp(-2j * np.pi * 7.0)
     assert abs(transfer[0, 0] - expected) < 1e-12
 
 
 def test_transfer_loss_scaling():
-    base = build_transfer_matrix(config(surface_efficiency=1.0))
-    lossy = build_transfer_matrix(config(surface_efficiency=0.5))
+    base = transfer_of(config(surface_efficiency=1.0))
+    lossy = transfer_of(config(surface_efficiency=0.5))
     ratio = np.abs(lossy) ** 2 / np.abs(base) ** 2
     assert np.allclose(ratio, 0.5, rtol=1e-12)
 
@@ -164,7 +165,7 @@ def test_transfer_loss_scaling():
 def test_transfer_magnitude_bound():
     cfg = config()
     layout = build_layout(cfg)
-    transfer = build_transfer_matrix(cfg, layout)
+    transfer = build_transfer_matrix(layout)
     delta = layout.element_positions[None, :, :] - layout.active_positions[:, None, :]
     r_min = np.linalg.norm(delta, axis=-1).min()
     bound = (cfg.wavelength / (4.0 * np.pi * r_min)) * math.sqrt(
@@ -176,7 +177,7 @@ def test_transfer_magnitude_bound():
 def test_transfer_phase_consistency():
     cfg = config()
     layout = build_layout(cfg)
-    transfer = build_transfer_matrix(cfg, layout)
+    transfer = build_transfer_matrix(layout)
     delta = layout.element_positions[:, None, :] - layout.active_positions[None, :, :]
     dist = np.linalg.norm(delta, axis=-1)
     expected = np.exp(-2j * np.pi * dist / cfg.wavelength)
@@ -186,11 +187,9 @@ def test_transfer_phase_consistency():
 
 
 def test_separate_is_masked_partial():
-    partial_cfg = config(illumination=IlluminationMode.PARTIAL)
-    separate_cfg = config(illumination=IlluminationMode.SEPARATE)
-    partial = build_transfer_matrix(partial_cfg)
-    separate = build_transfer_matrix(separate_cfg)
-    layout = build_layout(separate_cfg)
+    partial = transfer_of(config(), IlluminationMode.PARTIAL)
+    layout = build_layout(config(), IlluminationMode.SEPARATE)
+    separate = build_transfer_matrix(layout)
     mask = layout.sector_assignment[:, None] == np.arange(4)[None, :]
     assert np.all(separate[~mask] == 0.0)
     assert np.allclose(separate[mask], partial[mask], rtol=1e-12)
@@ -200,7 +199,7 @@ def test_separate_is_masked_partial():
 def test_capture_monotone_in_distance():
     r0 = characteristic_distance(128, 4, 1.0)
     norms = [
-        np.linalg.norm(build_transfer_matrix(config(separation=mult * r0)))
+        np.linalg.norm(transfer_of(config(separation=mult * r0)))
         for mult in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
     ]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
@@ -216,3 +215,7 @@ def test_config_validation():
     with pytest.raises(GeometryError):
         config(separation=0.0)
 
+
+def test_layout_rejects_an_illumination_that_is_not_a_mode():
+    with pytest.raises(GeometryError, match="IlluminationMode"):
+        build_layout(config(), "separate")

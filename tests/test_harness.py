@@ -142,7 +142,7 @@ def test_common_random_numbers_across_methods():
     state = trial(spec, 30.0, 1)
     for illumination in IlluminationMode:
         rng, rng_direct, _ = _trial_streams(spec.base_seed, 1)
-        layout = build_layout(replace(spec.geometry, illumination=illumination))
+        layout = build_layout(spec.geometry, illumination)
         drop = sample_user_drop(spec.channel, spec.n_users, rng)
         channel = sample_channel(layout, drop, spec.channel, rng)
         assert np.array_equal(state.instance(illumination).channel, channel)
@@ -175,7 +175,7 @@ def test_memoised_arrays_are_read_only():
     spec = tiny_spec()
     state = trial(spec, 30.0, 0)
     inst, zf = state.instance(IlluminationMode.FULL), state.zfwf(IlluminationMode.FULL)
-    layout, transfer = harness._geometry(spec.geometry)
+    layout, transfer = harness._geometry(spec.geometry, IlluminationMode.FULL)
     arrays = (
         inst.transfer, inst.channel, inst.weights, zf.phases.phases, zf.precoder.matrix,
         state.no_surface.channel, state.random_phases.phases, transfer, layout.element_positions,
@@ -477,7 +477,6 @@ def reference_spec(sweep, constraint):
         separation=10.0 * characteristic_distance(128, 4, wavelength),
         kappa=49.0,
         surface_efficiency=10.0 ** (-3.5 / 10.0),
-        illumination=IlluminationMode.FULL,
         grid_shape=(16, 8),
     )
     grid = {
@@ -554,7 +553,6 @@ geometry:
   grid_cols: 4
   kappa: 10.0
   surface_loss_db: 5.0
-  illumination: separate
 channel:
   median_element_gain_db: null
   azimuth_deg: 45.0
@@ -587,7 +585,6 @@ sweep:
     assert geo.grid_shape == (8, 4)
     assert abs(geo.wavelength - SPEED_OF_LIGHT / 1e10) < 1e-15
     assert abs(geo.surface_efficiency - 10.0 ** (-0.5)) < 1e-15
-    assert geo.illumination is IlluminationMode.SEPARATE
     ch = spec.channel
     assert ch.gain_normalization_db is None
     assert ch.direct_kappa == 0.0
@@ -600,6 +597,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         spec_from_mapping({"sweeps": {}})
     with pytest.raises(ConfigError, match="unknown keys"):
         spec_from_mapping({"sweep": {"grids": [1.0]}})
+    # The illumination is an experiment axis, set only by sweep.illuminations.
+    with pytest.raises(ConfigError, match=r"'geometry': \['illumination'\]"):
+        spec_from_mapping({"geometry": {"illumination": "separate"}})
     with pytest.raises(ConfigError):
         spec_from_mapping({"sweep": {"kind": "voltage"}})
     path = tmp_path / "bad.yaml"

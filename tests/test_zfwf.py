@@ -61,6 +61,15 @@ def test_phase_align_needs_enough_chains():
         phase_align(inst)
 
 
+def test_zfwf_with_given_phases_needs_enough_chains():
+    # Given phases skip the alignment, so zero-forcing is the stage that refuses K > N.
+    rng = np.random.default_rng(65)
+    inst = make_instance(rng, m=8, n=2, k=3)
+    phases = PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, 8))
+    with pytest.raises(SolverError, match="K <= N"):
+        zfwf_solve(inst, phases=phases)
+
+
 def test_phase_align_near_separable_optimum():
     # The heuristic maximizes sum_m |v_m| exactly for the aligned objective;
     # a 64-point per-element sweep around the returned phases finds nothing

@@ -85,7 +85,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = load_experiment_spec(args.config, _overrides_from_args(args))
-    # Only trial 0 is read; one trial changes no draw, and its block solves no other.
+    # Only trial 0 is read; one trial changes no draw, and its queues solve no other.
     spec = replace(spec, trials=1)
     method = Method(args.method)
     value = spec.power_budget_dbm if spec.sweep.value == "power" else spec.grid[0]

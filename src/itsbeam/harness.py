@@ -12,14 +12,13 @@ seed, byte-identical across runs and worker counts.  It holds no measured time.
 
 Two bounded LRU memos with read-only arrays change no draw: layout and transfer
 matrix per resolved :class:`GeometryConfig` and illumination (16 entries), and
-:func:`block`, the last :class:`Block` (1 entry): the trials ``[b*B, (b+1)*B)``
-of one grid value, ``B = BLOCK_TRIALS``.  A block builds each :class:`Trial` on
-first use, so a trial's cells share its drop, channel and ZF-WF solutions.  The
-first BCD cell of a (method, illumination) solves that kind for every trial of
-the block in one batched ``bcd_solve`` call; the frozen-phase methods ignore the
-illumination, so theirs is solved once for all illuminations.  Each cell takes
-its solution out, so asking for a cell again solves it again.  A solve's bits do
-not depend on its batch, and ``run_sweep`` gives workers whole blocks.
+:func:`memo`, the :class:`Memo` of the last grid value (1 entry).  It builds each
+:class:`Trial` on first use, so a trial's cells share its drop, channel and ZF-WF
+solutions, and feeds one ``bcd_solve`` queue per BCD kind (method, illumination)
+the trials in order: when a row stops, the next trial takes its slot.  The
+frozen-phase methods ignore the illumination, so one queue each serves every
+illumination.  A solve's bits do not depend on its batch, and ``run_sweep``
+gives workers contiguous ranges of trials.
 
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
@@ -35,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,7 +47,8 @@ from .geometry import (
     build_transfer_matrix,
     characteristic_distance,
 )
-# sinr and constraint_value stay module attributes: call-site tracers wrap them here.
+# effective_channel, sinr and constraint_value stay module attributes: call-site tracers
+# wrap them here.
 from .model import (
     ConstraintKind,
     PhaseConfig,
@@ -59,7 +60,7 @@ from .model import (
     sinr,
 )
 from .wmmse import _FAILURES, SolverSettings, bcd_solve
-from .zfwf import zf_directions, zfwf_solve
+from .zfwf import _zero_forcing, zfwf_solve
 
 __all__ = [
     "Method",
@@ -70,10 +71,11 @@ __all__ = [
     "CSV_HEADER",
     "dbm_to_watts",
     "trial_seed",
-    "BLOCK_TRIALS",
+    "QUEUE_WIDTH",
+    "LOOK_AHEAD",
     "Trial",
-    "Block",
-    "block",
+    "Memo",
+    "memo",
     "trial",
     "solve_cell",
     "run_trial",
@@ -194,6 +196,7 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+@lru_cache(maxsize=1)  # a trial's cells run together, so each trial derives its seed once
 def trial_seed(base_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed recorded in the CSV."""
     return int(np.random.SeedSequence([int(base_seed), int(trial_index)]).generate_state(1)[0])
@@ -297,8 +300,8 @@ class Trial:
 _REVIVAL_BLEND = 1e-2
 
 
-def _bcd_init(inst, sol):
-    """Zero-forcing start for the BCD solver from the ZF-WF solution ``sol`` of ``inst``.
+def _zf_start(inst, phases):
+    """The zero-forcing precoder through ``phases`` on water-filling powers, and the powers.
 
     Water-filling can shut off a user whose zero-forcing direction is costly,
     and a user entering BCD at exactly zero power stays silent forever (zero
@@ -306,54 +309,90 @@ def _bcd_init(inst, sol):
     happens, a small slice of the budget is shifted toward the equal-power
     allocation along the same directions; the total stays exactly on budget.
     """
-    powers = np.asarray(sol.detail["powers"], dtype=float)
-    if np.all(powers > 0.0):
+    directions, alloc = _zero_forcing(inst, phases)
+    powers = alloc.powers
+    if not np.all(powers > 0.0):
+        equal = inst.power_budget / (inst.n_users * alloc.chain_costs)
+        powers = (1.0 - _REVIVAL_BLEND) * powers + _REVIVAL_BLEND * equal
+    return Precoder(directions * np.sqrt(powers)[np.newaxis, :]), powers
+
+
+def _bcd_init(inst, sol):
+    """Zero-forcing start for the BCD solver from the ZF-WF solution ``sol`` of ``inst``."""
+    if np.all(np.asarray(sol.detail["powers"]) > 0.0):
         return sol
-    costs = np.asarray(sol.detail["chain_costs"], dtype=float)
-    equal = inst.power_budget / (inst.n_users * costs)
-    blended = (1.0 - _REVIVAL_BLEND) * powers + _REVIVAL_BLEND * equal
-    directions = zf_directions(effective_channel(inst, sol.phases))
-    precoder = Precoder(directions * np.sqrt(blended)[np.newaxis, :])
+    precoder, powers = _zf_start(inst, sol.phases)
     return Solution.from_state(
-        inst, sol.phases, precoder, detail=dict(sol.detail, powers=blended.tolist(), revived=True)
+        inst, sol.phases, precoder, detail=dict(sol.detail, powers=powers.tolist(), revived=True)
     )
 
 
-# Trials per block.  A block holds its trials' states and up to two kinds of
-# solutions at once: blocks of 64 ran faster than 32 but raised the peak
-# memory of a 500-trial frozen-phase sweep by 15%, against 8% at 32.
-BLOCK_TRIALS = 32
+# A queue's batch width, and its look-ahead: it admits no trial at or past the one
+# requested plus LOOK_AHEAD, and on its first request no more than one batch.
+QUEUE_WIDTH, LOOK_AHEAD = 32, 64
 
 _BCD_METHODS = (Method.WMMSE_BCD, Method.RANDOM_PHASES, Method.NO_ITS)
 
 
-def _block_trials(spec: ExperimentSpec, index: int) -> range:
-    return range(index * BLOCK_TRIALS, min((index + 1) * BLOCK_TRIALS, spec.trials))
+class _Queue:
+    """A kind's ``bcd_solve`` queue, fed the trials of ``source`` (a Memo) from ``first`` on;
+    each outcome waits under its cells (trial, illumination), one per illumination for a
+    frozen kind."""
+
+    def __init__(self, source, method: Method, illumination: IlluminationMode, first: int):
+        frozen, spec = method is not Method.WMMSE_BCD, source.spec
+        solver = replace(spec.solver, freeze_phases=True) if frozen else spec.solver
+        self.lights = {illumination, *spec.illuminations} if frozen else {illumination}
+        self.first, self.due, self.held = first, {first}, {}  # due: admitted or admitted next
+        self.bound = first + QUEUE_WIDTH
+        feed = self._feed(source, method, illumination)
+        self.outcomes = bcd_solve(feed, solver, width=QUEUE_WIDTH)
+
+    def _feed(self, source, method, illumination):
+        for index in range(self.first, source.spec.trials):
+            while index >= self.bound:
+                yield None  # admit nothing until a request moves the bound
+            try:
+                item = source.start(method, illumination, index)
+            except _FAILURES as exc:
+                item = exc
+            self.due.add(index + 1)
+            yield item
+
+    def serves(self, index: int, illumination: IlluminationMode) -> bool:
+        """Whether the cell is held, or due from a trial this queue runs or admits next."""
+        due = illumination in self.lights and index in self.due
+        return due or (index, illumination) in self.held
+
+    def take(self, index: int, illumination: IlluminationMode):
+        """The outcome of a cell that this queue serves, run for as long as it takes."""
+        self.bound = index + (LOOK_AHEAD if index > self.first else QUEUE_WIDTH)
+        while (index, illumination) not in self.held:
+            position, outcome = next(self.outcomes)
+            self.due.discard(self.first + position)
+            self.held.update(((self.first + position, light), outcome) for light in self.lights)
+        return self.held.pop((index, illumination))
 
 
-class Block:
-    """The trials ``[index*B, (index+1)*B)`` of one grid value, ``B = BLOCK_TRIALS``.
+class Memo:
+    """The trial states and solve queues of one grid value.
 
-    Each :class:`Trial` is built on first use.  The BCD cells of one (method,
-    illumination) are solved together, in one ``bcd_solve`` call, on the first
-    request for any of them, and each outcome is stored under its cell (method,
-    illumination, trial) until a request takes it out.  The frozen-phase methods
-    ignore the illumination, so each of them is solved once and fills the cells of
-    every illumination of the spec.
+    A :class:`Trial` is built on first use and dropped once a later trial is asked for.
+    A request that its kind's queue cannot serve (a trial it has passed, a cell taken, a
+    trial it does not admit next) starts a fresh queue, so a cell asked twice is solved twice.
     """
 
-    def __init__(self, spec: ExperimentSpec, sweep_value: float, index: int):
+    def __init__(self, spec: ExperimentSpec, sweep_value: float):
         self.spec, self.sweep_value = spec, sweep_value
-        self.trials = _block_trials(spec, index)
-        self._states, self._solved = {}, {}
+        self.states, self.queues, self.requested = {}, {}, 0
 
     def trial(self, trial_index: int) -> Trial:
-        """The shared state of one trial of this block."""
-        if trial_index not in self._states:
-            self._states[trial_index] = Trial(self.spec, self.sweep_value, trial_index)
-        return self._states[trial_index]
+        """The shared state of one trial of this grid value."""
+        if trial_index not in self.states:
+            self.states[trial_index] = Trial(self.spec, self.sweep_value, trial_index)
+        return self.states[trial_index]
 
-    def _start(self, method: Method, illumination: IlluminationMode, trial_index: int):
+    def start(self, method: Method, illumination: IlluminationMode, trial_index: int):
         """(instance, initial point) of one BCD cell."""
         state = self.trial(trial_index)
         if method is Method.WMMSE_BCD:
@@ -363,50 +402,37 @@ class Block:
             inst, phases = state.no_surface, PhaseConfig(np.zeros(state.geometry.n_active))
         else:
             inst, phases = state.instance(IlluminationMode.FULL), state.random_phases
-        # Both frozen-phase baselines run plain digital WMMSE from a zero-forcing start.
-        return inst, _bcd_init(inst, zfwf_solve(inst, phases=phases))
+        # Both frozen-phase baselines run plain digital WMMSE from a zero-forcing start, the
+        # one of ``_bcd_init(inst, zfwf_solve(inst, phases=phases))`` bit for bit, built with
+        # neither Solution: ``bcd_solve`` refuses a start over budget, as their checks did.
+        return inst, SimpleNamespace(phases=phases, precoder=_zf_start(inst, phases)[0])
 
     def solution(self, method: Method, illumination: IlluminationMode, trial_index: int):
-        """The BCD solution of one cell; its error (an itsbeam or LinAlgError) is raised."""
-        cell = (method, illumination, trial_index)
-        if cell not in self._solved:
-            self._solve(method, illumination)
-        outcome = self._solved.pop(cell)
+        """The solution of one cell; its error (an itsbeam or LinAlgError) is raised."""
+        if trial_index != self.requested:
+            self.requested = trial_index
+            self.states = {t: s for t, s in self.states.items() if t >= trial_index}
+        if method is Method.ZF_WF:
+            return self.trial(trial_index).zfwf(illumination)
+        if method not in _BCD_METHODS:
+            raise SolverError(f"unknown method {method!r}")
+        kind = (method, illumination if method is Method.WMMSE_BCD else None)
+        queue = self.queues.get(kind)
+        if queue is None or not queue.serves(trial_index, illumination):
+            queue = self.queues[kind] = _Queue(self, method, illumination, trial_index)
+        outcome = queue.take(trial_index, illumination)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    def _solve(self, method: Method, illumination: IlluminationMode) -> None:
-        """Solve one kind for the trials whose cell is not stored; frozen, in every illumination."""
-        frozen = method is not Method.WMMSE_BCD
-        lights = {illumination, *self.spec.illuminations} if frozen else {illumination}
-        starts, outcomes = {}, {}
-        missing = [t for t in self.trials if (method, illumination, t) not in self._solved]
-        for trial_index in missing:
-            try:
-                starts[trial_index] = self._start(method, illumination, trial_index)
-            except _FAILURES as exc:
-                outcomes[trial_index] = exc
-        if starts:
-            settings = replace(self.spec.solver, freeze_phases=True) if frozen else self.spec.solver
-            insts, inits = zip(*starts.values())
-            try:
-                solved = bcd_solve(insts, settings, inits)
-            except _FAILURES as exc:
-                solved = [exc] * len(starts)
-            outcomes.update(zip(starts, solved))
-        self._solved.update(
-            ((method, light, t), outcome) for t, outcome in outcomes.items() for light in lights
-        )
 
-
-# block(spec, sweep_value, index): the last block; cells run block by block.
-block = lru_cache(maxsize=1)(Block)
+# memo(spec, sweep_value): the last grid value's memo; cells run grid value by grid value.
+memo = lru_cache(maxsize=1)(Memo)
 
 
 def trial(spec: ExperimentSpec, sweep_value: float, trial_index: int) -> Trial:
-    """The shared state of one trial, held by its block."""
-    return block(spec, sweep_value, trial_index // BLOCK_TRIALS).trial(trial_index)
+    """The shared state of one trial, held by its grid value's memo."""
+    return memo(spec, sweep_value).trial(trial_index)
 
 
 def _applied_constraint(spec: ExperimentSpec, method: Method) -> ConstraintKind:
@@ -425,15 +451,9 @@ def solve_cell(
 
     Returns (solution, applied constraint); the no-surface baseline always
     applies TRANSMITTED_POWER.  Solver errors propagate.  A BCD cell comes from
-    its block, which solves the cell's kind for all its trials on first request.
+    its kind's queue, which solves the trials from it on, up to ``spec.trials``.
     """
-    state = block(spec, sweep_value, trial_index // BLOCK_TRIALS)
-    if method is Method.ZF_WF:
-        solved = state.trial(trial_index).zfwf(illumination)
-    elif method in _BCD_METHODS:
-        solved = state.solution(method, illumination, trial_index)
-    else:
-        raise SolverError(f"unknown method {method!r}")
+    solved = memo(spec, sweep_value).solution(method, illumination, trial_index)
     return solved, _applied_constraint(spec, method)
 
 
@@ -470,11 +490,12 @@ def run_trial(
     )
 
 
-def _block_records(spec: ExperimentSpec, sweep_value: float, index: int) -> list:
-    """The records of one block's cells, in run_sweep's order."""
+def _range_records(spec: ExperimentSpec, sweep_value: float, first: int, stop: int) -> list:
+    """The records of the trials [first, stop) of one grid value, in run_sweep's order."""
+    cut = replace(spec, trials=stop)  # no draw changes, and the queues admit no trial past stop
     return [
-        run_trial(spec, sweep_value, trial_index, method, illumination)
-        for trial_index in _block_trials(spec, index)
+        run_trial(cut, sweep_value, trial_index, method, illumination)
+        for trial_index in range(first, stop)
         for method in spec.methods
         for illumination in spec.illuminations
     ]
@@ -484,20 +505,22 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     """Run the full cross product grid x trials x methods x illuminations.
 
     Record order is deterministic (grid-major, then trial, then method, then
-    illumination) regardless of ``workers``.  Blocks are the work units: a
-    worker solves a whole block, and a sweep of one block runs in this process.
+    illumination) regardless of ``workers``.  Contiguous ranges of trials are the
+    work units, up to ``workers`` per grid value and none narrower than a queue's
+    batch: a worker runs whole ranges, and a sweep of one range runs in this process.
     """
-    blocks = [
-        (spec, value, index)
+    parts = max(1, min(workers, spec.trials // QUEUE_WIDTH))
+    ranges = [
+        (spec, value, spec.trials * part // parts, spec.trials * (part + 1) // parts)
         for value in spec.grid
-        for index in range(-(-spec.trials // BLOCK_TRIALS))
+        for part in range(parts)
     ]
-    if workers <= 1 or len(blocks) == 1:
-        parts = [_block_records(*task) for task in blocks]
+    if workers <= 1 or len(ranges) == 1:
+        records = [_range_records(*task) for task in ranges]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(_block_records, *zip(*blocks)))
-    return [record for part in parts for record in part]
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+            records = list(pool.map(_range_records, *zip(*ranges)))
+    return [record for part in records for record in part]
 
 
 def write_results(records, path) -> None:

@@ -39,7 +39,7 @@ from .wmmse import (
 from .wmmse import _power_curve, _precoder_system, _spectrum
 from .zfwf import waterfill, zfwf_solve
 from .config import default_experiment_spec
-from .harness import Method, block, run_trial
+from .harness import Method, memo, run_trial
 
 __all__ = [
     "optimal_aux",
@@ -260,8 +260,9 @@ def _check_bcd_monotone(rng) -> bool:
     return bool(np.all(diffs >= -1e-9)) and values[-1] >= init.wsr - 1e-9
 
 
-def _check_block_solve(rng) -> bool:
-    """A batch of 6 (both constraints, one silent user) against 6 batches of one, bit for bit.
+def _check_batch_solve(rng) -> bool:
+    """A batch of 6 (both constraints, one silent user), and a queue of width 2 over them
+    (rows join as slots free up), against 6 batches of one, bit for bit.
 
     The phase block's cap of 200 L-BFGS iterations lets rows of the stacked block stop
     at different iterations, before the cap, in the same outer iteration.
@@ -277,26 +278,28 @@ def _check_block_solve(rng) -> bool:
         insts.append(inst)
         inits.append(init)
     settings = SolverSettings(bcd_max_iters=15, pga_max_iters=200)
-    block = bcd_solve(insts, settings, inits)
-    steps = [row["pga_steps"] for solution in block for row in solution.detail]
+    batch = bcd_solve(insts, settings, inits)
+    steps = [row["pga_steps"] for solution in batch for row in solution.detail]
     if min(steps) == settings.pga_max_iters:
         return False  # no row stopped early: the check would not cover the block's stops
-    for inst, init, together in zip(insts, inits, block):
+    queued = dict(bcd_solve(zip(insts, inits), settings, width=2))
+    for index, (inst, init, together) in enumerate(zip(insts, inits, batch)):
         alone = bcd_solve(inst, settings, init)
-        if not (
-            alone.trace == together.trace
-            and alone.detail == together.detail
-            and np.array_equal(alone.phases.phases, together.phases.phases)
-            and np.array_equal(alone.precoder.matrix, together.precoder.matrix)
-        ):
-            return False
+        for other in (together, queued[index]):
+            if not (
+                alone.trace == other.trace
+                and alone.detail == other.detail
+                and np.array_equal(alone.phases.phases, other.phases.phases)
+                and np.array_equal(alone.precoder.matrix, other.precoder.matrix)
+            ):
+                return False
     return True
 
 
 def _check_harness_determinism() -> bool:
     spec = replace(default_experiment_spec(), trials=1)
     rec1 = run_trial(spec, 20.0, 0, Method.ZF_WF, spec.illuminations[0])
-    block.cache_clear()  # the second run draws its own trial state, not the memo's
+    memo.cache_clear()  # the second run draws its own trial state, not the memo's
     return rec1 == run_trial(spec, 20.0, 0, Method.ZF_WF, spec.illuminations[0])
 
 
@@ -316,7 +319,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
         ("zfwf zero interference", lambda: _check_zf(rng)),
         ("bcd monotone ascent", lambda: _check_bcd_monotone(rng)),
         ("wmmse dual power curve vs explicit solves", lambda: _check_dual_power_curve(rng)),
-        ("wmmse block solve equals solo solves", lambda: _check_block_solve(rng)),
+        ("wmmse batch and queue solves equal solo solves", lambda: _check_batch_solve(rng)),
         ("harness trial determinism", _check_harness_determinism),
     ]
     all_ok = True

@@ -26,7 +26,8 @@ IEEE TWC 2021): everything runs on stacked arrays, one row per instance, except
 each row's Armijo backtracking in the phase block and the bisection on its power
 curve, which run on Python scalars.  Every stacked operation gives a row
 the bits it gives a batch of one, so a solution does not depend on the batch it
-was solved in.  One instance is a batch of one.
+was solved in.  The batch is a queue of fixed slots: a row that stops frees its
+slot for the next instance (continuous batching; Yu et al., "Orca", OSDI 2022).
 """
 
 from __future__ import annotations
@@ -153,26 +154,35 @@ def _unchecked(cls, **values):
 
 
 class _Batch:
-    """Instances solved together; weights, noise powers, budgets and curvatures stacked by row.
+    """Fixed slots for the rows of a solve: weights, noise powers, budgets, curvatures R and
+    whitenings L^-1 (R = L L^H) stacked by slot, each written when its row is admitted.
 
-    The curvature R carries the constraint kind (I under TP), so TP and RP rows mix in
-    one batch and nothing below reads the kind.  The helpers below that read only these
-    attributes, or the stacked channels, transfer matrices and whitenings, take a batch
-    where they take one instance, so each formula is written once for both.
+    R carries the constraint kind (I under TP), so TP and RP rows mix in one batch and
+    nothing below reads the kind.  The helpers below that read only these attributes, or
+    the stacked channels and transfer matrices, take a batch (or the ``take`` of its
+    running rows) where they take one instance, so each formula is written once for both.
     """
 
-    _STACKED = ("weights", "noise_power", "power_budget", "curvature")
+    _STACKED = ("weights", "noise_power", "power_budget", "curvature", "whitening")
 
-    def __init__(self, insts):
-        self.insts = list(insts)
-        if len({(one.n_users, one.n_chains, one.n_elements) for one in self.insts}) > 1:
-            raise DimensionMismatchError(
-                "the instances of a batch must share users, chains and surface elements"
-            )
-        self.weights = np.stack([one.weights for one in self.insts])
-        self.noise_power = np.array([[one.noise_power] for one in self.insts])
-        self.power_budget = np.array([one.power_budget for one in self.insts])
-        self.curvature = np.stack([one.curvature for one in self.insts])
+    def __init__(self, insts, width=None):
+        """``width`` slots (by default one per instance) shaped like ``insts[0]``, which
+        ``insts`` fill from the first."""
+        one, width = insts[0], width or len(insts)
+        self.dims, self.insts = (one.n_users, one.n_chains, one.n_elements), [None] * width
+        self.weights, self.noise_power = np.zeros((width, one.n_users)), np.zeros((width, 1))
+        self.power_budget = np.zeros(width)
+        self.curvature, self.whitening = np.zeros((2, width, one.n_chains, one.n_chains), complex)
+        for slot, inst in enumerate(insts):
+            self.admit(slot, inst)
+
+    def admit(self, slot: int, one: SystemInstance) -> None:
+        """Write ``one`` into ``slot``, unless its shape is not the batch's or its R is singular."""
+        if (one.n_users, one.n_chains, one.n_elements) != self.dims:
+            raise DimensionMismatchError("a batch's instances must share K, N and M")
+        self.whitening[slot] = one.curvature_whitening  # the curvature SolverError
+        self.insts[slot], self.curvature[slot], self.weights[slot] = one, one.curvature, one.weights
+        self.noise_power[slot], self.power_budget[slot] = one.noise_power, one.power_budget
 
     def take(self, rows: np.ndarray) -> _Batch:
         part = object.__new__(_Batch)
@@ -188,11 +198,6 @@ class _Batch:
     @property
     def transfer(self) -> np.ndarray:
         return np.stack([one.transfer for one in self.insts])
-
-    @property
-    def whitening(self) -> np.ndarray:
-        """The stacked L^-1 of each row's R = L L^H; the curvature SolverError if one is singular."""
-        return np.stack([one.curvature_whitening for one in self.insts])
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -598,11 +603,7 @@ def dual_search(
     return Precoder(matrices[0]), float(mu[0])
 
 
-def bcd_solve(
-    inst: SystemInstance,
-    settings: SolverSettings,
-    init: Solution,
-) -> Solution:
+def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = None):
     """Run outer BCD iterations (gamma, y, phases, precoder) from a feasible start.
 
     Stops once the weighted-sum-rate gain of an iteration drops to
@@ -614,88 +615,113 @@ def bcd_solve(
     them the phase block's accepted steps and objective evaluations.  SINR, WSR, y
     and f1 come from one heff @ B per iteration, with heff formed once per phase state.
 
-    ``inst`` and ``init`` may be equal-length sequences: a batch of instances with
-    the same numbers of users, chains and surface elements, iterated by one loop,
-    each with its own stop.  A batch returns, per instance, its Solution or the error
-    (``BeamformingError`` or ``LinAlgError``) that ended its solve, a singular R at
-    entry; the others keep the bits they have alone.  One instance is a batch of one,
-    whose error is raised.
+    Given ``width`` >= 1, a solve queue: ``inst`` iterates over (instance, start) pairs
+    (a start has the ``phases`` and ``precoder`` of a point, as a Solution does), errors,
+    each its item's outcome, and None, which admits nothing at that iteration.  An item
+    takes a free one of ``width`` slots unless its K, N or M differ from the first row's,
+    its R is singular or its start is over budget by more than 1e-6.  The queue yields
+    (position in ``inst``, Solution or error) as each row stops and ends when none runs.
+    Each row counts its own iterations; its bits do not depend on its batch-mates.
+    Sequences ``inst`` and ``init`` are the queue of their pairs, a slot each, returned
+    in input order; one instance is a batch of one, whose error is raised.
     """
+    if width is not None:
+        return _queue(inst, settings, width)
     single = isinstance(inst, SystemInstance)
     insts, inits = ([inst], [init]) if single else (list(inst), list(init))
     if len(insts) != len(inits):
         raise SolverError("a batch needs one initial point per instance")
-    if not insts:
-        return []
-    batch, n = _Batch(insts), len(insts)
-    outcome = [None] * n  # the error that ended a row's solve, at the end its Solution
-    phases = np.zeros((n, insts[0].n_elements))
-    heff = np.zeros((n, insts[0].n_users, insts[0].n_chains), dtype=complex)
-    precoders = np.zeros(_adjoint(heff).shape, dtype=complex)
-    for row, (one, start) in enumerate(zip(insts, inits)):
-        try:
-            one.curvature_whitening  # a singular R has no power curve: the row fails here
-            # Recompute slack against this instance rather than trusting the value
-            # stored on the init, which may have been produced for another budget.
-            init_power = constraint_value(one, start.precoder)
-            if one.power_budget - init_power < -1e-6 * one.power_budget:
-                raise SolverError("initial point violates the power constraint")
-            heff[row] = effective_channel(one, start.phases)
-            phases[row], precoders[row] = start.phases.phases, start.precoder.matrix
-        except _FAILURES as exc:
-            outcome[row] = exc
-    gamma, f, total = map(np.array, _link_terms(batch, heff @ precoders))
-    current = _rates(batch, gamma)[1]
-    traces, details = [[(0, value)] for value in current], [[] for _ in range(n)]
-    active = np.array([row for row in range(n) if outcome[row] is None], dtype=int)
-    for iteration in range(1, settings.bcd_max_iters + 1):
-        if not active.size:
-            break
-        part = batch.take(active)
-        y = _y_update(part, gamma[active], f[active], total[active])
-        aux = _unchecked(AuxVariables, gamma=gamma[active], y=y)
-        pga_steps, phase_evals = [0] * active.size, [0] * active.size
-        if not settings.freeze_phases:
-            phi, pga_steps, phase_evals = _pga(
-                build_analog_subproblem(part, _unchecked(Precoder, matrix=precoders[active]), aux),
-                phases[active],
-                settings,
-            )
-            heff[active] = (part.channel * np.exp(1j * phi)[:, np.newaxis, :]) @ part.transfer
-            phases[active] = phi
-        channels = heff[active]
-        matrices, mu, failed = dual_search(part, None, aux, heff=channels)
-        precoders[active] = matrices
-        terms = _link_terms(part, channels @ matrices)
-        gamma[active], f[active], total[active] = terms
-        new = _rates(part, terms[0])[1]
-        surrogate, mu = _surrogate(part, aux, *terms[1:]).tolist(), mu.tolist()
-        going = []
-        for j, row in enumerate(active):
-            outcome[row] = outcome[row] or failed.get(j)
-            if outcome[row] is not None:
-                continue
-            traces[row].append((iteration, new[j]))
-            details[row].append(dict(
-                iteration=iteration, wsr=new[j], surrogate=surrogate[j], mu=mu[j],
-                pga_steps=pga_steps[j], phase_evals=phase_evals[j],
-            ))
-            gain, current[row] = new[j] - current[row], new[j]
-            if gain <= settings.bcd_epsilon:
-                details[row][-1]["stop"] = "converged" if gain > 0 else "no_progress"
-            else:
-                going.append(row)
-        active = np.array(going, dtype=int)
-    for row in active:
-        details[row][-1]["stop"] = "iteration_cap"
-    for row in (row for row in range(n) if outcome[row] is None):
-        try:
-            outcome[row] = Solution.from_state(
-                insts[row], PhaseConfig(phases[row]), Precoder(precoders[row]),
-                traces[row], details[row],
-            )
-        except _FAILURES as exc:
-            outcome[row] = exc
+    outcome = [None] * len(insts)
+    for position, solved in _queue(zip(insts, inits), settings, max(len(insts), 1)):
+        outcome[position] = solved
     if single and isinstance(outcome[0], Exception):
         raise outcome[0]
     return outcome[0] if single else outcome
+
+
+def _queue(items, settings: SolverSettings, width: int):
+    """``bcd_solve``'s one outer loop, over the rows in ``width`` fixed slots; see there."""
+    items, batch, free, active, taken = iter(items), None, list(range(width))[::-1], [], 0
+    where, current, count, traces, details = ([None] * width for _ in range(5))
+    while True:
+        while free and (item := next(items, None)) is not None:
+            position, taken = taken, taken + 1
+            if isinstance(item, Exception):
+                yield position, item
+                continue
+            one, start = item
+            try:
+                if batch is None:  # the slots take the shape of the first row
+                    batch = _Batch([one], width)
+                    (k, n, m), c = batch.dims, complex
+                    phases, (gamma, total) = np.zeros((width, m)), np.zeros((2, width, k))
+                    f, heff, precoders = (np.zeros((width, *s), c) for s in ((k,), (k, n), (n, k)))
+                batch.admit(free[-1], one)
+                # Recompute slack against this instance rather than trusting the value
+                # stored on the init, which may have been produced for another budget.
+                slack = one.power_budget - constraint_value(one, start.precoder)
+                if slack < -1e-6 * one.power_budget:
+                    raise SolverError("initial point violates the power constraint")
+                channel = effective_channel(one, start.phases)
+            except _FAILURES as exc:
+                yield position, exc
+                continue
+            slot = free.pop()
+            heff[slot], phases[slot] = channel, start.phases.phases
+            precoders[slot] = start.precoder.matrix
+            gamma[slot], f[slot], total[slot] = _link_terms(one, channel @ precoders[slot])
+            current[slot] = value = _rates(one, gamma[slot])[1]
+            where[slot], count[slot], traces[slot], details[slot] = position, 0, [(0, value)], []
+            active.append(slot)
+        if not active:
+            return
+        rows = np.array(active)
+        part = batch.take(rows)
+        y = _y_update(part, gamma[rows], f[rows], total[rows])
+        aux = _unchecked(AuxVariables, gamma=gamma[rows], y=y)
+        pga_steps, phase_evals = [0] * rows.size, [0] * rows.size
+        if not settings.freeze_phases:
+            phi, pga_steps, phase_evals = _pga(
+                build_analog_subproblem(part, _unchecked(Precoder, matrix=precoders[rows]), aux),
+                phases[rows],
+                settings,
+            )
+            heff[rows] = (part.channel * np.exp(1j * phi)[:, np.newaxis, :]) @ part.transfer
+            phases[rows] = phi
+        channels = heff[rows]
+        matrices, mu, failed = dual_search(part, None, aux, heff=channels)
+        precoders[rows] = matrices
+        terms = _link_terms(part, channels @ matrices)
+        gamma[rows], f[rows], total[rows] = terms
+        new = _rates(part, terms[0])[1]
+        surrogate, mu = _surrogate(part, aux, *terms[1:]).tolist(), mu.tolist()
+        going, stopped = [], []
+        for j, slot in enumerate(active):
+            count[slot] += 1
+            if j not in failed:
+                traces[slot].append((count[slot], new[j]))
+                details[slot].append(dict(
+                    iteration=count[slot], wsr=new[j], surrogate=surrogate[j], mu=mu[j],
+                    pga_steps=pga_steps[j], phase_evals=phase_evals[j],
+                ))
+                gain, current[slot] = new[j] - current[slot], new[j]
+                if gain <= settings.bcd_epsilon:
+                    details[slot][-1]["stop"] = "converged" if gain > 0 else "no_progress"
+                elif count[slot] < settings.bcd_max_iters:
+                    going.append(slot)
+                    continue
+                else:
+                    details[slot][-1]["stop"] = "iteration_cap"
+            stopped.append((slot, failed.get(j)))
+        active = going
+        for slot, outcome in stopped:
+            free.append(slot)
+            if outcome is None:
+                try:  # copies: the slot's rows are overwritten when it admits another
+                    outcome = Solution.from_state(
+                        batch.insts[slot], PhaseConfig(phases[slot].copy()),
+                        Precoder(precoders[slot].copy()), traces[slot], details[slot],
+                    )
+                except _FAILURES as exc:
+                    outcome = exc
+            yield where[slot], outcome

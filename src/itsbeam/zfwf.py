@@ -135,18 +135,22 @@ def waterfill(
     raise SolverError("water-filling failed to settle on an active set")
 
 
+def _zero_forcing(inst: SystemInstance, phases: PhaseConfig):
+    """The zero-forcing directions through ``phases`` and their water-filling allocation."""
+    directions = zf_directions(effective_channel(inst, phases))
+    costs = np.sum(np.abs(inst.power_map @ directions) ** 2, axis=0)
+    return directions, waterfill(inst.weights, costs, inst.noise_power, inst.power_budget)
+
+
 def zfwf_solve(inst: SystemInstance, phases: PhaseConfig | None = None) -> Solution:
     """Full pipeline: align phases (unless given), zero-force, water-fill.
 
     Passing ``phases`` skips the alignment stage and zero-forces through the
-    given surface state instead (used for frozen-phase baselines).
+    given surface state instead.
     """
     if phases is None:
         phases = phase_align(inst)
-    heff = effective_channel(inst, phases)
-    directions = zf_directions(heff)
-    costs = np.sum(np.abs(inst.power_map @ directions) ** 2, axis=0)
-    alloc = waterfill(inst.weights, costs, inst.noise_power, inst.power_budget)
+    directions, alloc = _zero_forcing(inst, phases)
     precoder = Precoder(directions * np.sqrt(alloc.powers)[np.newaxis, :])
     detail = {
         "water_level": alloc.water_level,

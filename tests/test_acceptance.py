@@ -63,7 +63,7 @@ def cell_values(spec, value, method, illumination, trials=TRIALS):
     """Per-trial WSR for one sweep cell under the harness seeding.
 
     The spec is cut to ``trials``, which changes no draw, so that the harness
-    solves no trials beyond them in the block of the last one.
+    solves no trials beyond them in the queues of the last ones.
     """
     spec = replace(spec, trials=trials)
     return np.array(

@@ -196,17 +196,23 @@ def test_solve_solves_one_instance(tmp_path, config_path, monkeypatch):
     # solves it alone, with the bits that trial's cell has in a sweep.
     import itsbeam.harness as harness
 
-    batches = []
+    admitted = []
     solve = harness.bcd_solve
 
-    def counting(insts, settings, inits):
-        batches.append(len(insts))
-        return solve(insts, settings, inits)
+    def counting(items, settings, **kwargs):
+        admitted.append(0)
+
+        def source():
+            for item in items:
+                admitted[-1] += item is not None
+                yield item
+
+        return solve(source(), settings, **kwargs)
 
     monkeypatch.setattr(harness, "bcd_solve", counting)
     dump = tmp_path / "bcd.json"
     assert main(["solve", "--config", config_path, "--dump-solution", str(dump)]) == 0
-    assert batches == [1]
+    assert admitted == [1]
     sweep = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", config_path, "--out", str(sweep)]) == 0
     row = next(line for line in sweep.read_text().splitlines() if ",30.0,0,wmmse_bcd," in line)

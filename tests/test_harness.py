@@ -46,7 +46,7 @@ import itsbeam.config as config
 import itsbeam.harness as harness
 import itsbeam.selfcheck as selfcheck
 from itsbeam.harness import (
-    SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, block, trial,
+    LOOK_AHEAD, QUEUE_WIDTH, SPEED_OF_LIGHT, _bcd_init, _resolve_sweep, _trial_streams, memo, trial,
 )
 
 
@@ -153,14 +153,14 @@ def test_common_random_numbers_across_methods():
 
 
 def test_memoised_cell_matches_cold_cell():
-    # A trial's cells share one memoised block; a cell solved after its
+    # A trial's cells share one memoised grid value; a cell solved after its
     # trial's other cells equals the same cell solved from an empty memo.
     spec = tiny_spec(methods=[m.value for m in Method], illuminations=["full", "separate"])
     cells = [(m, i) for m in Method for i in (IlluminationMode.FULL, IlluminationMode.SEPARATE)]
     for cell in cells:
-        block.cache_clear()
+        memo.cache_clear()
         cold = harness.solve_cell(spec, 30.0, 1, *cell)[0]
-        block.cache_clear()
+        memo.cache_clear()
         for other in cells:
             if other != cell:
                 harness.solve_cell(spec, 30.0, 1, *other)
@@ -168,7 +168,7 @@ def test_memoised_cell_matches_cold_cell():
         assert warm.wsr == cold.wsr and warm.trace == cold.trace
         assert np.array_equal(warm.precoder.matrix, cold.precoder.matrix)
         assert np.array_equal(warm.phases.phases, cold.phases.phases)
-    assert block.cache_info().hits == len(cells) - 1
+    assert memo.cache_info().hits == len(cells) - 1
 
 
 def test_memoised_arrays_are_read_only():
@@ -208,7 +208,7 @@ def test_near_field_surface_draw_spares_no_its():
 
 
 def test_failed_surface_draw_fails_only_its_trial(monkeypatch):
-    # Trial 1 of a block draws the near-field drop of the test above: its
+    # Trial 1 draws the near-field drop of the test above: its
     # surface cells become NaN records, and every other cell keeps its bits.
     spec = spec_from_mapping({
         "solver": {"bcd_max_iters": 5},
@@ -223,7 +223,7 @@ def test_failed_surface_draw_fails_only_its_trial(monkeypatch):
         return sample_user_drop(near if rng.bit_generator.state == target else params, n_users, rng)
 
     monkeypatch.setattr(harness, "sample_user_drop", drop)
-    block.cache_clear()
+    memo.cache_clear()
     records = run_sweep(spec)
     assert [(r.trial, r.method) for r in records if math.isnan(r.wsr)] == [
         (1, "wmmse_bcd"), (1, "zf_wf"), (1, "random_phases")
@@ -240,7 +240,7 @@ def test_selfcheck_determinism_draws_twice(monkeypatch):
         return sample_user_drop(*args)
 
     monkeypatch.setattr(harness, "sample_user_drop", counting_drop)
-    block.cache_clear()
+    memo.cache_clear()
     assert selfcheck._check_harness_determinism()
     assert len(draws) == 2
 
@@ -278,8 +278,8 @@ def test_random_phases_ignore_illumination():
 
 
 def test_frozen_kinds_are_solved_once_for_all_illuminations(monkeypatch):
-    # random_phases and no_its ignore the illumination: over three illuminations
-    # the one block solves each once, and every cell equals a cold solve of it.
+    # random_phases and no_its ignore the illumination: over three illuminations one
+    # queue each serves every illumination, and every cell equals a cold solve of it.
     spec = tiny_spec(
         methods=["random_phases", "no_its", "wmmse_bcd"],
         illuminations=["full", "partial", "separate"],
@@ -289,16 +289,16 @@ def test_frozen_kinds_are_solved_once_for_all_illuminations(monkeypatch):
     frozen = []
     solve = harness.bcd_solve
 
-    def counting(insts, settings, inits):
+    def counting(items, settings, **kwargs):
         frozen.append(settings.freeze_phases)
-        return solve(insts, settings, inits)
+        return solve(items, settings, **kwargs)
 
     monkeypatch.setattr(harness, "bcd_solve", counting)
-    block.cache_clear()
+    memo.cache_clear()
     records = run_sweep(spec)
     assert frozen.count(True) == 2 and frozen.count(False) == 3
     for record in records:
-        block.cache_clear()
+        memo.cache_clear()
         cell = (Method(record.method), IlluminationMode(record.illumination))
         assert run_trial(spec, record.sweep_value, record.trial, *cell) == record
     assert all(math.isfinite(record.wsr) for record in records)
@@ -314,7 +314,7 @@ def test_far_no_surface_drop_gives_finite_cells():
             "methods": ["zf_wf", "random_phases", "no_its"], "trials": 226,
         }
     })
-    block.cache_clear()
+    memo.cache_clear()
     for method in spec.methods:
         record = run_trial(spec, 7.5, 225, method, IlluminationMode.FULL)
         assert math.isfinite(record.wsr) and record.iterations >= 0
@@ -338,8 +338,8 @@ def test_run_sweep_order_and_shape():
 
 
 def test_run_sweep_workers_match_serial():
-    # Three blocks, the last one partial: each worker solves whole blocks.
-    trials = 2 * harness.BLOCK_TRIALS + 7
+    # Two ranges of trials, [0, 35) and [35, 71): each worker runs a whole range.
+    trials = 2 * QUEUE_WIDTH + 7
     spec = tiny_spec(trials=trials, grid=[30.0])
     serial = run_sweep(spec, workers=1)
     parallel = run_sweep(spec, workers=2)
@@ -348,12 +348,69 @@ def test_run_sweep_workers_match_serial():
 
 
 def test_one_block_sweep_starts_no_pool(monkeypatch):
+    # No range is narrower than a queue's batch, so a sweep of one batch is one range.
     def no_pool(*args, **kwargs):
-        raise AssertionError("a sweep of one block must run in process")
+        raise AssertionError("a sweep of one range must run in process")
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-    spec = tiny_spec(trials=harness.BLOCK_TRIALS, grid=[30.0])
+    spec = tiny_spec(trials=QUEUE_WIDTH, grid=[30.0])
     assert run_sweep(spec, workers=4) == run_sweep(spec)
+
+
+def counted_admissions(monkeypatch):
+    """Wrap harness.bcd_solve so that the items each queue admits are counted, by queue."""
+    admitted, solve = {}, harness.bcd_solve
+
+    def counting(items, settings, **kwargs):
+        kind = len(admitted)
+        admitted[kind] = 0
+
+        def source():
+            for item in items:
+                admitted[kind] += item is not None
+                yield item
+
+        return solve(source(), settings, **kwargs)
+
+    monkeypatch.setattr(harness, "bcd_solve", counting)
+    return admitted
+
+
+def test_queues_hold_at_most_the_look_ahead(monkeypatch):
+    # Over a 200-trial sweep no queue holds more than LOOK_AHEAD finished outcomes,
+    # the memo no more than LOOK_AHEAD + QUEUE_WIDTH trial states, and every queue
+    # runs from the first trial to the last.
+    spec = tiny_spec(trials=200, grid=[30.0], methods=["random_phases", "no_its", "wmmse_bcd"])
+    admitted = counted_admissions(monkeypatch)
+    memo.cache_clear()
+    held, states, run = [], [], harness.run_trial
+
+    def watching(*args):
+        record = run(*args)
+        cells = memo(*args[:2])
+        held.extend(len({index for index, _ in queue.held}) for queue in cells.queues.values())
+        states.append(len(cells.states))
+        return record
+
+    monkeypatch.setattr(harness, "run_trial", watching)
+    records = run_sweep(spec)
+    assert 0 < max(held) <= LOOK_AHEAD and max(states) <= LOOK_AHEAD + QUEUE_WIDTH
+    assert admitted == {0: 200, 1: 200, 2: 200}
+    monkeypatch.undo()
+    memo.cache_clear()
+    assert records == run_sweep(spec)
+
+
+def test_cold_trial_admits_one_batch(monkeypatch):
+    # A request for trial 150 from an empty memo solves at most one batch of trials.
+    spec = tiny_spec(trials=400, grid=[30.0], methods=["random_phases"])
+    admitted = counted_admissions(monkeypatch)
+    memo.cache_clear()
+    record = run_trial(spec, 30.0, 150, Method.RANDOM_PHASES, IlluminationMode.FULL)
+    assert math.isfinite(record.wsr) and admitted == {0: QUEUE_WIDTH}
+    monkeypatch.undo()
+    memo.cache_clear()
+    assert run_sweep(replace(spec, trials=151))[150] == record
 
 
 def test_csv_roundtrip(tmp_path):

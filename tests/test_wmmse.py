@@ -1216,11 +1216,72 @@ def test_singular_instance_fails_before_the_phase_block(monkeypatch):
     assert not any(np.array_equal(row, dead_init.phases.phases) for call in calls for row in call)
 
 
+def queue_order(lengths, width):
+    """The positions in the order a queue of ``width`` slots yields them.
+
+    A row of length 0 fails at admission and takes no slot; one of length n stops
+    after n iterations; rows that stop in the same iteration come in admission order.
+    """
+    order, running, waiting = [], [], list(enumerate(lengths))
+    while waiting or running:
+        while waiting and len(running) < width:
+            position, length = waiting.pop(0)
+            if length:
+                running.append([position, length])
+            else:
+                order.append(position)
+        for row in running:
+            row[1] -= 1
+        order += [position for position, left in running if not left]
+        running = [row for row in running if row[1]]
+    return order
+
+
+def test_queue_outcomes_equal_solves_alone():
+    # Eight rows through a queue of width 2, so that rows join at different
+    # iterations: TP and RP rows, a singular R, a start over budget and a start
+    # error.  Each outcome is the row's solve alone, at its input position, and
+    # the outcomes come in stop order.
+    rng = np.random.default_rng(68)
+    insts, inits = mixed_batch(rng)
+    dead, dead_init = dead_chain_instance(rng)
+    tight = replace(insts[4], power_budget=0.5 * constraint_value(insts[4], inits[4].precoder))
+    items = list(zip(insts, inits))
+    items[2:2] = [(dead, dead_init)]
+    items[5:5] = [(tight, inits[4]), SolverError("no start for this trial")]
+    for freeze in (False, True):
+        settings = SolverSettings(
+            bcd_epsilon=0.1, bcd_max_iters=30, pga_max_iters=5, freeze_phases=freeze
+        )
+        queued = list(bcd_solve(iter(items), settings, width=2))
+        lengths = []
+        for position, item in enumerate(items):
+            outcome = dict(queued)[position]
+            if isinstance(item, Exception):
+                assert outcome is item
+                lengths.append(0)
+                continue
+            try:
+                alone = bcd_solve(item[0], settings, item[1])
+            except SolverError as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                lengths.append(0)
+                continue
+            assert_same_solution(alone, outcome)
+            lengths.append(len(alone.trace) - 1)
+        assert sum(not length for length in lengths) == 3
+        assert len(set(lengths) - {0}) > 3  # rows stop at different iterations
+        assert [position for position, _ in queued] == queue_order(lengths, 2)
+
+
 def test_batch_rejects_mismatched_shapes():
+    # A row shaped unlike the first fails alone, at admission; the first keeps its bits.
     rng = np.random.default_rng(67)
     small, large = make_instance(rng, n=3, k=2), make_instance(rng, n=3, k=3)
-    with pytest.raises(DimensionMismatchError):
-        bcd_solve([small, large], SolverSettings(), [zfwf_solve(small), zfwf_solve(large)])
+    inits = [zfwf_solve(small), zfwf_solve(large)]
+    solved, failed = bcd_solve([small, large], SolverSettings(), inits)
+    assert isinstance(failed, DimensionMismatchError)
+    assert_same_solution(solved, bcd_solve(small, SolverSettings(), inits[0]))
     assert bcd_solve([], SolverSettings(), []) == []
 
 

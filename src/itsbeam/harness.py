@@ -14,11 +14,11 @@ Two bounded LRU memos with read-only arrays change no draw: layout and transfer
 matrix per resolved :class:`GeometryConfig` and illumination (16 entries), and
 :func:`memo`, the :class:`Memo` of the last grid value (1 entry).  It builds each
 :class:`Trial` on first use, so a trial's cells share its drop, channel and ZF-WF
-solutions, and feeds one ``bcd_solve`` queue per BCD kind (method, illumination)
-the trials in order: when a row stops, the next trial takes its slot.  The
-frozen-phase methods ignore the illumination, so one queue each serves every
-illumination.  A solve's bits do not depend on its batch, and ``run_sweep``
-gives workers contiguous ranges of trials.
+solutions, and feeds one ``bcd_solve`` queue per BCD kind the trials in order: when a
+row stops, the next trial takes its slot, and its outcome is stored on its trial beside
+the ZF-WF solutions.  The frozen-phase methods ignore the illumination, so one queue and
+one outcome each serve every illumination.  A solve's bits do not depend on its batch,
+and ``run_sweep`` gives workers contiguous ranges of trials.
 
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
@@ -244,6 +244,8 @@ class Trial:
     Stream 0 draws the user drop, then the surface channel shared by every illumination
     (none moves an element); stream 1 the no-surface channel, stream 2 the random phases.
     All but the drop is drawn on first use: a failed surface draw spares no_its.
+    ``solved`` maps a BCD kind to its Solution or error, written by the kind's queue: the
+    kind is (method, illumination) for wmmse_bcd, (method, None) for a frozen-phase method.
     """
 
     def __init__(self, spec: ExperimentSpec, sweep_value: float, trial_index: int):
@@ -252,7 +254,7 @@ class Trial:
         self.layout = _geometry(self.geometry, IlluminationMode.FULL)[0]
         self.streams = _trial_streams(spec.base_seed, trial_index)
         self.drop = sample_user_drop(spec.channel, spec.n_users, self.streams[0])
-        self._surface, self._zfwf = {}, {}
+        self._surface, self._zfwf, self.solved = {}, {}, {}
 
     def _build(self, transfer, channel, constraint) -> SystemInstance:
         inst = SystemInstance(
@@ -300,31 +302,24 @@ class Trial:
 _REVIVAL_BLEND = 1e-2
 
 
-def _zf_start(inst, phases):
-    """The zero-forcing precoder through ``phases`` on water-filling powers, and the powers.
+def _bcd_init(inst, phases):
+    """The BCD start through ``phases``: zero-forcing directions on water-filling powers.
 
     Water-filling can shut off a user whose zero-forcing direction is costly,
     and a user entering BCD at exactly zero power stays silent forever (zero
     signal makes y_k = 0 a fixed point of the coordinate updates).  When that
     happens, a small slice of the budget is shifted toward the equal-power
     allocation along the same directions; the total stays exactly on budget.
+    Returns the start's ``phases`` and ``precoder``, with no Solution: ``bcd_solve``
+    refuses a start over budget.
     """
     directions, alloc = _zero_forcing(inst, phases)
     powers = alloc.powers
     if not np.all(powers > 0.0):
         equal = inst.power_budget / (inst.n_users * alloc.chain_costs)
         powers = (1.0 - _REVIVAL_BLEND) * powers + _REVIVAL_BLEND * equal
-    return Precoder(directions * np.sqrt(powers)[np.newaxis, :]), powers
-
-
-def _bcd_init(inst, sol):
-    """Zero-forcing start for the BCD solver from the ZF-WF solution ``sol`` of ``inst``."""
-    if np.all(np.asarray(sol.detail["powers"]) > 0.0):
-        return sol
-    precoder, powers = _zf_start(inst, sol.phases)
-    return Solution.from_state(
-        inst, sol.phases, precoder, detail=dict(sol.detail, powers=powers.tolist(), revived=True)
-    )
+    precoder = Precoder(directions * np.sqrt(powers)[np.newaxis, :])
+    return SimpleNamespace(phases=phases, precoder=precoder)
 
 
 # A queue's batch width, and its look-ahead: it admits no trial at or past the one
@@ -336,15 +331,14 @@ _BCD_METHODS = (Method.WMMSE_BCD, Method.RANDOM_PHASES, Method.NO_ITS)
 
 class _Queue:
     """A kind's ``bcd_solve`` queue, fed the trials of ``source`` (a Memo) from ``first`` on;
-    each outcome waits under its cells (trial, illumination), one per illumination for a
-    frozen kind."""
+    ``next`` is the trial it admits next, and it admits none at or past ``bound``, which
+    the memo sets before it asks for an outcome."""
 
     def __init__(self, source, method: Method, illumination: IlluminationMode, first: int):
-        frozen, spec = method is not Method.WMMSE_BCD, source.spec
-        solver = replace(spec.solver, freeze_phases=True) if frozen else spec.solver
-        self.lights = {illumination, *spec.illuminations} if frozen else {illumination}
-        self.first, self.due, self.held = first, {first}, {}  # due: admitted or admitted next
-        self.bound = first + QUEUE_WIDTH
+        solver = source.spec.solver
+        if method is not Method.WMMSE_BCD:
+            solver = replace(solver, freeze_phases=True)
+        self.first = self.next = first
         feed = self._feed(source, method, illumination)
         self.outcomes = bcd_solve(feed, solver, width=QUEUE_WIDTH)
 
@@ -356,35 +350,21 @@ class _Queue:
                 item = source.start(method, illumination, index)
             except _FAILURES as exc:
                 item = exc
-            self.due.add(index + 1)
+            self.next = index + 1
             yield item
-
-    def serves(self, index: int, illumination: IlluminationMode) -> bool:
-        """Whether the cell is held, or due from a trial this queue runs or admits next."""
-        due = illumination in self.lights and index in self.due
-        return due or (index, illumination) in self.held
-
-    def take(self, index: int, illumination: IlluminationMode):
-        """The outcome of a cell that this queue serves, run for as long as it takes."""
-        self.bound = index + (LOOK_AHEAD if index > self.first else QUEUE_WIDTH)
-        while (index, illumination) not in self.held:
-            position, outcome = next(self.outcomes)
-            self.due.discard(self.first + position)
-            self.held.update(((self.first + position, light), outcome) for light in self.lights)
-        return self.held.pop((index, illumination))
 
 
 class Memo:
     """The trial states and solve queues of one grid value.
 
-    A :class:`Trial` is built on first use and dropped once a later trial is asked for.
-    A request that its kind's queue cannot serve (a trial it has passed, a cell taken, a
-    trial it does not admit next) starts a fresh queue, so a cell asked twice is solved twice.
+    A :class:`Trial` is built on first use and dropped, with the outcomes it holds, once
+    a later trial is asked for.  An earlier trial, or a BCD cell already served at the
+    requested trial, starts the memo afresh, so a BCD cell asked twice is solved twice.
     """
 
     def __init__(self, spec: ExperimentSpec, sweep_value: float):
         self.spec, self.sweep_value = spec, sweep_value
-        self.states, self.queues, self.requested = {}, {}, 0
+        self.states, self.queues, self.requested, self.served = {}, {}, 0, set()
 
     def trial(self, trial_index: int) -> Trial:
         """The shared state of one trial of this grid value."""
@@ -396,31 +376,43 @@ class Memo:
         """(instance, initial point) of one BCD cell."""
         state = self.trial(trial_index)
         if method is Method.WMMSE_BCD:
-            inst = state.instance(illumination)
-            return inst, _bcd_init(inst, state.zfwf(illumination))
-        if method is Method.NO_ITS:
+            inst, phases = state.instance(illumination), state.zfwf(illumination).phases
+        elif method is Method.NO_ITS:
             inst, phases = state.no_surface, PhaseConfig(np.zeros(state.geometry.n_active))
         else:
             inst, phases = state.instance(IlluminationMode.FULL), state.random_phases
-        # Both frozen-phase baselines run plain digital WMMSE from a zero-forcing start, the
-        # one of ``_bcd_init(inst, zfwf_solve(inst, phases=phases))`` bit for bit, built with
-        # neither Solution: ``bcd_solve`` refuses a start over budget, as their checks did.
-        return inst, SimpleNamespace(phases=phases, precoder=_zf_start(inst, phases)[0])
+        return inst, _bcd_init(inst, phases)
 
     def solution(self, method: Method, illumination: IlluminationMode, trial_index: int):
-        """The solution of one cell; its error (an itsbeam or LinAlgError) is raised."""
-        if trial_index != self.requested:
-            self.requested = trial_index
+        """The solution of one cell; its error (an itsbeam or LinAlgError) is raised.
+
+        A BCD cell's outcome is read from its trial's ``solved``, which its kind's queue
+        fills as rows stop; the kind needs a fresh queue at this trial when its queue has
+        not admitted the trial and does not admit it next.
+        """
+        cell = (method, illumination)
+        if trial_index != self.requested or (method is not Method.ZF_WF and cell in self.served):
+            if trial_index <= self.requested:  # an earlier trial, or a BCD cell served again
+                self.states, self.queues = {}, {}
             self.states = {t: s for t, s in self.states.items() if t >= trial_index}
+            self.requested, self.served = trial_index, set()
+        self.served.add(cell)
+        state = self.trial(trial_index)
         if method is Method.ZF_WF:
-            return self.trial(trial_index).zfwf(illumination)
+            return state.zfwf(illumination)
         if method not in _BCD_METHODS:
             raise SolverError(f"unknown method {method!r}")
         kind = (method, illumination if method is Method.WMMSE_BCD else None)
-        queue = self.queues.get(kind)
-        if queue is None or not queue.serves(trial_index, illumination):
-            queue = self.queues[kind] = _Queue(self, method, illumination, trial_index)
-        outcome = queue.take(trial_index, illumination)
+        if kind not in state.solved:
+            queue = self.queues.get(kind)
+            if queue is None or not queue.first <= trial_index <= queue.next:
+                queue = self.queues[kind] = _Queue(self, method, illumination, trial_index)
+            queue.bound = trial_index + (LOOK_AHEAD if trial_index > queue.first else QUEUE_WIDTH)
+            while kind not in state.solved:
+                position, outcome = next(queue.outcomes)
+                if (held := self.states.get(queue.first + position)) is not None:
+                    held.solved[kind] = outcome
+        outcome = state.solved[kind]
         if isinstance(outcome, Exception):
             raise outcome
         return outcome

@@ -642,7 +642,7 @@ def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = Non
 def _queue(items, settings: SolverSettings, width: int):
     """``bcd_solve``'s one outer loop, over the rows in ``width`` fixed slots; see there."""
     items, batch, free, active, taken = iter(items), None, list(range(width))[::-1], [], 0
-    where, current, count, traces, details = ([None] * width for _ in range(5))
+    where, traces, details = ([None] * width for _ in range(3))
     while True:
         while free and (item := next(items, None)) is not None:
             position, taken = taken, taken + 1
@@ -670,8 +670,8 @@ def _queue(items, settings: SolverSettings, width: int):
             heff[slot], phases[slot] = channel, start.phases.phases
             precoders[slot] = start.precoder.matrix
             gamma[slot], f[slot], total[slot] = _link_terms(one, channel @ precoders[slot])
-            current[slot] = value = _rates(one, gamma[slot])[1]
-            where[slot], count[slot], traces[slot], details[slot] = position, 0, [(0, value)], []
+            where[slot], details[slot] = position, []
+            traces[slot] = [(0, _rates(one, gamma[slot])[1])]
             active.append(slot)
         if not active:
             return
@@ -697,17 +697,16 @@ def _queue(items, settings: SolverSettings, width: int):
         surrogate, mu = _surrogate(part, aux, *terms[1:]).tolist(), mu.tolist()
         going, stopped = [], []
         for j, slot in enumerate(active):
-            count[slot] += 1
-            if j not in failed:
-                traces[slot].append((count[slot], new[j]))
+            if j not in failed:  # a row's iteration is its trace's length, its WSR the last
+                iteration, gain = len(traces[slot]), new[j] - traces[slot][-1][1]
+                traces[slot].append((iteration, new[j]))
                 details[slot].append(dict(
-                    iteration=count[slot], wsr=new[j], surrogate=surrogate[j], mu=mu[j],
+                    iteration=iteration, wsr=new[j], surrogate=surrogate[j], mu=mu[j],
                     pga_steps=pga_steps[j], phase_evals=phase_evals[j],
                 ))
-                gain, current[slot] = new[j] - current[slot], new[j]
                 if gain <= settings.bcd_epsilon:
                     details[slot][-1]["stop"] = "converged" if gain > 0 else "no_progress"
-                elif count[slot] < settings.bcd_max_iters:
+                elif iteration < settings.bcd_max_iters:
                     going.append(slot)
                     continue
                 else:

@@ -27,6 +27,7 @@ from itsbeam import (
     bcd_solve,
     build_layout,
     characteristic_distance,
+    constraint_value,
     dbm_to_watts,
     default_experiment_spec,
     emit_plot_script,
@@ -294,9 +295,11 @@ def test_frozen_kinds_are_solved_once_for_all_illuminations(monkeypatch):
         return solve(items, settings, **kwargs)
 
     monkeypatch.setattr(harness, "bcd_solve", counting)
+    admitted = counted_admissions(monkeypatch)
     memo.cache_clear()
     records = run_sweep(spec)
     assert frozen.count(True) == 2 and frozen.count(False) == 3
+    assert [admitted[kind] for kind, freeze in enumerate(frozen) if freeze] == [3, 3]
     for record in records:
         memo.cache_clear()
         cell = (Method(record.method), IlluminationMode(record.illumination))
@@ -377,9 +380,9 @@ def counted_admissions(monkeypatch):
 
 
 def test_queues_hold_at_most_the_look_ahead(monkeypatch):
-    # Over a 200-trial sweep no queue holds more than LOOK_AHEAD finished outcomes,
-    # the memo no more than LOOK_AHEAD + QUEUE_WIDTH trial states, and every queue
-    # runs from the first trial to the last.
+    # Over a 200-trial sweep the memo's states hold no more than LOOK_AHEAD finished
+    # outcomes of any kind and the memo no more than LOOK_AHEAD + QUEUE_WIDTH trial
+    # states, and every queue runs from the first trial to the last.
     spec = tiny_spec(trials=200, grid=[30.0], methods=["random_phases", "no_its", "wmmse_bcd"])
     admitted = counted_admissions(monkeypatch)
     memo.cache_clear()
@@ -388,7 +391,8 @@ def test_queues_hold_at_most_the_look_ahead(monkeypatch):
     def watching(*args):
         record = run(*args)
         cells = memo(*args[:2])
-        held.extend(len({index for index, _ in queue.held}) for queue in cells.queues.values())
+        kinds = [kind for state in cells.states.values() for kind in state.solved]
+        held.extend(kinds.count(kind) for kind in cells.queues)
         states.append(len(cells.states))
         return record
 
@@ -411,6 +415,53 @@ def test_cold_trial_admits_one_batch(monkeypatch):
     monkeypatch.undo()
     memo.cache_clear()
     assert run_sweep(replace(spec, trials=151))[150] == record
+
+
+def test_bcd_cell_asked_twice_is_solved_twice(monkeypatch):
+    # The second request for a served BCD cell starts the memo afresh: a new queue
+    # from the same trial, which gives an equal record.
+    spec = tiny_spec(trials=3, grid=[30.0], methods=["wmmse_bcd"])
+    admitted = counted_admissions(monkeypatch)
+    memo.cache_clear()
+    first = run_trial(spec, 30.0, 1, Method.WMMSE_BCD, IlluminationMode.FULL)
+    again = run_trial(spec, 30.0, 1, Method.WMMSE_BCD, IlluminationMode.FULL)
+    assert again == first and admitted == {0: 2, 1: 2}
+
+
+def test_zf_wf_cell_asked_twice_keeps_the_memo(monkeypatch):
+    # A zf_wf cell asked again is read from its trial: each trial is drawn once, and
+    # the wmmse_bcd queue in flight serves the next trial.
+    draws = []
+
+    def counting_drop(*args):
+        draws.append(args)
+        return sample_user_drop(*args)
+
+    monkeypatch.setattr(harness, "sample_user_drop", counting_drop)
+    admitted = counted_admissions(monkeypatch)
+    spec = tiny_spec(trials=3, grid=[30.0])
+    memo.cache_clear()
+    zf = run_trial(spec, 30.0, 0, Method.ZF_WF, IlluminationMode.FULL)
+    run_trial(spec, 30.0, 0, Method.WMMSE_BCD, IlluminationMode.FULL)
+    assert run_trial(spec, 30.0, 0, Method.ZF_WF, IlluminationMode.FULL) == zf
+    run_trial(spec, 30.0, 1, Method.WMMSE_BCD, IlluminationMode.FULL)
+    assert len(draws) == spec.trials and admitted == {0: spec.trials}
+
+
+def test_earlier_trial_matches_its_cold_record(monkeypatch):
+    # After trials 0-40 in order, trial 5 starts the memo afresh, with a fresh queue
+    # per BCD kind, and each of its records equals the one from an empty memo.
+    spec = tiny_spec(trials=41, grid=[30.0], methods=["zf_wf", "wmmse_bcd", "random_phases"])
+    admitted = counted_admissions(monkeypatch)
+    memo.cache_clear()
+    for index in range(spec.trials):
+        for method in spec.methods:
+            run_trial(spec, 30.0, index, method, IlluminationMode.FULL)
+    assert len(admitted) == 2
+    warm = [run_trial(spec, 30.0, 5, method, IlluminationMode.FULL) for method in spec.methods]
+    assert len(admitted) == 4
+    memo.cache_clear()
+    assert warm == [run_trial(spec, 30.0, 5, method, IlluminationMode.FULL) for method in spec.methods]
 
 
 def test_csv_roundtrip(tmp_path):
@@ -513,13 +564,13 @@ def test_bcd_init_revives_silenced_user():
         weights=np.ones(3),
         constraint=ConstraintKind.TRANSMITTED_POWER,
     )
-    init = _bcd_init(inst, zfwf_solve(inst))
-    assert init.detail.get("revived") is True
-    powers = np.asarray(init.detail["powers"])
-    assert np.all(powers > 0.0)
-    assert abs(init.constraint_slack) < 1e-9
+    zf = zfwf_solve(inst)
+    assert np.any(np.asarray(zf.detail["powers"]) == 0.0)
+    init = _bcd_init(inst, zf.phases)
+    assert np.all(np.linalg.norm(init.precoder.matrix, axis=0) > 0.0)
+    assert abs(inst.power_budget - constraint_value(inst, init.precoder)) < 1e-9
     refined = bcd_solve(inst, SolverSettings(), init)
-    assert refined.wsr >= init.wsr - 1e-9
+    assert refined.wsr >= refined.trace[0][1] - 1e-9
     assert np.all(refined.sinr > 0.0)
 
 

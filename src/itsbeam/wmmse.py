@@ -28,6 +28,17 @@ curve, which run on Python scalars.  Every stacked operation gives a row
 the bits it gives a batch of one, so a solution does not depend on the batch it
 was solved in.  The batch is a queue of fixed slots: a row that stops frees its
 slot for the next instance (continuous batching; Yu et al., "Orca", OSDI 2022).
+
+The outer loop is accelerated by safeguarded squared extrapolation (SQUAREM; Varadhan &
+Roland, Scand. J. Statist. 2008), per row.  From its last accepted point x0 = (phi0, B0) a
+row takes two plain steps, to x1 and x2, forms r = x1 - x0 and v = (x2 - x1) - r (phase
+differences wrapped to (-pi, pi]) and alpha = min(-1, -||r|| / ||v||) over the joint vector
+of phases and precoder, and evaluates the map once from x' = x0 - 2 alpha r + alpha^2 v.
+It keeps the result if its WSR is at least x2's; otherwise alpha <- (alpha - 1) / 2, for at
+most four tries, after which, or once alpha reaches -1 (x' = x2), it resumes from x2.
+Frozen phases have r = v = 0, so only the precoder is extrapolated.  Every evaluation
+counts against the iteration cap and has its ``detail`` row; the trace holds the
+accepted points only.
 """
 
 from __future__ import annotations
@@ -73,6 +84,9 @@ _ARMIJO_ZETA = 1e-3
 _MEMORY = 10
 _DUAL_TOLERANCE = 1e-6
 _DUAL_MAX_ITERS = 100
+# A SQUAREM cycle's extrapolations: at most _TRIES, with alpha <= _ALPHA_FLOOR, at which x' is x2.
+_TRIES = 4
+_ALPHA_FLOOR = -1.0
 _FAILURES = (BeamformingError, np.linalg.LinAlgError)  # fail one instance of a batch, not all
 
 
@@ -603,17 +617,38 @@ def dual_search(
     return Precoder(matrices[0]), float(mu[0])
 
 
+def _cycle_terms(past_phi, past_b, phi, b):
+    """SQUAREM's r = x1 - x0 and v = (x2 - x1) - r for stacked x0 = ``past_*[:, 0]``,
+    x1 = ``past_*[:, 1]`` and x2 = (``phi``, ``b``): (r_phi, v_phi, r_b, v_b), the phase
+    differences wrapped to (-pi, pi]."""
+    def wrap(d):
+        return np.pi - np.mod(np.pi - d, 2.0 * np.pi)
+
+    r_phi, r_b = wrap(past_phi[:, 1] - past_phi[:, 0]), past_b[:, 1] - past_b[:, 0]
+    return r_phi, wrap(phi - past_phi[:, 1]) - r_phi, r_b, (b - past_b[:, 1]) - r_b
+
+
+def _squares(phi: np.ndarray, b: np.ndarray) -> list:
+    """The squared norm of each row's joint vector (phases, precoder), by per-row dots."""
+    flat = b.reshape(len(b), -1)
+    return (np.vecdot(phi, phi) + np.vecdot(flat, flat).real).tolist()
+
+
 def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = None):
     """Run outer BCD iterations (gamma, y, phases, precoder) from a feasible start.
 
-    Stops once the weighted-sum-rate gain of an iteration drops to
-    ``settings.bcd_epsilon`` or below, or after ``bcd_max_iters`` iterations;
-    the last ``detail`` row's ``stop`` says which: "no_progress" (gain <= 0),
-    "converged" (0 < gain <= epsilon) or "iteration_cap".
-    The returned trace holds (iteration, wsr) pairs starting at iteration 0
-    (the initial point); ``detail`` carries per-iteration diagnostics, among
-    them the phase block's accepted steps and objective evaluations.  SINR, WSR, y
-    and f1 come from one heff @ B per iteration, with heff formed once per phase state.
+    The iterations are evaluations of the BCD map in SQUAREM cycles (Varadhan & Roland,
+    2008; see the module docstring); every evaluation, rejected ones included, counts
+    against ``bcd_max_iters``.  Only plain steps are tested: one whose weighted-sum-rate
+    gain is ``settings.bcd_epsilon`` or less stops the solve, and a kept extrapolation is
+    always followed by a plain step.  The last ``detail`` row's ``stop`` says why the solve
+    ended: "no_progress" (gain <= 0), "converged" (0 < gain <= epsilon) or "iteration_cap".
+    ``detail`` has one row per evaluation, with the phase block's accepted steps and
+    objective evaluations, and an extrapolation's ``alpha`` and whether it was ``kept``.
+    The trace holds the accepted points only, as (evaluation, wsr) pairs from (0, wsr at
+    the start), so it never drops; its last index, the evaluation that produced the
+    solution, is a sweep CSV's ``iterations``.  SINR, WSR, y and f1 come from one
+    heff @ B per evaluation, with heff formed once per phase state.
 
     Given ``width`` >= 1, a solve queue: ``inst`` iterates over (instance, start) pairs
     (a start has the ``phases`` and ``precoder`` of a point, as a Solution does), errors,
@@ -621,7 +656,8 @@ def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = Non
     takes a free one of ``width`` slots unless its K, N or M differ from the first row's,
     its R is singular or its start is over budget by more than 1e-6.  The queue yields
     (position in ``inst``, Solution or error) as each row stops and ends when none runs.
-    Each row counts its own iterations; its bits do not depend on its batch-mates.
+    Each row counts its own evaluations, one per batch iteration, and takes its own alpha
+    and accept test on Python scalars; its bits do not depend on its batch-mates.
     Sequences ``inst`` and ``init`` are the queue of their pairs, a slot each, returned
     in input order; one instance is a batch of one, whose error is raised.
     """
@@ -640,9 +676,15 @@ def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = Non
 
 
 def _queue(items, settings: SolverSettings, width: int):
-    """``bcd_solve``'s one outer loop, over the rows in ``width`` fixed slots; see there."""
+    """``bcd_solve``'s one outer loop, over the rows in ``width`` fixed slots; see there.
+
+    The slots hold each row's last accepted point, ``past`` its cycle's x0 and x1, and
+    ``cycle`` its next evaluation's place: 0 and 1 plain steps, 2 on extrapolations.  A
+    failed plain step fails its row; a failed extrapolation is rejected.
+    """
     items, batch, free, active, taken = iter(items), None, list(range(width))[::-1], [], 0
-    where, traces, details = ([None] * width for _ in range(3))
+    where, traces, details, alpha = ([None] * width for _ in range(4))
+    cycle = [0] * width
     while True:
         while free and (item := next(items, None)) is not None:
             position, taken = taken, taken + 1
@@ -656,6 +698,7 @@ def _queue(items, settings: SolverSettings, width: int):
                     (k, n, m), c = batch.dims, complex
                     phases, (gamma, total) = np.zeros((width, m)), np.zeros((2, width, k))
                     f, heff, precoders = (np.zeros((width, *s), c) for s in ((k,), (k, n), (n, k)))
+                    past_phi, past_b = np.zeros((width, 2, m)), np.zeros((width, 2, n, k), c)
                 batch.admit(free[-1], one)
                 # Recompute slack against this instance rather than trusting the value
                 # stored on the init, which may have been produced for another budget.
@@ -670,48 +713,83 @@ def _queue(items, settings: SolverSettings, width: int):
             heff[slot], phases[slot] = channel, start.phases.phases
             precoders[slot] = start.precoder.matrix
             gamma[slot], f[slot], total[slot] = _link_terms(one, channel @ precoders[slot])
-            where[slot], details[slot] = position, []
+            where[slot], details[slot], cycle[slot] = position, [], 0
             traces[slot] = [(0, _rates(one, gamma[slot])[1])]
             active.append(slot)
         if not active:
             return
         rows = np.array(active)
+        ext = [j for j, slot in enumerate(active) if cycle[slot] > 1]
+        if ext:  # alpha for each fresh x2; a row whose x' would be x2 resumes from there
+            at = rows[ext]
+            diffs = _cycle_terms(past_phi[at], past_b[at], phases[at], precoders[at])
+            for slot, r_sq, v_sq in zip(at.tolist(), _squares(*diffs[::2]), _squares(*diffs[1::2])):
+                if cycle[slot] == 2:
+                    ratio = (r_sq / v_sq) ** 0.5 if v_sq > 0 else 0.0
+                    alpha[slot] = min(_ALPHA_FLOOR, -ratio)
+                    cycle[slot] = 2 if alpha[slot] < _ALPHA_FLOOR else 0
+            keep = [i for i, slot in enumerate(at.tolist()) if cycle[slot]]
+            if len(keep) < len(ext):
+                ext, at, diffs = [ext[i] for i in keep], at[keep], [d[keep] for d in diffs]
+        plain = rows[[j for j, slot in enumerate(active) if cycle[slot] < 2]]
+        steps = [cycle[slot] for slot in plain]  # a plain step's start is its cycle's x0 or x1
+        past_phi[plain, steps], past_b[plain, steps] = phases[plain], precoders[plain]
         part = batch.take(rows)
-        y = _y_update(part, gamma[rows], f[rows], total[rows])
-        aux = _unchecked(AuxVariables, gamma=gamma[rows], y=y)
+        phi, b, h, g, ff, tt = (a[rows] for a in (phases, precoders, heff, gamma, f, total))
+        if not settings.freeze_phases:
+            channel, transfer = part.channel, part.transfer
+        if ext:  # the map runs from x' = x0 - 2 alpha r + alpha^2 v
+            r_phi, v_phi, r_b, v_b = diffs
+            a = np.array([alpha[slot] for slot in at.tolist()])[:, np.newaxis, np.newaxis]
+            b[ext] = past_b[at, 0] - 2.0 * a * r_b + a * a * v_b
+            if not settings.freeze_phases:
+                a = a[..., 0]
+                phi[ext] = past_phi[at, 0] - 2.0 * a * r_phi + a * a * v_phi
+                h[ext] = (channel[ext] * np.exp(1j * phi[ext])[:, np.newaxis, :]) @ transfer[ext]
+            g[ext], ff[ext], tt[ext] = _link_terms(part.take(ext), h[ext] @ b[ext])
+        aux = _unchecked(AuxVariables, gamma=g, y=_y_update(part, g, ff, tt))
         pga_steps, phase_evals = [0] * rows.size, [0] * rows.size
         if not settings.freeze_phases:
             phi, pga_steps, phase_evals = _pga(
-                build_analog_subproblem(part, _unchecked(Precoder, matrix=precoders[rows]), aux),
-                phases[rows],
-                settings,
+                build_analog_subproblem(part, _unchecked(Precoder, matrix=b), aux), phi, settings
             )
-            heff[rows] = (part.channel * np.exp(1j * phi)[:, np.newaxis, :]) @ part.transfer
-            phases[rows] = phi
-        channels = heff[rows]
-        matrices, mu, failed = dual_search(part, None, aux, heff=channels)
-        precoders[rows] = matrices
-        terms = _link_terms(part, channels @ matrices)
-        gamma[rows], f[rows], total[rows] = terms
+            h = (channel * np.exp(1j * phi)[:, np.newaxis, :]) @ transfer
+        matrices, mu, failed = dual_search(part, None, aux, heff=h)
+        terms = _link_terms(part, h @ matrices)
         new = _rates(part, terms[0])[1]
         surrogate, mu = _surrogate(part, aux, *terms[1:]).tolist(), mu.tolist()
-        going, stopped = [], []
+        going, stopped, accepted = [], [], []
         for j, slot in enumerate(active):
-            if j not in failed:  # a row's iteration is its trace's length, its WSR the last
-                iteration, gain = len(traces[slot]), new[j] - traces[slot][-1][1]
-                traces[slot].append((iteration, new[j]))
-                details[slot].append(dict(
-                    iteration=iteration, wsr=new[j], surrogate=surrogate[j], mu=mu[j],
-                    pga_steps=pga_steps[j], phase_evals=phase_evals[j],
-                ))
+            extrapolated = cycle[slot] > 1
+            if j in failed and not extrapolated:
+                stopped.append((slot, failed[j]))
+                continue
+            iteration, last = len(details[slot]) + 1, traces[slot][-1][1]
+            row = dict(
+                iteration=iteration, wsr=new[j], surrogate=surrogate[j], mu=mu[j],
+                pga_steps=pga_steps[j], phase_evals=phase_evals[j],
+            )
+            details[slot].append(row)
+            if extrapolated:
+                row["alpha"], row["kept"] = alpha[slot], j not in failed and new[j] >= last
+                alpha[slot], cycle[slot] = 0.5 * (alpha[slot] - 1.0), cycle[slot] + 1
+                if row["kept"] or alpha[slot] >= _ALPHA_FLOOR or cycle[slot] > 1 + _TRIES:
+                    cycle[slot] = 0
+            else:
+                cycle[slot], gain = cycle[slot] + 1, new[j] - last
                 if gain <= settings.bcd_epsilon:
-                    details[slot][-1]["stop"] = "converged" if gain > 0 else "no_progress"
-                elif iteration < settings.bcd_max_iters:
-                    going.append(slot)
-                    continue
-                else:
-                    details[slot][-1]["stop"] = "iteration_cap"
-            stopped.append((slot, failed.get(j)))
+                    row["stop"] = "converged" if gain > 0 else "no_progress"
+            if not extrapolated or row["kept"]:
+                accepted.append(j)
+                traces[slot].append((iteration, new[j]))
+            if "stop" not in row and iteration < settings.bcd_max_iters:
+                going.append(slot)
+                continue
+            row.setdefault("stop", "iteration_cap")
+            stopped.append((slot, None))
+        at = rows[accepted]
+        phases[at], precoders[at], heff[at] = phi[accepted], matrices[accepted], h[accepted]
+        gamma[at], f[at], total[at] = (t[accepted] for t in terms)
         active = going
         for slot, outcome in stopped:
             free.append(slot)

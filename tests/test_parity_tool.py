@@ -75,15 +75,18 @@ def test_compare_reports_rises_and_drops_per_method(tmp_path, capsys):
     bcd, zf = methods["wmmse_bcd"], methods["zf_wf"]
     assert bcd["mean_wsr"] == (pytest.approx(70.0 / 3), pytest.approx(70.5 / 3))
     assert (bcd["up"], bcd["down"], bcd["iterations_changed"]) == (2, 1, 1)
+    assert bcd["mean_iterations"] == (pytest.approx(134 / 3), 50.0)
     assert bcd["largest_rise"] == pytest.approx(0.05)
     assert bcd["largest_drop"] == pytest.approx(-0.025)
     assert zf["mean_wsr"] == (7.5, pytest.approx(16.0 / 3))
     assert (zf["up"], zf["down"], zf["iterations_changed"]) == (0, 0, 0)
+    assert zf["mean_iterations"] == (0.0, 0.0)
     assert (zf["largest_rise"], zf["largest_drop"]) == (0.0, 0.0)
 
     assert parity.main(["compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    assert "wmmse_bcd: mean wsr" in out
+    assert "wmmse_bcd: mean wsr" in out and "mean iterations 44.67 / 50.00, 2 up" in out
+    assert "mean iterations 0.00 / 0.00, 0 up" in out
     assert "2 up, 1 down, largest rise +5.00e-02, largest drop -2.50e-02, 1 iterations changed" in out
     assert "0 up, 0 down, largest rise +0.00e+00, largest drop +0.00e+00, 0 iterations changed" in out
     assert "  trial 2 wmmse_bcd full: wsr 10.0 / 10.5 (+5.00e-02), iterations 34 / 50\n" in out

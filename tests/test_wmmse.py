@@ -1071,11 +1071,10 @@ def test_bcd_no_progress_from_zero_precoder():
 
 
 def textbook_bcd(inst, settings, init):
-    """bcd_solve's outer loop with every block evaluated afresh from (inst, phases, precoder)."""
-    phases, precoder = init.phases, init.precoder
-    current = wsr(inst, phases, precoder)
-    trace, detail = [(0, current)], []
-    for iteration in range(1, settings.bcd_max_iters + 1):
+    """bcd_solve's outer loop with its SQUAREM cycle, every block evaluated afresh from
+    (inst, phases, precoder) by the one-instance functions."""
+
+    def evaluate(phases, precoder):
         gamma = update_gamma(inst, phases, precoder)
         aux = AuxVariables(gamma=gamma, y=update_y(inst, phases, precoder, gamma))
         steps = evals = 0
@@ -1084,24 +1083,57 @@ def textbook_bcd(inst, settings, init):
             phases, steps, evals = _pga(sub, phases, settings)
         precoder, mu = dual_search(inst, phases, aux)
         new = wsr(inst, phases, precoder)
-        trace.append((iteration, new))
-        detail.append(
-            {
-                "iteration": iteration,
-                "wsr": new,
-                "surrogate": surrogate_objective(inst, phases, precoder, aux),
-                "mu": mu,
-                "pga_steps": steps,
-                "phase_evals": evals,
-            }
+        row = {
+            "iteration": len(detail) + 1,
+            "wsr": new,
+            "surrogate": surrogate_objective(inst, phases, precoder, aux),
+            "mu": mu,
+            "pga_steps": steps,
+            "phase_evals": evals,
+        }
+        detail.append(row)
+        return (phases, precoder), new, row
+
+    def wrap(d):
+        return np.pi - np.mod(np.pi - d, 2.0 * np.pi)
+
+    def squared(phi, b):
+        return np.vecdot(phi, phi) + np.vecdot(b.ravel(), b.ravel()).real
+
+    trace, detail = [(0, wsr(inst, init.phases, init.precoder))], []
+    cycle, alpha, tries = [(init.phases, init.precoder)], None, 0  # x0, x1, x2
+    while len(detail) < settings.bcd_max_iters:
+        if len(cycle) < 3:  # a plain step, tested
+            point, new, row = evaluate(*cycle[-1])
+            gain = new - trace[-1][1]
+            trace.append((row["iteration"], new))
+            cycle.append(point)
+            if gain <= settings.bcd_epsilon:
+                row["stop"] = "converged" if gain > 0 else "no_progress"
+                return tuple(trace), detail, *point
+            continue
+        (phi0, b0), (phi1, b1), (phi2, b2) = ((p.phases, q.matrix) for p, q in cycle)
+        r_phi, r_b = wrap(phi1 - phi0), b1 - b0
+        v_phi, v_b = wrap(phi2 - phi1) - r_phi, (b2 - b1) - r_b
+        if alpha is None:
+            r_sq, v_sq = float(squared(r_phi, r_b)), float(squared(v_phi, v_b))
+            alpha, tries = (min(-1.0, -((r_sq / v_sq) ** 0.5)) if v_sq > 0 else -1.0), 0
+        if alpha >= -1.0 or tries == 4:  # resume from x2
+            cycle, alpha = cycle[-1:], None
+            continue
+        start = (
+            PhaseConfig(phi0 - 2.0 * alpha * r_phi + alpha * alpha * v_phi),
+            Precoder(b0 - 2.0 * alpha * r_b + alpha * alpha * v_b),
         )
-        gain, current = new - current, new
-        if gain <= settings.bcd_epsilon:
-            detail[-1]["stop"] = "converged" if gain > 0 else "no_progress"
-            break
-    else:
-        detail[-1]["stop"] = "iteration_cap"
-    return tuple(trace), detail, phases, precoder
+        point, new, row = evaluate(*start)
+        row["alpha"], row["kept"] = alpha, new >= trace[-1][1]
+        if row["kept"]:
+            trace.append((row["iteration"], new))
+            cycle, alpha = [point], None
+        else:
+            alpha, tries = 0.5 * (alpha - 1.0), tries + 1
+    detail[-1]["stop"] = "iteration_cap"
+    return tuple(trace), detail, *cycle[-1]
 
 
 def test_bcd_matches_textbook_loop_bit_for_bit():
@@ -1237,11 +1269,74 @@ def queue_order(lengths, width):
     return order
 
 
+def rejecting_instance():
+    """A TP instance shaped like ``mixed_batch``'s on whose free-phase solve the SQUAREM
+    cycle rejects extrapolations: two at epsilon 0.1, and four in a row at 1e-9."""
+    rng = np.random.default_rng(148)
+    inst = make_instance(rng, m=16, n=4, k=4, power_budget=10.0 ** rng.uniform(-1.0, 1.0))
+    return inst, zfwf_solve(inst, phases=random_phases(rng, 16))
+
+
+def test_evaluations_count_against_the_cap_and_rejections_add_no_trace_point(monkeypatch):
+    inst, init = rejecting_instance()
+    calls, search = [], wmmse.dual_search
+
+    def counting_search(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(wmmse, "dual_search", counting_search)
+    settings = SolverSettings(bcd_epsilon=1e-9, bcd_max_iters=60, pga_max_iters=5)
+    sol = bcd_solve(inst, settings, init)
+    assert len(calls) == len(sol.detail) <= settings.bcd_max_iters
+    assert [row["iteration"] for row in sol.detail] == list(range(1, len(sol.detail) + 1))
+    # Rejected rows read kept False, and the trace holds the plain and kept rows only.
+    accepted = [row["iteration"] for row in sol.detail if row.get("kept", True)]
+    assert [iteration for iteration, _ in sol.trace] == [0] + accepted
+    values = [value for _, value in sol.trace]
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    # A rejection halves alpha toward -1, or the cycle resumes with a plain step, as it
+    # does after four rejections.
+    run = longest = 0
+    for row, after in zip(sol.detail, sol.detail[1:]):
+        run = run + 1 if row.get("kept") is False else 0
+        longest = max(longest, run)
+        if run == wmmse._TRIES:
+            assert "alpha" not in after
+        elif run:
+            assert row["alpha"] < -1.0
+            assert after.get("alpha", 0.5 * (row["alpha"] - 1.0)) == 0.5 * (row["alpha"] - 1.0)
+    assert longest == wmmse._TRIES
+    assert sol.wsr == sol.trace[-1][1]
+
+
+def test_failed_extrapolation_is_rejected(monkeypatch):
+    # A failed evaluation from x' rejects that extrapolation; the solve goes on.
+    inst, init = rejecting_instance()
+    settings = SolverSettings(bcd_epsilon=1e-9, bcd_max_iters=12, pga_max_iters=5)
+    plain = bcd_solve(inst, settings, init)
+    at = next(row["iteration"] for row in plain.detail if row.get("kept"))
+    calls, search = [], wmmse.dual_search
+
+    def failing_search(*args, **kwargs):
+        calls.append(1)
+        matrices, mu, failed = search(*args, **kwargs)
+        if len(calls) == at:
+            failed[0] = SolverError("injected")
+        return matrices, mu, failed
+
+    monkeypatch.setattr(wmmse, "dual_search", failing_search)
+    sol = bcd_solve(inst, settings, init)
+    assert sol.detail[: at - 1] == plain.detail[: at - 1]
+    assert sol.detail[at - 1]["kept"] is False
+    assert len(sol.detail) == settings.bcd_max_iters
+
+
 def test_queue_outcomes_equal_solves_alone():
-    # Eight rows through a queue of width 2, so that rows join at different
-    # iterations: TP and RP rows, a singular R, a start over budget and a start
-    # error.  Each outcome is the row's solve alone, at its input position, and
-    # the outcomes come in stop order.
+    # Nine rows through a queue of width 2, so that rows join at different
+    # iterations: TP and RP rows, a singular R, a start over budget, a start
+    # error and a row that rejects an extrapolation.  Each outcome is the row's
+    # solve alone, at its input position, and the outcomes come in stop order.
     rng = np.random.default_rng(68)
     insts, inits = mixed_batch(rng)
     dead, dead_init = dead_chain_instance(rng)
@@ -1249,6 +1344,7 @@ def test_queue_outcomes_equal_solves_alone():
     items = list(zip(insts, inits))
     items[2:2] = [(dead, dead_init)]
     items[5:5] = [(tight, inits[4]), SolverError("no start for this trial")]
+    items.append(rejecting_instance())
     for freeze in (False, True):
         settings = SolverSettings(
             bcd_epsilon=0.1, bcd_max_iters=30, pga_max_iters=5, freeze_phases=freeze
@@ -1268,7 +1364,10 @@ def test_queue_outcomes_equal_solves_alone():
                 lengths.append(0)
                 continue
             assert_same_solution(alone, outcome)
-            lengths.append(len(alone.trace) - 1)
+            lengths.append(len(alone.detail))  # a row's evaluations are its batch iterations
+        rejected = [row for _, sol in queued if isinstance(sol, Solution) for row in sol.detail
+                    if row.get("kept") is False]
+        assert freeze or rejected
         assert sum(not length for length in lengths) == 3
         assert len(set(lengths) - {0}) > 3  # rows stop at different iterations
         assert [position for position, _ in queued] == queue_order(lengths, 2)

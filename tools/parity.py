@@ -15,13 +15,13 @@ of that commit's checkout.
 name.  Per file it prints the number of rows whose shared columns differ, the
 rows whose ``iterations`` changed, the largest relative WSR change and the
 mean finite WSR on each side, and names any column that only one side has.
-Under each file it prints one line per method: the mean finite WSR on each
-side, the cells whose WSR went up and down, the largest relative rise and
-drop (over the rows finite on both sides) and the rows whose ``iterations``
-changed; then one line per differing row: its trial, method and
-illumination, both WSRs, the relative change and both ``iterations``.  It
-exits 1 if a file is missing on one side, the row counts differ or a shared
-column differs in any row, and 0 otherwise.
+Under each file it prints one line per method: the mean finite WSR and the
+mean ``iterations`` on each side, the cells whose WSR went up and down, the
+largest relative rise and drop (over the rows finite on both sides) and the
+rows whose ``iterations`` changed; then one line per differing row: its trial,
+method and illumination, both WSRs, the relative change and both
+``iterations``.  It exits 1 if a file is missing on one side, the row counts
+differ or a shared column differs in any row, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def _read(path: str):
         return list(reader), list(reader.fieldnames or [])
 
 
-def _mean_wsr(rows) -> float:
-    finite = [v for v in (float(row.get("wsr", "nan")) for row in rows) if math.isfinite(v)]
+def _mean(rows, column: str = "wsr") -> float:
+    finite = [v for v in (float(row.get(column, "nan")) for row in rows) if math.isfinite(v)]
     return math.fsum(finite) / len(finite) if finite else math.nan
 
 
@@ -113,7 +113,9 @@ def compare_files(path_a: str, path_b: str) -> dict:
             methods.setdefault(row.get("method", ""), ([], []))[side].append(row)
     return {
         "methods": {
-            name: dict(mean_wsr=(_mean_wsr(a), _mean_wsr(b)), **_changes(a, b))
+            name: dict(mean_wsr=(_mean(a), _mean(b)),
+                       mean_iterations=(_mean(a, "iterations"), _mean(b, "iterations")),
+                       **_changes(a, b))
             for name, (a, b) in sorted(methods.items())
         },
         "rows": (len(rows_a), len(rows_b)),
@@ -123,7 +125,7 @@ def compare_files(path_a: str, path_b: str) -> dict:
         "differing_rows": len(changed),
         "iterations_changed": sum(row["iterations"][0] != row["iterations"][1] for row in changed),
         "max_rel_wsr": max([0.0] + [math.inf if math.isnan(r) else r for r in moved]),  # nan vs number
-        "mean_wsr": (_mean_wsr(rows_a), _mean_wsr(rows_b)),
+        "mean_wsr": (_mean(rows_a), _mean(rows_b)),
     }
 
 
@@ -155,6 +157,7 @@ def compare(dir_a: str, dir_b: str) -> bool:
         for method, part in report["methods"].items():
             print(
                 f"  {method}: mean wsr {part['mean_wsr'][0]!r} / {part['mean_wsr'][1]!r}, "
+                f"mean iterations {part['mean_iterations'][0]:.2f} / {part['mean_iterations'][1]:.2f}, "
                 f"{part['up']} up, {part['down']} down, largest rise {part['largest_rise']:+.2e}, "
                 f"largest drop {part['largest_drop']:+.2e}, "
                 f"{part['iterations_changed']} iterations changed"

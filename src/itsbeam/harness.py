@@ -16,9 +16,12 @@ matrix per resolved :class:`GeometryConfig` and illumination (16 entries), and
 :class:`Trial` on first use, so a trial's cells share its drop, channel and ZF-WF
 solutions, and feeds one ``bcd_solve`` queue per BCD kind the trials in order: when a
 row stops, the next trial takes its slot, and its outcome is stored on its trial beside
-the ZF-WF solutions.  The frozen-phase methods ignore the illumination, so one queue and
-one outcome each serve every illumination.  A solve's bits do not depend on its batch,
-and ``run_sweep`` gives workers contiguous ranges of trials.
+the ZF-WF solutions.  A queue's starts are built a block of trials at a time, in one
+``_bcd_init`` call, and a ZF-WF cell not yet solved is solved in one ``zfwf_solve``
+call with those of the trials the memo holds in the queue width from it on; no trial is
+drawn only to fill a batch.  The frozen-phase methods ignore the illumination, so one
+queue and one outcome each serve every illumination.  A solve's bits do not depend on
+its batch, and ``run_sweep`` gives workers contiguous ranges of trials.
 
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
@@ -290,36 +293,61 @@ class Trial:
         _read_only(phases.phases)
         return phases
 
-    def zfwf(self, illumination: IlluminationMode) -> Solution:
-        """The ZF-WF solution of ``instance(illumination)``, solved once."""
+    def zfwf(self, illumination: IlluminationMode, mates=()) -> Solution:
+        """The ZF-WF solution of ``instance(illumination)``; its error is raised.
+
+        Solved once, in one ``zfwf_solve`` call with those trials of ``mates`` that lack
+        theirs: a solution does not depend on its batch.
+        """
         if illumination not in self._zfwf:
-            sol = zfwf_solve(self.instance(illumination))
-            _read_only(sol.phases.phases, sol.precoder.matrix)
-            self._zfwf[illumination] = sol
-        return self._zfwf[illumination]
+            batch = [self] + [mate for mate in mates if illumination not in mate._zfwf]
+            drawn = []
+            for state in batch:
+                try:
+                    drawn.append((state, state.instance(illumination)))
+                except _FAILURES as exc:
+                    state._zfwf[illumination] = exc
+            if drawn:
+                solved = zfwf_solve([inst for _, inst in drawn])
+                for (state, _), sol in zip(drawn, solved):
+                    if not isinstance(sol, Exception):
+                        _read_only(sol.phases.phases, sol.precoder.matrix)
+                    state._zfwf[illumination] = sol
+        outcome = self._zfwf[illumination]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
 
 _REVIVAL_BLEND = 1e-2
 
 
-def _bcd_init(inst, phases):
-    """The BCD start through ``phases``: zero-forcing directions on water-filling powers.
+def _bcd_init(insts, phases) -> list:
+    """The BCD starts through ``phases``, one per instance: zero-forcing directions on
+    water-filling powers, from one stacked ``_zero_forcing`` pass.
 
     Water-filling can shut off a user whose zero-forcing direction is costly,
     and a user entering BCD at exactly zero power stays silent forever (zero
     signal makes y_k = 0 a fixed point of the coordinate updates).  When that
     happens, a small slice of the budget is shifted toward the equal-power
     allocation along the same directions; the total stays exactly on budget.
-    Returns the start's ``phases`` and ``precoder``, with no Solution: ``bcd_solve``
-    refuses a start over budget.
+    Returns per row the start's ``phases`` and ``precoder``, with no Solution
+    (``bcd_solve`` refuses a start over budget), or the row's error.  Each row gets
+    the bits it gets alone.
     """
-    directions, alloc = _zero_forcing(inst, phases)
-    powers = alloc.powers
-    if not np.all(powers > 0.0):
-        equal = inst.power_budget / (inst.n_users * alloc.chain_costs)
-        powers = (1.0 - _REVIVAL_BLEND) * powers + _REVIVAL_BLEND * equal
-    precoder = Precoder(directions * np.sqrt(powers)[np.newaxis, :])
-    return SimpleNamespace(phases=phases, precoder=precoder)
+    directions, allocs = _zero_forcing(insts, phases)
+    starts = []
+    for inst, row_phases, row_directions, alloc in zip(insts, phases, directions, allocs):
+        if isinstance(alloc, Exception):
+            starts.append(alloc)
+            continue
+        powers = alloc.powers
+        if not np.all(powers > 0.0):
+            equal = inst.power_budget / (inst.n_users * alloc.chain_costs)
+            powers = (1.0 - _REVIVAL_BLEND) * powers + _REVIVAL_BLEND * equal
+        precoder = Precoder(row_directions * np.sqrt(powers)[np.newaxis, :])
+        starts.append(SimpleNamespace(phases=row_phases, precoder=precoder))
+    return starts
 
 
 # A queue's batch width, and its look-ahead: it admits no trial at or past the one
@@ -332,7 +360,8 @@ _BCD_METHODS = (Method.WMMSE_BCD, Method.RANDOM_PHASES, Method.NO_ITS)
 class _Queue:
     """A kind's ``bcd_solve`` queue, fed the trials of ``source`` (a Memo) from ``first`` on;
     ``next`` is the trial it admits next, and it admits none at or past ``bound``, which
-    the memo sets before it asks for an outcome."""
+    the memo sets before it asks for an outcome.  Its feed builds the starts of a block
+    of at most ``QUEUE_WIDTH`` trials, short of ``bound``, in one ``Memo.starts`` call."""
 
     def __init__(self, source, method: Method, illumination: IlluminationMode, first: int):
         solver = source.spec.solver
@@ -343,15 +372,14 @@ class _Queue:
         self.outcomes = bcd_solve(feed, solver, width=QUEUE_WIDTH)
 
     def _feed(self, source, method, illumination):
-        for index in range(self.first, source.spec.trials):
+        index, trials = self.first, source.spec.trials
+        while index < trials:
             while index >= self.bound:
                 yield None  # admit nothing until a request moves the bound
-            try:
-                item = source.start(method, illumination, index)
-            except _FAILURES as exc:
-                item = exc
-            self.next = index + 1
-            yield item
+            block = range(index, min(index + QUEUE_WIDTH, self.bound, trials))
+            for item in source.starts(method, illumination, block):
+                self.next = index = index + 1
+                yield item
 
 
 class Memo:
@@ -372,16 +400,45 @@ class Memo:
             self.states[trial_index] = Trial(self.spec, self.sweep_value, trial_index)
         return self.states[trial_index]
 
-    def start(self, method: Method, illumination: IlluminationMode, trial_index: int):
-        """(instance, initial point) of one BCD cell."""
+    def zfwf(self, illumination: IlluminationMode, trial_index: int) -> Solution:
+        """The ZF-WF solution of one trial; if it is not held, it is solved in one call with
+        those of the trials this memo holds in the ``QUEUE_WIDTH`` from ``trial_index`` on.
+        No trial is drawn to fill the batch, and the width bounds its stacked arrays."""
         state = self.trial(trial_index)
-        if method is Method.WMMSE_BCD:
-            inst, phases = state.instance(illumination), state.zfwf(illumination).phases
-        elif method is Method.NO_ITS:
-            inst, phases = state.no_surface, PhaseConfig(np.zeros(state.geometry.n_active))
-        else:
-            inst, phases = state.instance(IlluminationMode.FULL), state.random_phases
-        return inst, _bcd_init(inst, phases)
+        mates = () if illumination in state._zfwf else [
+            held for index, held in self.states.items()
+            if trial_index < index < trial_index + QUEUE_WIDTH
+        ]
+        return state.zfwf(illumination, mates)
+
+    def starts(self, method: Method, illumination: IlluminationMode, indices) -> list:
+        """(instance, initial point), or the error, of the BCD cell of each trial of ``indices``,
+        from one ``_bcd_init`` call."""
+        points = []
+        for index in indices:  # every trial first: a wmmse_bcd start's ZF-WF batch reads them
+            try:
+                points.append(self.trial(index))
+            except _FAILURES as exc:
+                points.append(exc)
+        for j, state in enumerate(points):
+            if isinstance(state, Exception):
+                continue
+            try:
+                if method is Method.WMMSE_BCD:
+                    zf = self.zfwf(illumination, indices[j])
+                    points[j] = state.instance(illumination), zf.phases
+                elif method is Method.NO_ITS:
+                    points[j] = state.no_surface, PhaseConfig(np.zeros(state.geometry.n_active))
+                else:
+                    points[j] = state.instance(IlluminationMode.FULL), state.random_phases
+            except _FAILURES as exc:
+                points[j] = exc
+        ready = [j for j, point in enumerate(points) if not isinstance(point, Exception)]
+        if ready:
+            insts, phases = zip(*(points[j] for j in ready))
+            for j, inst, init in zip(ready, insts, _bcd_init(insts, phases)):
+                points[j] = init if isinstance(init, Exception) else (inst, init)
+        return points
 
     def solution(self, method: Method, illumination: IlluminationMode, trial_index: int):
         """The solution of one cell; its error (an itsbeam or LinAlgError) is raised.
@@ -399,7 +456,7 @@ class Memo:
         self.served.add(cell)
         state = self.trial(trial_index)
         if method is Method.ZF_WF:
-            return state.zfwf(illumination)
+            return self.zfwf(illumination, trial_index)
         if method not in _BCD_METHODS:
             raise SolverError(f"unknown method {method!r}")
         kind = (method, illumination if method is Method.WMMSE_BCD else None)

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SolverError
+from .errors import BeamformingError, DimensionMismatchError, SolverError
 
 __all__ = [
     "ConstraintKind",
@@ -206,7 +207,8 @@ class Solution:
             raise DimensionMismatchError("sinr and spectral_efficiency must have equal shape")
         if np.any(s < 0):
             raise DimensionMismatchError("sinr must be nonnegative")
-        if not np.allclose(se, np.log2(1.0 + s), rtol=1e-9, atol=1e-12):
+        rates = np.log2(1.0 + s)
+        if not np.all(np.abs(se - rates) <= 1e-12 + 1e-9 * np.abs(rates)):  # NaN fails
             raise DimensionMismatchError("spectral_efficiency inconsistent with sinr")
         if self.constraint_slack < -1e-6 * self.power_budget:
             raise DimensionMismatchError(
@@ -218,20 +220,57 @@ class Solution:
 
     @classmethod
     def from_state(cls, inst, phases, precoder, trace=None, detail=None) -> Solution:
-        """SINR, rates, WSR and slack at (phases, precoder); ``trace`` defaults to ((0, wsr),)."""
-        s = sinr(inst, phases, precoder)
-        se, value = _rates(inst, s)
-        return cls(
-            phases=phases,
-            precoder=precoder,
-            sinr=s,
-            spectral_efficiency=se,
-            wsr=value,
-            constraint_slack=inst.power_budget - constraint_value(inst, precoder),
-            power_budget=inst.power_budget,
-            trace=((0, value),) if trace is None else tuple(trace),
-            detail=detail,
+        """SINR, rates, WSR and slack at (phases, precoder); ``trace`` defaults to ((0, wsr),).
+
+        A batch of one of ``from_states``, whose error is raised.
+        """
+        (solution,) = cls.from_states(
+            [inst], phases.phases[np.newaxis], precoder.matrix[np.newaxis], [trace], [detail]
         )
+        if isinstance(solution, Exception):
+            raise solution
+        return solution
+
+    @classmethod
+    def from_states(cls, insts, phases, precoders, traces=None, details=None) -> list:
+        """``from_state`` of each row: its Solution, or the error of the check it fails.
+
+        ``insts`` share K, N and M; ``phases`` (B, M) and ``precoders`` (B, N, K) are
+        stacked by row, ``traces`` and ``details`` listed by row.  The SINRs come from
+        stacked rows, each with the bits it gets alone.
+        """
+        (k, n, m), count = _dims(insts), len(insts)
+        if phases.shape[1:] != (m,):
+            raise DimensionMismatchError(f"phases must have shape ({m},), got {phases.shape[1:]}")
+        if precoders.shape[1:] != (n, k):
+            raise DimensionMismatchError(
+                f"precoder must have shape ({n}, {k}), got {precoders.shape[1:]}"
+            )
+        rows = SimpleNamespace(
+            weights=np.stack([one.weights for one in insts]),
+            noise_power=np.array([[one.noise_power] for one in insts]),
+        )
+        s = _link_terms(rows, _effective_channels(insts, phases) @ precoders)[0]
+        se, values = _rates(rows, s)
+        traces, details = traces or [None] * count, details or [None] * count
+        solutions = []
+        for j, one in enumerate(insts):
+            try:
+                precoder = Precoder(precoders[j])
+                solutions.append(cls(
+                    phases=PhaseConfig(phases[j]),
+                    precoder=precoder,
+                    sinr=s[j],
+                    spectral_efficiency=se[j],
+                    wsr=values[j],
+                    constraint_slack=one.power_budget - constraint_value(one, precoder),
+                    power_budget=one.power_budget,
+                    trace=((0, values[j]),) if traces[j] is None else tuple(traces[j]),
+                    detail=details[j],
+                ))
+            except BeamformingError as exc:
+                solutions.append(exc)
+        return solutions
 
 
 def _check_phases(inst: SystemInstance, phases: PhaseConfig) -> None:
@@ -253,6 +292,31 @@ def effective_channel(inst: SystemInstance, phases: PhaseConfig) -> np.ndarray:
     """Return heff = H @ diag(exp(j*phi)) @ T, shape (K, N)."""
     _check_phases(inst, phases)
     return (inst.channel * phases.phasor()[np.newaxis, :]) @ inst.transfer
+
+
+def _dims(insts) -> tuple:
+    """The (K, N, M) that the instances of a batch share; DimensionMismatchError if they differ."""
+    dims = {(one.n_users, one.n_chains, one.n_elements) for one in insts}
+    if len(dims) != 1:
+        raise DimensionMismatchError("a batch's instances must share K, N and M")
+    return dims.pop()
+
+
+def _rows(arrays) -> np.ndarray:
+    """``arrays`` stacked by row, or the first alone, to broadcast, when all are one array in
+    memory: a transfer matrix that the rows share is not copied."""
+    face = arrays[0].__array_interface__
+    if all(a.__array_interface__ == face for a in arrays[1:]):
+        return arrays[0]
+    return np.stack(arrays)
+
+
+def _effective_channels(insts, phases: np.ndarray) -> np.ndarray:
+    """``effective_channel`` of each instance at its row of the stacked (B, M) ``phases``,
+    stacked (B, K, N); each row has the bits it has alone."""
+    channels = np.stack([one.channel for one in insts])
+    channels *= np.exp(1j * phases)[:, np.newaxis, :]  # in place: one (B, K, M) array at a time
+    return channels @ _rows([one.transfer for one in insts])
 
 
 def _link_terms(inst: SystemInstance, cross: np.ndarray):

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .errors import SolverError
 from .geometry import GeometryConfig, antenna_gain, build_layout, build_transfer_matrix
 from .model import (
     ConstraintKind,
@@ -296,6 +297,39 @@ def _check_batch_solve(rng) -> bool:
     return True
 
 
+def _check_zfwf_batch(rng) -> bool:
+    """A batch of 5 ZF-WF solves (both constraints, one rank-deficient row) against 5 solves
+    alone, bit for bit; the rank-deficient row holds the error its solve alone raises.
+
+    Stacked rows keep their bits only if the numpy/BLAS build runs each row of a stacked
+    matmul, SVD and solve as it runs that row alone.
+    """
+    kinds = list(ConstraintKind)
+    insts = [_random_instance(rng, constraint=kinds[index % 2]) for index in range(5)]
+    channel = insts[3].channel.copy()
+    channel[1] = channel[0]  # two users on one channel: the effective channel loses rank
+    insts[3] = replace(insts[3], channel=channel)
+    batch = zfwf_solve(insts)
+    if [index for index, row in enumerate(batch) if isinstance(row, Exception)] != [3]:
+        return False
+    for inst, together in zip(insts, batch):
+        try:
+            alone = zfwf_solve(inst)
+        except SolverError as exc:
+            if str(together) != str(exc):
+                return False
+            continue
+        if isinstance(together, Exception) or not (
+            np.array_equal(alone.phases.phases, together.phases.phases)
+            and np.array_equal(alone.precoder.matrix, together.precoder.matrix)
+            and np.array_equal(alone.sinr, together.sinr)
+            and (alone.wsr, alone.constraint_slack, alone.detail)
+            == (together.wsr, together.constraint_slack, together.detail)
+        ):
+            return False
+    return True
+
+
 def _check_harness_determinism() -> bool:
     spec = replace(default_experiment_spec(), trials=1)
     rec1 = run_trial(spec, 20.0, 0, Method.ZF_WF, spec.illuminations[0])
@@ -320,6 +354,7 @@ def run_selfcheck(verbose: bool = True) -> bool:
         ("bcd monotone ascent", lambda: _check_bcd_monotone(rng)),
         ("wmmse dual power curve vs explicit solves", lambda: _check_dual_power_curve(rng)),
         ("wmmse batch and queue solves equal solo solves", lambda: _check_batch_solve(rng)),
+        ("zfwf batch solves equal solo solves", lambda: _check_zfwf_batch(rng)),
         ("harness trial determinism", _check_harness_determinism),
     ]
     all_ok = True

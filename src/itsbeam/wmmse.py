@@ -680,7 +680,8 @@ def _queue(items, settings: SolverSettings, width: int):
 
     The slots hold each row's last accepted point, ``past`` its cycle's x0 and x1, and
     ``cycle`` its next evaluation's place: 0 and 1 plain steps, 2 on extrapolations.  A
-    failed plain step fails its row; a failed extrapolation is rejected.
+    failed plain step fails its row; a failed extrapolation is rejected.  The Solutions of
+    the rows that stop in one batch iteration are built together (``Solution.from_states``).
     """
     items, batch, free, active, taken = iter(items), None, list(range(width))[::-1], [], 0
     where, traces, details, alpha = ([None] * width for _ in range(4))
@@ -791,14 +792,12 @@ def _queue(items, settings: SolverSettings, width: int):
         phases[at], precoders[at], heff[at] = phi[accepted], matrices[accepted], h[accepted]
         gamma[at], f[at], total[at] = (t[accepted] for t in terms)
         active = going
+        done = [slot for slot, outcome in stopped if outcome is None]
+        if done:  # copies: a slot's rows are overwritten when it admits another
+            solved = iter(Solution.from_states(
+                [batch.insts[slot] for slot in done], phases[done], precoders[done],
+                [traces[slot] for slot in done], [details[slot] for slot in done],
+            ))
         for slot, outcome in stopped:
             free.append(slot)
-            if outcome is None:
-                try:  # copies: the slot's rows are overwritten when it admits another
-                    outcome = Solution.from_state(
-                        batch.insts[slot], PhaseConfig(phases[slot].copy()),
-                        Precoder(precoders[slot].copy()), traces[slot], details[slot],
-                    )
-                except _FAILURES as exc:
-                    outcome = exc
-            yield where[slot], outcome
+            yield where[slot], next(solved) if outcome is None else outcome

@@ -12,21 +12,31 @@ The three stages are closed-form:
    direction f_k, P the instance's power map (I under TP, T under RP).
 
 The resulting SINRs are exactly p_k / sigma^2.
+
+``zfwf_solve`` runs on a batch of instances as on one: the effective channels, the
+condition test (one SVD per row), the gram solve, the chain costs and the SINRs of the
+solutions run on stacked rows, and water-filling runs per row on Python floats.  Each
+row gets the bits it gets alone, so a solution does not depend on its batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
-# sinr and constraint_value stay module attributes: call-site tracers wrap them here.
+# effective_channel, sinr and constraint_value stay module attributes: call-site tracers
+# wrap them here.
 from .model import (
     PhaseConfig,
-    Precoder,
     Solution,
     SystemInstance,
+    _check_phases,
+    _dims,
+    _effective_channels,
+    _rows,
     constraint_value,
     effective_channel,
     sinr,
@@ -82,14 +92,59 @@ def zf_directions(heff: np.ndarray) -> np.ndarray:
 
     Column k is the unit-rate direction for user k: heff @ F = I_K exactly.
     Raises SolverError when heff is rank-deficient (condition number > 1e12).
+    A batch of one of the stacked ``_directions``.
     """
     heff = np.asarray(heff, dtype=complex)
-    if heff.ndim != 2 or heff.shape[0] > heff.shape[1]:
+    if heff.ndim != 2:
         raise SolverError("effective channel must be (K, N) with K <= N")
-    if np.linalg.cond(heff) > _COND_LIMIT:
-        raise SolverError("effective channel is rank-deficient; zero-forcing unavailable")
-    gram = heff @ heff.conj().T
-    return heff.conj().T @ np.linalg.solve(gram, np.eye(heff.shape[0], dtype=complex))
+    failed = {}
+    directions = _directions(heff[np.newaxis], failed)
+    if failed:
+        raise failed[0]
+    return directions[0]
+
+
+def _directions(heff: np.ndarray, failed: dict) -> np.ndarray:
+    """``zf_directions`` of each row of the stacked (B, K, N) ``heff``: one SVD per row for
+    the condition test, then one stacked gram solve over the rows that pass.  A row that
+    fails has its error in ``failed``, under its row, and zero directions; a LAPACK call
+    that one bad row fails for the whole stack is taken again row by row.
+    """
+    directions = np.zeros_like(np.swapaxes(heff, -1, -2))
+    if heff.shape[1] > heff.shape[2]:
+        failed.update({row: SolverError("effective channel must be (K, N) with K <= N")
+                       for row in range(len(heff))})
+        return directions
+    try:
+        deficient = np.linalg.cond(heff) > _COND_LIMIT
+        rows = np.flatnonzero(~deficient)
+        part = heff[rows]
+        gram = part @ np.conj(part).swapaxes(-1, -2)
+        inverse = np.linalg.solve(gram, np.eye(heff.shape[1], dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        if len(heff) == 1:
+            failed[0] = exc
+            return directions
+        for row in range(len(heff)):
+            alone = {}
+            directions[row] = _directions(heff[row : row + 1], alone)[0]
+            if alone:
+                failed[row] = alone[0]
+        return directions
+    for row in np.flatnonzero(deficient):
+        failed[row] = SolverError("effective channel is rank-deficient; zero-forcing unavailable")
+    directions[rows] = np.conj(part).swapaxes(-1, -2) @ inverse
+    return directions
+
+
+def _sum(values: list) -> float:
+    """numpy's sum of a float vector: left to right below 8 terms, numpy's own from 8 on."""
+    if len(values) >= 8:  # numpy sums 8 or more terms with 8 accumulators
+        return float(np.sum(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def waterfill(
@@ -105,56 +160,116 @@ def waterfill(
     allocation goes negative are dropped and the level recomputed.  When
     sigma^2 sum a dwarfs the budget, w_k / (mu a_k) - sigma^2 cancels; powers that
     then spend more than the budget's 1e-6 tolerance are scaled back onto it.
+    Runs on Python floats, in numpy's order of operations, so it gives the bits of
+    the same formulas on arrays; only the spent budget a @ p is a numpy dot.
     """
     w = np.asarray(weights, dtype=float)
     a = np.asarray(chain_costs, dtype=float)
     if w.ndim != 1 or a.shape != w.shape:
         raise SolverError("weights and chain_costs must be 1-D with equal shape")
-    if np.any(a <= 0) or not np.all(np.isfinite(a)):
+    costs, w = a.tolist(), w.tolist()
+    if not all(0.0 < cost < math.inf for cost in costs):  # NaN fails
         raise SolverError("chain_costs must be positive and finite")
-    if not np.all(np.isfinite(w) & (w >= 0)):
+    if not all(0.0 <= weight < math.inf for weight in w):
         raise SolverError("weights must be finite and nonnegative")
     if not (0 < noise_power < np.inf and 0 < power_budget < np.inf):  # NaN fails both
         raise SolverError("noise_power and power_budget must be finite and positive")
 
-    active = w > 0
-    mu = 0.0
-    for _ in range(w.size):
-        if not np.any(active):
+    noise, budget = float(noise_power), float(power_budget)
+    active = [weight > 0 for weight in w]
+    for _ in range(len(w)):
+        if not any(active):
             raise SolverError("water-filling dropped every user; budget degenerate")
-        mu = w[active].sum() / (power_budget + noise_power * a[active].sum())
-        p = np.where(active, w / (mu * a) - noise_power, 0.0)
-        negative = active & (p < 0)
-        if not np.any(negative):
-            powers = np.clip(p, 0.0, None)
-            spent = float(a @ powers)
-            if spent > power_budget * (1.0 + 1e-6):  # the tolerance a Solution allows
-                powers *= power_budget / spent
-            return PowerAllocation(powers=powers, water_level=float(mu), chain_costs=a)
-        active &= ~negative
+        on = [k for k, is_on in enumerate(active) if is_on]
+        mu = _sum([w[k] for k in on]) / (budget + noise * _sum([costs[k] for k in on]))
+        p = [w[k] / (mu * costs[k]) - noise if active[k] else 0.0 for k in range(len(w))]
+        negative = [k for k in on if p[k] < 0]
+        if not negative:
+            spent = float(a @ p)  # BLAS's dot, whose order a loop does not reproduce
+            if spent > budget * (1.0 + 1e-6):  # the tolerance a Solution allows
+                scale = budget / spent
+                p = [power * scale for power in p]
+            return PowerAllocation(powers=np.array(p), water_level=mu, chain_costs=a)
+        for k in negative:
+            active[k] = False
     raise SolverError("water-filling failed to settle on an active set")
 
 
-def _zero_forcing(inst: SystemInstance, phases: PhaseConfig):
-    """The zero-forcing directions through ``phases`` and their water-filling allocation."""
-    directions = zf_directions(effective_channel(inst, phases))
-    costs = np.sum(np.abs(inst.power_map @ directions) ** 2, axis=0)
-    return directions, waterfill(inst.weights, costs, inst.noise_power, inst.power_budget)
+def _zero_forcing(insts, phases):
+    """The zero-forcing directions through each row's ``phases`` and their water-filling
+    allocation: (stacked (B, N, K) directions, one PowerAllocation or error per row).
+
+    The instances share K, N and M, and phases of the wrong length fail the call.  A row
+    whose phases are an error keeps it, and a failed row's directions are zero.  Effective channels, ``_directions`` and the chain
+    costs ||P f_k||^2 run on stacked rows, ``waterfill`` per row; each row gets the bits
+    it gets alone.
+    """
+    k, n, _ = _dims(insts)
+    outcomes, directions = list(phases), np.zeros((len(insts), n, k), dtype=complex)
+    rows = [row for row, given in enumerate(phases) if not isinstance(given, Exception)]
+    if not rows:
+        return directions, outcomes
+    part, failed = [insts[row] for row in rows], {}
+    for one, row in zip(part, rows):
+        _check_phases(one, phases[row])
+    directions[rows] = _directions(
+        _effective_channels(part, np.stack([phases[row].phases for row in rows])), failed
+    )
+    costs, maps = np.zeros((len(rows), k)), [one.power_map for one in part]
+    for shape in {p.shape for p in maps}:  # P is (N, N) under TP and (M, N) under RP
+        group = [j for j, p in enumerate(maps) if p.shape == shape]
+        product = _rows([maps[j] for j in group]) @ directions[[rows[j] for j in group]]
+        costs[group] = np.sum(np.abs(product) ** 2, axis=-2)
+    for j, (row, one) in enumerate(zip(rows, part)):
+        if j in failed:
+            outcomes[row] = failed[j]
+            continue
+        try:
+            outcomes[row] = waterfill(one.weights, costs[j], one.noise_power, one.power_budget)
+        except SolverError as exc:
+            outcomes[row] = exc
+    return directions, outcomes
 
 
-def zfwf_solve(inst: SystemInstance, phases: PhaseConfig | None = None) -> Solution:
+def zfwf_solve(inst, phases: PhaseConfig | None = None):
     """Full pipeline: align phases (unless given), zero-force, water-fill.
 
     Passing ``phases`` skips the alignment stage and zero-forces through the
-    given surface state instead.
+    given surface state instead.  A sequence of instances that share K, N and M, with
+    a sequence of phases or None, is solved in one stacked pass (``_zero_forcing``,
+    then ``Solution.from_states``) and gives one Solution, or the error that ended its
+    solve, per instance, each with the bits it gets alone.  One instance is a batch of
+    one, whose error is raised.
     """
-    if phases is None:
-        phases = phase_align(inst)
-    directions, alloc = _zero_forcing(inst, phases)
-    precoder = Precoder(directions * np.sqrt(alloc.powers)[np.newaxis, :])
-    detail = {
-        "water_level": alloc.water_level,
-        "chain_costs": alloc.chain_costs.tolist(),
-        "powers": alloc.powers.tolist(),
-    }
-    return Solution.from_state(inst, phases, precoder, detail=detail)
+    single = isinstance(inst, SystemInstance)
+    insts = [inst] if single else list(inst)
+    given = [phases] if single else [None] * len(insts) if phases is None else list(phases)
+    aligned = []
+    for one, fixed in zip(insts, given):
+        try:
+            aligned.append(phase_align(one) if fixed is None else fixed)
+        except SolverError as exc:
+            aligned.append(exc)
+    directions, outcomes = _zero_forcing(insts, aligned)
+    rows = [row for row, alloc in enumerate(outcomes) if not isinstance(alloc, Exception)]
+    if rows:
+        allocs = [outcomes[row] for row in rows]
+        powers = np.stack([alloc.powers for alloc in allocs])
+        solved = Solution.from_states(
+            [insts[row] for row in rows],
+            np.stack([aligned[row].phases for row in rows]),
+            directions[rows] * np.sqrt(powers)[:, np.newaxis, :],
+            details=[
+                {
+                    "water_level": alloc.water_level,
+                    "chain_costs": alloc.chain_costs.tolist(),
+                    "powers": alloc.powers.tolist(),
+                }
+                for alloc in allocs
+            ],
+        )
+        for row, solution in zip(rows, solved):
+            outcomes[row] = solution
+    if single and isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0] if single else outcomes

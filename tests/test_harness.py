@@ -566,13 +566,53 @@ def test_bcd_init_revives_silenced_user():
     )
     zf = zfwf_solve(inst)
     assert np.any(np.asarray(zf.detail["powers"]) == 0.0)
-    init = _bcd_init(inst, zf.phases)
+    (init,) = _bcd_init([inst], [zf.phases])
     assert np.all(np.linalg.norm(init.precoder.matrix, axis=0) > 0.0)
     assert abs(inst.power_budget - constraint_value(inst, init.precoder)) < 1e-9
     refined = bcd_solve(inst, SolverSettings(), init)
     assert refined.wsr >= refined.trace[0][1] - 1e-9
     assert np.all(refined.sinr > 0.0)
 
+
+
+def test_batched_bcd_init_equals_starts_alone():
+    # One _bcd_init call over RP trial draws, the near-collinear instance of the test
+    # above (its start revives a user) and a rank-deficient row: each start equals the
+    # one from a batch of one, bit for bit, and the rank-deficient row holds its error.
+    spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
+    spec = replace(spec, trials=4)
+    memo.cache_clear()
+    insts = [trial(spec, 40.0, index).instance(IlluminationMode.FULL) for index in range(4)]
+    phases = [memo(spec, 40.0).zfwf(IlluminationMode.FULL, index).phases for index in range(4)]
+    silenced = np.zeros_like(insts[0].channel)
+    silenced[:, :4] = [[1, 0, 0, 0], [1, 1e-3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    revived = replace(
+        insts[0], channel=silenced, transfer=np.eye(*silenced.shape[::-1], dtype=complex),
+        noise_power=1e-2, power_budget=1.0, constraint=ConstraintKind.TRANSMITTED_POWER,
+    )
+    deficient = replace(insts[1], channel=np.repeat(insts[1].channel[:1], 4, axis=0))
+    insts += [revived, deficient]
+    phases += [PhaseConfig(np.zeros(insts[0].n_elements)), phases[1]]
+    batch = _bcd_init(insts, phases)
+    assert isinstance(batch[5], SolverError) and "rank-deficient" in str(batch[5])
+    powers = zfwf_solve(revived, phases[4]).detail["powers"]
+    assert 0.0 in powers and np.all(np.linalg.norm(batch[4].precoder.matrix, axis=0) > 0.0)
+    for inst, row_phases, together in zip(insts, phases, batch):
+        (alone,) = _bcd_init([inst], [row_phases])
+        if isinstance(alone, Exception):
+            assert type(together) is type(alone) and str(together) == str(alone)
+            continue
+        assert together.phases is row_phases
+        assert np.array_equal(together.precoder.matrix, alone.precoder.matrix)
+
+
+def test_cold_zf_wf_cell_holds_one_trial():
+    # The benchmark's warm-up cell: a zf_wf cell from an empty memo draws its own trial
+    # and no other, so set-up pays for one zero-forcing solve.
+    spec = tiny_spec(trials=50, grid=[30.0], methods=["zf_wf", "random_phases"])
+    memo.cache_clear()
+    record = run_trial(spec, 30.0, 0, Method.ZF_WF, IlluminationMode.FULL)
+    assert math.isfinite(record.wsr) and list(memo(spec, 30.0).states) == [0]
 
 def reference_spec(sweep, constraint):
     """The reference configuration built by hand, independent of the config table."""

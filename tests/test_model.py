@@ -271,3 +271,30 @@ def test_solution_consistency_checks():
             constraint_slack=-1.0,
             power_budget=1.0,
         )
+
+
+def test_solution_rate_check_is_the_allclose_rule():
+    # |se - log2(1 + s)| <= 1e-12 + 1e-9 |log2(1 + s)|, where NaN fails: rates inside the
+    # bound pass; rates just outside it, a NaN SINR and a NaN rate raise.
+    rng = np.random.default_rng(22)
+    phases, prec = random_phases(rng, 4), random_precoder(rng, 2, 2)
+
+    def solution(sinr_values, rates):
+        return Solution(
+            phases=phases, precoder=prec, sinr=np.array(sinr_values),
+            spectral_efficiency=np.array(rates), wsr=1.0, constraint_slack=0.0, power_budget=1.0,
+        )
+
+    s = np.array([1.0, 3.0])
+    exact = np.log2(1.0 + s)
+    solution(s, exact * (1.0 + 0.9e-9))
+    solution([0.0, 0.0], [0.9e-12, -0.9e-12])
+    for sinr_values, rates in (
+        (s, exact * (1.0 + 1.2e-9)),
+        ([0.0, 0.0], [0.0, 1.1e-12]),
+        ([1.0, np.nan], [1.0, np.nan]),
+        ([1.0, np.nan], [1.0, 1.0]),
+        (s, [exact[0], np.nan]),
+    ):
+        with pytest.raises(DimensionMismatchError, match="inconsistent with sinr"):
+            solution(sinr_values, rates)

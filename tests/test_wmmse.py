@@ -397,7 +397,7 @@ def reference_subproblems(trials):
     for index in range(trials):
         state = trial(spec, 40.0, index)
         inst = state.instance(IlluminationMode.FULL)
-        start = _bcd_init(inst, state.zfwf(IlluminationMode.FULL).phases)
+        (start,) = _bcd_init([inst], [state.zfwf(IlluminationMode.FULL).phases])
         phases, precoder = start.phases, start.precoder
         for _ in range(3):
             aux = optimal_aux(inst, phases, precoder)

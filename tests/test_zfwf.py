@@ -1,11 +1,15 @@
 """Phase alignment, zero-forcing directions and the water-filling allocator."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from itsbeam import (
     ConstraintKind,
     PhaseConfig,
+    PowerAllocation,
     SolverError,
     SolverSettings,
     bcd_solve,
@@ -20,6 +24,36 @@ from itsbeam import (
 )
 from itsbeam.selfcheck import oracle_waterfill
 from helpers import complex_normal, make_instance
+
+
+def numpy_waterfill(weights, chain_costs, noise_power, power_budget):
+    """The water-filling routine on numpy arrays that the float ``waterfill`` replaced."""
+    w = np.asarray(weights, dtype=float)
+    a = np.asarray(chain_costs, dtype=float)
+    if w.ndim != 1 or a.shape != w.shape:
+        raise SolverError("weights and chain_costs must be 1-D with equal shape")
+    if np.any(a <= 0) or not np.all(np.isfinite(a)):
+        raise SolverError("chain_costs must be positive and finite")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise SolverError("weights must be finite and nonnegative")
+    if not (0 < noise_power < np.inf and 0 < power_budget < np.inf):
+        raise SolverError("noise_power and power_budget must be finite and positive")
+    active = w > 0
+    mu = 0.0
+    for _ in range(w.size):
+        if not np.any(active):
+            raise SolverError("water-filling dropped every user; budget degenerate")
+        mu = w[active].sum() / (power_budget + noise_power * a[active].sum())
+        p = np.where(active, w / (mu * a) - noise_power, 0.0)
+        negative = active & (p < 0)
+        if not np.any(negative):
+            powers = np.clip(p, 0.0, None)
+            spent = float(a @ powers)
+            if spent > power_budget * (1.0 + 1e-6):
+                powers *= power_budget / spent
+            return PowerAllocation(powers=powers, water_level=float(mu), chain_costs=a)
+        active &= ~negative
+    raise SolverError("water-filling failed to settle on an active set")
 
 
 def test_phase_align_single_user_sum():
@@ -295,3 +329,86 @@ def test_bcd_from_zfwf_never_loses():
             init = zfwf_solve(inst)
             refined = bcd_solve(inst, SolverSettings(), init)
             assert refined.wsr >= init.wsr - 1e-9
+
+
+def test_float_waterfill_matches_the_numpy_routine_bit_for_bit():
+    # K = 1-16 covers numpy's left-to-right sums below 8 terms and its 8 accumulators
+    # from 8 on; zero weights, users dropped over several rounds, and costs spread over
+    # 30 decades that overspend and take the rescale branch.
+    rng = np.random.default_rng(77)
+    seen = {"zero weight": 0, "dropped": 0, "rescaled": 0}
+    for index in range(4000):
+        k = 1 + index % 16
+        weights = rng.uniform(0.1, 2.0, k) * (rng.uniform(size=k) > 0.15)
+        weights[rng.integers(k)] = rng.uniform(0.1, 2.0)
+        costs = 10.0 ** rng.uniform(-3, 3 if index % 4 else 21, k)
+        noise = 10.0 ** rng.uniform(-7, 0)
+        budget = 10.0 ** rng.uniform(-1, 2)
+        try:
+            expected = numpy_waterfill(weights, costs, noise, budget)
+        except SolverError as exc:
+            with pytest.raises(SolverError, match="^" + re.escape(str(exc)) + "$"):
+                waterfill(weights, costs, noise, budget)
+            continue
+        alloc = waterfill(weights, costs, noise, budget)
+        assert np.array_equal(alloc.powers, expected.powers)
+        assert alloc.water_level == expected.water_level
+        assert np.array_equal(alloc.chain_costs, expected.chain_costs)
+        unscaled = np.where(weights > 0, weights / (alloc.water_level * costs) - noise, 0.0)
+        seen["zero weight"] += bool(np.any(weights == 0))
+        seen["dropped"] += bool(np.any((weights > 0) & (alloc.powers == 0)))
+        seen["rescaled"] += float(costs @ np.clip(unscaled, 0, None)) > budget * (1 + 1e-6)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_float_waterfill_raises_the_numpy_routine_errors():
+    cases = [
+        (np.ones((2, 2)), np.ones((2, 2)), 0.1, 1.0),
+        (np.ones(2), np.ones(3), 0.1, 1.0),
+        (np.ones(2), np.array([1.0, 0.0]), 0.1, 1.0),
+        (np.ones(2), np.array([1.0, np.nan]), 0.1, 1.0),
+        (np.ones(2), np.array([1.0, np.inf]), 0.1, 1.0),
+        (np.array([1.0, -1.0]), np.ones(2), 0.1, 1.0),
+        (np.array([1.0, np.nan]), np.ones(2), 0.1, 1.0),
+        (np.ones(2), np.ones(2), np.nan, 1.0),
+        (np.ones(2), np.ones(2), 0.1, np.inf),
+        (np.ones(2), np.ones(2), 0.1, 0.0),
+        (np.zeros(3), np.ones(3), 0.1, 1.0),
+    ]
+    for case in cases:
+        with pytest.raises(SolverError) as expected:
+            numpy_waterfill(*case)
+        with pytest.raises(SolverError, match="^" + re.escape(str(expected.value)) + "$"):
+            waterfill(*case)
+
+
+def test_batched_zfwf_solve_equals_solves_alone():
+    # One stacked call over both constraints, given and aligned phases and a rank-deficient
+    # row (two users on one channel): each row's Solution equals its solve alone bit for
+    # bit, and the failed row holds the error that its solve alone raises.
+    rng = np.random.default_rng(78)
+    insts = [
+        make_instance(rng, m=10, n=4, k=3, constraint=list(ConstraintKind)[index % 2])
+        for index in range(6)
+    ]
+    channel = insts[2].channel.copy()
+    channel[1] = channel[0]
+    insts[2] = replace(insts[2], channel=channel)
+    phases = [None, PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, 10)), None,
+              None, PhaseConfig(np.zeros(10)), PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, 10))]
+    batch = zfwf_solve(insts, phases)
+    for inst, given, together in zip(insts, phases, batch):
+        try:
+            alone = zfwf_solve(inst, given)
+        except Exception as exc:  # noqa: BLE001 - the row must hold the same error
+            assert type(together) is type(exc) and str(together) == str(exc)
+            continue
+        assert np.array_equal(alone.phases.phases, together.phases.phases)
+        assert np.array_equal(alone.precoder.matrix, together.precoder.matrix)
+        assert np.array_equal(alone.sinr, together.sinr)
+        assert np.array_equal(alone.spectral_efficiency, together.spectral_efficiency)
+        assert alone.wsr == together.wsr and alone.trace == together.trace
+        assert alone.constraint_slack == together.constraint_slack
+        assert alone.detail == together.detail
+    assert [row for row, sol in enumerate(batch) if isinstance(sol, Exception)] == [2]
+    assert "rank-deficient" in str(batch[2])

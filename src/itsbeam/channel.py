@@ -148,6 +148,14 @@ def pathloss_db(params: ChannelParams, distance, shadowing_db=0.0):
     )
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` by numpy's own steps, less the ``numpy.ma`` import of its NaN check."""
+    half, odd = divmod(values.size, 2)
+    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1], axis=None)
+    middle = float(np.mean(part[half - 1 + odd : half + 1]))
+    return math.nan if math.isnan(part[-1]) else middle
+
+
 def calibrate_rows(rows: np.ndarray, params: ChannelParams, reference=None) -> np.ndarray:
     """Rescale a sampled channel so its median per-element gain hits the target.
 
@@ -158,12 +166,13 @@ def calibrate_rows(rows: np.ndarray, params: ChannelParams, reference=None) -> n
     given, the factor is computed from it instead of from ``rows`` (the
     no-surface baseline calibrates the bare propagation rows, then applies its
     antenna pattern on top, so the pattern is excluded from the calibration).
+    The median is ``_median``'s: ``np.median``'s NaN check imports ``numpy.ma``.
     """
     if params.gain_normalization_db is None:
         return rows
     ref = rows if reference is None else reference
     target = 10.0 ** (params.gain_normalization_db / 10.0)
-    median = float(np.median(np.abs(ref) ** 2))
+    median = _median(np.abs(ref) ** 2)
     if median <= 0:
         raise ChannelError("cannot calibrate a channel with zero median gain")
     return rows * math.sqrt(target / median)

@@ -59,8 +59,6 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-import yaml
-
 from .channel import ChannelParams
 from .errors import ConfigError
 from .geometry import GeometryConfig, IlluminationMode, characteristic_distance
@@ -290,10 +288,11 @@ def load_experiment_spec(path=None, overrides: dict | None = None) -> Experiment
 
     ``overrides`` is an optional ``{section: {key: value}}`` mapping applied on
     top of the file, used by the command line flags; a None value keeps the
-    file's value.
+    file's value.  PyYAML is imported only here, when a file is read.
     """
     mapping: dict = {}
     if path is not None:
+        import yaml
         with open(path, "r", encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh)
         if loaded is None:

@@ -33,7 +33,6 @@ maps are I, so the two constraint kinds coincide.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -165,7 +164,7 @@ class ExperimentSpec:
         object.__setattr__(self, "illuminations", tuple(self.illuminations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRecord:
     """One CSV detail row; ``wsr`` is NaN when the solver failed."""
 
@@ -556,7 +555,8 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     Record order is deterministic (grid-major, then trial, then method, then
     illumination) regardless of ``workers``.  Contiguous ranges of trials are the
     work units, up to ``workers`` per grid value and none narrower than a queue's
-    batch: a worker runs whole ranges, and a sweep of one range runs in this process.
+    batch: a worker runs whole ranges, and a sweep of one range runs in this process
+    and never imports the process pool.
     """
     parts = max(1, min(workers, spec.trials // QUEUE_WIDTH))
     ranges = [
@@ -567,6 +567,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     if workers <= 1 or len(ranges) == 1:
         records = [_range_records(*task) for task in ranges]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
             records = list(pool.map(_range_records, *zip(*ranges)))
     return [record for part in records for record in part]

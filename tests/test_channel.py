@@ -17,7 +17,7 @@ from itsbeam import (
     sample_direct_channel,
     sample_user_drop,
 )
-from itsbeam.channel import calibrate_rows, cluster_channel_row, pathloss_db
+from itsbeam.channel import _median, calibrate_rows, cluster_channel_row, pathloss_db
 from test_geometry import config as geometry_config
 
 
@@ -171,6 +171,29 @@ def test_calibration_uses_reference_when_given():
     assert np.allclose(np.abs(out) ** 2, 4.0 * 0.1 / 16.0, rtol=1e-12)
     with pytest.raises(ChannelError):
         calibrate_rows(np.zeros((1, 3), dtype=complex), params)
+
+
+def test_median_is_numpys_to_the_bit():
+    # The calibration takes np.median's steps without calling it; a last-bit change of
+    # the median would move every calibrated draw.
+    rng = np.random.default_rng(15)
+    for size in range(1, 602):
+        draws = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+        ties = rng.integers(0, 3, size=(2, size)).astype(complex)
+        for ref in (draws[0], draws[:2], draws, ties[0], ties):
+            power = np.abs(ref) ** 2
+            assert _median(power).hex() == float(np.median(power)).hex(), (size, ref.shape)
+
+
+def test_calibration_with_nan_reference_gives_nan_rows():
+    params = ChannelParams(gain_normalization_db=-10.0)
+    rows = np.full((2, 4), 2.0 + 0.0j)
+    for position in ((0, 0), (0, 2), (1, 3)):
+        reference = np.full((2, 4), 4.0 + 0.0j)
+        reference[position] = np.nan
+        assert np.isnan(calibrate_rows(rows, params, reference=reference)).all()
+    with pytest.raises(ChannelError, match="^cannot calibrate a channel with zero median gain$"):
+        calibrate_rows(rows, params, reference=np.zeros((2, 4), dtype=complex))
 
 
 def test_near_field_rejected():

@@ -1,6 +1,10 @@
 """Sweep harness: seeding, determinism, CSV output, config loading."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -352,12 +356,45 @@ def test_run_sweep_workers_match_serial():
 
 def test_one_block_sweep_starts_no_pool(monkeypatch):
     # No range is narrower than a queue's batch, so a sweep of one batch is one range.
+    # run_sweep imports the pool class when it starts one, so patching it at its source
+    # reaches that import.
     def no_pool(*args, **kwargs):
         raise AssertionError("a sweep of one range must run in process")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     spec = tiny_spec(trials=QUEUE_WIDTH, grid=[30.0])
     assert run_sweep(spec, workers=4) == run_sweep(spec)
+
+
+COLD_RUN = """
+import sys
+from itsbeam import harness
+from itsbeam.config import spec_from_mapping
+
+for constraint in ("tp", "rp"):
+    spec = spec_from_mapping({
+        "system": {"n_users": 2, "weights": [1.0, 1.0]},
+        "geometry": {"n_active": 2, "n_elements": 8, "grid_rows": 4, "grid_cols": 2},
+        "sweep": {"grid": [30.0], "trials": 1, "methods": ["zf_wf"], "constraint": constraint},
+    })
+    record = harness.run_trial(spec, 30.0, 0, harness.Method.ZF_WF, spec.illuminations[0])
+    assert record.wsr > 0, record
+print(*(name for name in ("yaml", "concurrent.futures", "multiprocessing", "numpy.ma")
+        if name in sys.modules))
+"""
+
+
+def test_cold_run_loads_neither_yaml_nor_pool_nor_masked_arrays(tmp_path):
+    # A fresh process that builds a spec from a mapping and runs one ZF-WF cell under
+    # each constraint loads none of these modules: PyYAML loads when a file is read, the
+    # pool when a sweep starts one, and the calibration's median does not need numpy.ma.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_RUN],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def counted_admissions(monkeypatch):

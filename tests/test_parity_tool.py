@@ -1,9 +1,14 @@
 """tools/parity.py: comparing two sets of sweep CSVs."""
 
+import hashlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from itsbeam import ConstraintKind, SweepKind, default_experiment_spec
+from itsbeam.harness import run_sweep, write_results
 
 _PATH = Path(__file__).parents[1] / "tools" / "parity.py"
 _SPEC = importlib.util.spec_from_file_location("parity", _PATH)
@@ -111,3 +116,23 @@ def test_compare_lists_a_change_below_the_old_percent_resolution(tmp_path, capsy
 
 def test_seed_ranges():
     assert parity.parse_seeds(["300", "500-502"]) == [300, 500, 501, 502]
+
+
+def test_reference_writes_the_default_power_sweep_cut_to_n_trials(tmp_path, capsys):
+    ref = tmp_path / "ref"
+    assert parity.main(["reference", str(ref), "--seeds", "3", "--trials", "2"]) == 0
+    assert sorted(path.name for path in ref.iterdir()) == [
+        "reference-rp-3.csv", "reference-tp-3.csv"
+    ]
+    out = capsys.readouterr().out
+    for constraint in ConstraintKind:
+        name = f"reference-{constraint.value}-3.csv"
+        spec = default_experiment_spec(SweepKind.POWER, constraint)
+        sha = hashlib.sha256((ref / name).read_bytes()).hexdigest()
+        line = next(line for line in out.splitlines() if line.startswith(f"{sha}  {name}  cpu "))
+        per_value = line.split("(")[1].split(", ")  # "10: 0.12", ..., "40: 0.34)"
+        assert [part.split(":")[0] for part in per_value] == [f"{v:g}" for v in spec.grid]
+        # Grid value by grid value, the rows of the whole sweep.
+        write_results(run_sweep(replace(spec, trials=2, base_seed=3)), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (ref / name).read_bytes()
+    assert parity.main(["compare", str(ref), str(ref)]) == 0

@@ -194,7 +194,9 @@ def test_pga_linear_term_alignment():
     rng = np.random.default_rng(40)
     nu = complex_normal(rng, 8)
     sub = AnalogSubproblem(linear_term=nu, factor=np.zeros((0, 8)))
-    phases = _pga(sub, PhaseConfig(rng.uniform(0, 2 * np.pi, 8)), SolverSettings())[0]
+    # Twenty iterations: the default cap stops short of the 1e-4 rad alignment.
+    settings = SolverSettings(pga_max_iters=20)
+    phases = _pga(sub, PhaseConfig(rng.uniform(0, 2 * np.pi, 8)), settings)[0]
     best = 2.0 * float(np.sum(np.abs(nu)))
     assert analog_objective(sub, phases) > (1.0 - 1e-8) * best
     err = np.angle(np.exp(1j * (phases.phases - np.angle(nu))))
@@ -351,8 +353,8 @@ def per_instance_pga(sub, phases_init, settings, record=None):
 
 
 def test_pga_outgains_full_backtracking_on_reference_trials():
-    # L-BFGS at its default cap of 20 iterations against steepest ascent at the
-    # former cap of 50 steps, on 18 subproblems: every gain at least as large.
+    # L-BFGS at a cap of 20 iterations against steepest ascent at the former cap
+    # of 50 steps, on 18 subproblems: every gain at least as large.
     # The former block warm-started its searches and took about a third of full
     # backtracking's evaluations here; L-BFGS takes at most a tenth of them.
     subs, starts, settings = reference_subproblems(6)
@@ -391,8 +393,10 @@ def assert_stacked_pga_matches_per_instance(subs, starts, settings):
 
 def reference_subproblems(trials):
     """Phase subproblems of the reference RP setup at 40 dBm, with their start phases:
-    from the harness's zero-forcing start and after each of two BCD iterations."""
+    from the harness's zero-forcing start and after each of two BCD iterations.  The
+    block runs, and the settings returned hold, a cap of 20 iterations."""
     spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
+    settings = SolverSettings(pga_max_iters=20)
     subs, starts = [], []
     for index in range(trials):
         state = trial(spec, 40.0, index)
@@ -403,9 +407,9 @@ def reference_subproblems(trials):
             aux = optimal_aux(inst, phases, precoder)
             subs.append(build_analog_subproblem(inst, precoder, aux))
             starts.append(phases)
-            phases = per_instance_pga(subs[-1], phases, spec.solver)[0]
+            phases = per_instance_pga(subs[-1], phases, settings)[0]
             precoder = dual_search(inst, phases, aux)[0]
-    return subs, starts, spec.solver
+    return subs, starts, settings
 
 
 def test_stacked_pga_matches_per_instance_on_reference_trials():
@@ -418,12 +422,26 @@ def test_stacked_pga_matches_per_instance_on_reference_trials():
         assert (steps, evals) == expected[1:3]
 
 
+def test_default_phase_cap_binds_at_the_reference_point():
+    # A default solve of a reference RP trial at 30 dBm: no phase block runs past
+    # the cap and some block stops at it; with the phases frozen none runs.
+    spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
+    state = trial(spec, 30.0, 0)
+    inst = state.instance(IlluminationMode.FULL)
+    (start,) = _bcd_init([inst], [state.zfwf(IlluminationMode.FULL).phases])
+    cap = SolverSettings().pga_max_iters
+    steps = [row["pga_steps"] for row in bcd_solve(inst, SolverSettings(), start).detail]
+    assert max(steps) == cap
+    frozen = bcd_solve(inst, SolverSettings(freeze_phases=True), start)
+    assert [row["pga_steps"] for row in frozen.detail] == [0] * len(frozen.detail)
+
+
 def test_stacked_pga_rows_stop_alone():
     # One batch whose rows stop at different iterations: at the cap, on a flat
     # accept, with no passing step, and a non-finite row that takes no step.
     rng = np.random.default_rng(68)
     m, r = 8, 4
-    settings = SolverSettings()
+    settings = SolverSettings(pga_max_iters=20)  # at the default cap no row walks the whole ladder
     zero = np.zeros((r, m))
     rows = [(complex_normal(rng, m), complex_normal(rng, r, m) / np.sqrt(m)) for _ in range(5)]
     starts = [rng.uniform(0.0, 2.0 * np.pi, m) for _ in rows]
@@ -478,7 +496,7 @@ def test_pair_without_curvature_leaves_memory_unchanged():
     # kept pair changes it.  The block matches the oracle bit for bit on these
     # subproblems, so it skips the same pairs.
     rng = np.random.default_rng(70)
-    settings = SolverSettings()
+    settings = SolverSettings(pga_max_iters=20)  # at the default cap every pair offered is kept
     subs, starts, skipped = [], [], 0
     for _ in range(40):
         inst = make_instance(rng, m=6, n=3, k=3)

@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python tools/parity.py write DIR --seeds 300 500-519
+    python tools/parity.py reference DIR --seeds 0-3 --trials 32
     python tools/parity.py compare A B
 
 ``write`` builds each workload of ``perfbench/bench.py`` at each seed, runs it
@@ -10,6 +11,13 @@ with ``run_sweep(spec, workers=1)`` on the ``src`` of the checkout this file
 sits in, writes ``<workload>-<seed>.csv`` into DIR and prints each file's
 sha256.  To get a parent commit's files, run a copy of this file from the root
 of that commit's checkout.
+
+``reference`` writes ``reference-<constraint>-<seed>.csv`` for rp and tp: the
+default power sweep (every grid value, the default methods and solver) at
+base seed ``seed``, cut to ``--trials`` trials.  Each grid value runs as a
+sweep of its own, which gives the rows that the whole sweep gives, so that the
+CPU seconds of each can be printed after the file's sha256.  ``compare`` then
+reports the converged-point means and iterations of a numerical change.
 
 ``compare`` pairs the files of A and B by name and their columns by header
 name.  Per file it prints the number of rows whose shared columns differ, the
@@ -32,6 +40,8 @@ import hashlib
 import math
 import os
 import sys
+import time
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,6 +53,11 @@ def parse_seeds(items) -> list:
         first, _, last = item.partition("-")
         seeds.extend(range(int(first), int(last or first) + 1))
     return seeds
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write(directory: str, seeds) -> dict:
@@ -58,10 +73,34 @@ def write(directory: str, seeds) -> dict:
             name = f"{workload}-{seed}.csv"
             path = os.path.join(directory, name)
             write_results(run_sweep(bench.build_spec(bench.mapping(workload, seed)), workers=1), path)
-            with open(path, "rb") as fh:
-                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+            digests[name] = _sha256(path)
             print(f"{digests[name]}  {name}", flush=True)
     return digests
+
+
+def reference(directory: str, seeds, trials: int) -> None:
+    """Write the default power sweep, rp and tp, cut to ``trials`` at every seed into
+    ``directory``, printing each file's sha256 and CPU seconds."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from itsbeam import ConstraintKind, SweepKind, default_experiment_spec
+    from itsbeam.harness import run_sweep, write_results
+
+    os.makedirs(directory, exist_ok=True)
+    for constraint in ConstraintKind:  # rp, then tp
+        for seed in seeds:
+            spec = replace(default_experiment_spec(SweepKind.POWER, constraint),
+                           trials=trials, base_seed=seed)
+            records, cpu = [], {}
+            for value in spec.grid:
+                start = time.process_time()
+                records += run_sweep(replace(spec, grid=(value,)), workers=1)
+                cpu[value] = time.process_time() - start
+            name = f"reference-{constraint.value}-{seed}.csv"
+            path = os.path.join(directory, name)
+            write_results(records, path)
+            per_value = ", ".join(f"{value:g}: {seconds:.2f}" for value, seconds in cpu.items())
+            print(f"{_sha256(path)}  {name}  cpu {math.fsum(cpu.values()):.2f} s ({per_value})",
+                  flush=True)
 
 
 def _read(path: str):
@@ -178,12 +217,20 @@ def main(argv=None) -> int:
     writer = sub.add_parser("write", help="write <workload>-<seed>.csv for every workload and seed")
     writer.add_argument("directory")
     writer.add_argument("--seeds", nargs="+", required=True, help='seeds or ranges, e.g. 300 500-519')
+    ref = sub.add_parser("reference", help="write reference-<constraint>-<seed>.csv, the default "
+                         "power sweep cut to --trials, for rp and tp at every seed")
+    ref.add_argument("directory")
+    ref.add_argument("--seeds", nargs="+", required=True, help="base seeds or ranges, e.g. 0-3")
+    ref.add_argument("--trials", type=int, required=True)
     comparer = sub.add_parser("compare", help="compare the CSV files of two directories")
     comparer.add_argument("a")
     comparer.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "write":
         write(args.directory, parse_seeds(args.seeds))
+        return 0
+    if args.command == "reference":
+        reference(args.directory, parse_seeds(args.seeds), args.trials)
         return 0
     return 0 if compare(args.a, args.b) else 1
 

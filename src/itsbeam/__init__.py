@@ -21,140 +21,17 @@ See the README for the experiment CLI (``itsbeam sweep | solve | selfcheck``)
 and the YAML configuration schema.
 """
 
-from .errors import (
-    BeamformingError,
-    ChannelError,
-    ConfigError,
-    DimensionMismatchError,
-    GeometryError,
-    SolverError,
-)
-from .model import (
-    ConstraintKind,
-    PhaseConfig,
-    Precoder,
-    Solution,
-    SystemInstance,
-    constraint_value,
-    effective_channel,
-    sinr,
-    spectral_efficiency,
-    wsr,
-)
-from .geometry import (
-    ArrayLayout,
-    GeometryConfig,
-    IlluminationMode,
-    antenna_gain,
-    build_layout,
-    build_transfer_matrix,
-    characteristic_distance,
-)
-from .channel import (
-    ChannelParams,
-    UserDrop,
-    aperture_response,
-    sample_channel,
-    sample_direct_channel,
-    sample_user_drop,
-)
-from .wmmse import (
-    AnalogSubproblem,
-    AuxVariables,
-    SolverSettings,
-    analog_objective,
-    analog_objective_and_gradient,
-    bcd_solve,
-    build_analog_subproblem,
-    dual_search,
-    surrogate_objective,
-    update_gamma,
-    update_y,
-)
-from .zfwf import PowerAllocation, phase_align, waterfill, zf_directions, zfwf_solve
-from .harness import (
-    CSV_HEADER,
-    SPEED_OF_LIGHT,
-    ExperimentSpec,
-    Method,
-    ResultRecord,
-    SweepKind,
-    dbm_to_watts,
-    emit_plot_script,
-    run_sweep,
-    run_trial,
-    solve_cell,
-    trial,
-    trial_seed,
-    write_results,
-    write_summary,
-)
-from .config import default_experiment_spec, load_experiment_spec, spec_from_mapping
+from . import errors, model, geometry, channel, wmmse, zfwf, harness, config
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .channel import *  # noqa: F403
+from .wmmse import *  # noqa: F403
+from .zfwf import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .config import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeamformingError",
-    "ChannelError",
-    "ConfigError",
-    "DimensionMismatchError",
-    "GeometryError",
-    "SolverError",
-    "ConstraintKind",
-    "PhaseConfig",
-    "Precoder",
-    "Solution",
-    "SystemInstance",
-    "constraint_value",
-    "effective_channel",
-    "sinr",
-    "spectral_efficiency",
-    "wsr",
-    "ArrayLayout",
-    "GeometryConfig",
-    "IlluminationMode",
-    "antenna_gain",
-    "build_layout",
-    "build_transfer_matrix",
-    "characteristic_distance",
-    "ChannelParams",
-    "UserDrop",
-    "aperture_response",
-    "sample_channel",
-    "sample_direct_channel",
-    "sample_user_drop",
-    "AnalogSubproblem",
-    "AuxVariables",
-    "SolverSettings",
-    "analog_objective",
-    "analog_objective_and_gradient",
-    "bcd_solve",
-    "build_analog_subproblem",
-    "dual_search",
-    "surrogate_objective",
-    "update_gamma",
-    "update_y",
-    "PowerAllocation",
-    "phase_align",
-    "waterfill",
-    "zf_directions",
-    "zfwf_solve",
-    "CSV_HEADER",
-    "SPEED_OF_LIGHT",
-    "ExperimentSpec",
-    "Method",
-    "ResultRecord",
-    "SweepKind",
-    "dbm_to_watts",
-    "default_experiment_spec",
-    "emit_plot_script",
-    "run_sweep",
-    "run_trial",
-    "solve_cell",
-    "trial",
-    "trial_seed",
-    "write_results",
-    "write_summary",
-    "load_experiment_spec",
-    "spec_from_mapping",
-]
+_MODULES = (errors, model, geometry, channel, wmmse, zfwf, harness, config)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -1,5 +1,10 @@
 """Exception types raised by the itsbeam library."""
 
+__all__ = [
+    "BeamformingError", "DimensionMismatchError", "GeometryError", "ChannelError", "SolverError",
+    "ConfigError",
+]
+
 
 class BeamformingError(Exception):
     """Base class for all itsbeam errors."""

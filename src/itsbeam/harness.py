@@ -57,6 +57,7 @@ from .model import (
     Precoder,
     Solution,
     SystemInstance,
+    _one,
     constraint_value,
     effective_channel,
     sinr,
@@ -306,16 +307,11 @@ class Trial:
                     drawn.append((state, state.instance(illumination)))
                 except _FAILURES as exc:
                     state._zfwf[illumination] = exc
-            if drawn:
-                solved = zfwf_solve([inst for _, inst in drawn])
-                for (state, _), sol in zip(drawn, solved):
-                    if not isinstance(sol, Exception):
-                        _read_only(sol.phases.phases, sol.precoder.matrix)
-                    state._zfwf[illumination] = sol
-        outcome = self._zfwf[illumination]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+            for (state, _), sol in zip(drawn, zfwf_solve([inst for _, inst in drawn])):
+                if not isinstance(sol, Exception):
+                    _read_only(sol.phases.phases, sol.precoder.matrix)
+                state._zfwf[illumination] = sol
+        return _one([self._zfwf[illumination]])
 
 
 _REVIVAL_BLEND = 1e-2
@@ -468,10 +464,7 @@ class Memo:
                 position, outcome = next(queue.outcomes)
                 if (held := self.states.get(queue.first + position)) is not None:
                     held.solved[kind] = outcome
-        outcome = state.solved[kind]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return _one([state.solved[kind]])
 
 
 # memo(spec, sweep_value): the last grid value's memo; cells run grid value by grid value.

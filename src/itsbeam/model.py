@@ -222,14 +222,11 @@ class Solution:
     def from_state(cls, inst, phases, precoder, trace=None, detail=None) -> Solution:
         """SINR, rates, WSR and slack at (phases, precoder); ``trace`` defaults to ((0, wsr),).
 
-        A batch of one of ``from_states``, whose error is raised.
+        A batch of one of ``from_states`` (``_one``).
         """
-        (solution,) = cls.from_states(
+        return _one(cls.from_states(
             [inst], phases.phases[np.newaxis], precoder.matrix[np.newaxis], [trace], [detail]
-        )
-        if isinstance(solution, Exception):
-            raise solution
-        return solution
+        ))
 
     @classmethod
     def from_states(cls, insts, phases, precoders, traces=None, details=None) -> list:
@@ -237,8 +234,10 @@ class Solution:
 
         ``insts`` share K, N and M; ``phases`` (B, M) and ``precoders`` (B, N, K) are
         stacked by row, ``traces`` and ``details`` listed by row.  The SINRs come from
-        stacked rows, each with the bits it gets alone.
+        stacked rows, each with the bits it gets alone.  An empty batch gives [].
         """
+        if not insts:
+            return []
         (k, n, m), count = _dims(insts), len(insts)
         if phases.shape[1:] != (m,):
             raise DimensionMismatchError(f"phases must have shape ({m},), got {phases.shape[1:]}")
@@ -294,9 +293,42 @@ def effective_channel(inst: SystemInstance, phases: PhaseConfig) -> np.ndarray:
     return (inst.channel * phases.phasor()[np.newaxis, :]) @ inst.transfer
 
 
+def _one(outcomes: list):
+    """The outcome of a batch of one: its result, or its error, raised.  Each solver that
+    takes one instance or a batch solves one instance as a batch of one through this."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _by_row(solve, stacks: tuple, failed: dict, rows=None):
+    """``solve(*stacks)``, a stacked LAPACK call that gives an array or a tuple of them.  When
+    one bad row fails it for the whole stack, each row is tried alone: one that fails has its
+    error in ``failed`` under its entry of ``rows`` (by default its index) and zero output, and
+    the others are solved again as one stack.  Either way a row gets the bits it gets alone."""
+    try:
+        return solve(*stacks)
+    except np.linalg.LinAlgError:
+        good = []
+        for j, row in enumerate(range(len(stacks[0])) if rows is None else rows):
+            try:
+                solve(*(a[j : j + 1] for a in stacks))
+                good.append(j)
+            except np.linalg.LinAlgError as exc:
+                failed[row] = exc
+        out = solve(*(a[good] for a in stacks))
+    whole = []
+    for part in out if isinstance(out, tuple) else (out,):
+        whole.append(np.zeros((len(stacks[0]), *part.shape[1:]), part.dtype))
+        whole[-1][good] = part
+    return tuple(whole) if isinstance(out, tuple) else whole[0]
+
+
 def _dims(insts) -> tuple:
-    """The (K, N, M) that the instances of a batch share; DimensionMismatchError if they differ."""
-    dims = {(one.n_users, one.n_chains, one.n_elements) for one in insts}
+    """The (K, N, M) a batch's instances share, (0, 0, 0) for none; DimensionMismatchError
+    if they differ."""
+    dims = {(one.n_users, one.n_chains, one.n_elements) for one in insts} or {(0, 0, 0)}
     if len(dims) != 1:
         raise DimensionMismatchError("a batch's instances must share K, N and M")
     return dims.pop()

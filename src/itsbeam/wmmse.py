@@ -54,8 +54,12 @@ from .model import (
     Precoder,
     Solution,
     SystemInstance,
+    _by_row,
+    _effective_channels,
     _link_terms,
+    _one,
     _rates,
+    _rows,
     constraint_value,
     effective_channel,
     sinr,
@@ -111,9 +115,13 @@ class SolverSettings:
         if not (self.bcd_epsilon > 0 and np.isfinite(self.bcd_epsilon)):  # NaN fails both tests
             raise SolverError(f"bcd_epsilon must be finite and positive, got {self.bcd_epsilon!r}")
         for name in ("bcd_max_iters", "pga_max_iters"):
-            cap = getattr(self, name)
-            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-                raise SolverError(f"{name} must be an int >= 1, got {cap!r}")
+            _check_count(name, getattr(self, name))
+
+
+def _check_count(name: str, value) -> None:
+    """SolverError unless ``value`` is an int >= 1; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SolverError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +218,8 @@ class _Batch:
         return np.stack([one.channel for one in self.insts])
 
     @property
-    def transfer(self) -> np.ndarray:
-        return np.stack([one.transfer for one in self.insts])
+    def transfer(self) -> np.ndarray:  # one (M, N) matrix, not a copy, when the rows share it
+        return _rows([one.transfer for one in self.insts])
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -525,16 +533,9 @@ def _dual_root(power_at, budget: float) -> float:
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray, rows, failed: dict) -> np.ndarray:
-    """Stacked solve(a, b); a singular or non-finite row is zero and recorded in ``failed``."""
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
-        x = np.zeros_like(b)
-        for j, row in enumerate(rows):
-            try:
-                x[j] = np.linalg.solve(a[j], b[j])
-            except np.linalg.LinAlgError as exc:
-                failed[row] = exc
+    """Stacked solve(a, b) through the row-by-row fallback ``model._by_row``; a singular or
+    non-finite row is zero and recorded in ``failed`` under its entry of ``rows``."""
+    x = _by_row(np.linalg.solve, (a, b), failed, rows)
     for j in np.flatnonzero(~np.all(np.isfinite(x), axis=(-2, -1))):
         failed[rows[j]] = SolverError("dual-regularised solve produced a non-finite precoder")
         x[j] = 0.0
@@ -562,40 +563,29 @@ def dual_search(
 
     A batch (``inst`` a ``_Batch`` of rows whose R is not singular, ``aux`` and ``heff``
     stacked by row; ``phases`` is not read) runs on stacked arrays, one whitening stack
-    and one spectrum stack whatever the rows' constraints; the bisection and the spectra
-    of a stack that fails ``eigh`` run row by row.  It returns the stacked precoders,
-    the mu per row and {row: error} for the rows that failed, whose precoders are zero.
-    One instance is a batch of one, whose error is raised.
+    and one spectrum stack whatever the rows' constraints; the bisection runs row by row,
+    and so does the spectrum of a stack that fails ``eigh`` (``model._by_row``).  It
+    returns the stacked precoders, the mu per row and {row: error} for the rows that
+    failed, whose precoders are zero.  One instance is a batch of one (``model._one``).
     """
     single = isinstance(inst, SystemInstance)
     if single:
         heff = (effective_channel(inst, phases) if heff is None else heff)[np.newaxis]
-        inst, phases = _Batch([inst]), [phases]
+        inst = _Batch([inst])
         aux = _unchecked(AuxVariables, gamma=aux.gamma[np.newaxis], y=aux.y[np.newaxis])
     budget, white = inst.power_budget, inst.whitening
     gram, rhs = _precoder_system(inst, heff, aux)
     matrices, mu, failed = np.zeros_like(rhs), np.zeros(budget.size), {}
-    rows = np.arange(budget.size)
-    try:
-        lam, vecs, coords, energy = _spectrum(white, gram, rhs)
-    except np.linalg.LinAlgError:  # one non-finite row fails the whole stack: find it by row
-        for row in rows:
-            try:
-                _spectrum(white[row], gram[row], rhs[row])
-            except np.linalg.LinAlgError as exc:
-                failed[row] = exc
-        rows = np.array([row for row in rows if row not in failed], dtype=int)
-        lam, energy = np.zeros(gram.shape[:-1]), np.zeros(gram.shape[:-1])
-        lam[rows], vecs, coords, energy[rows] = _spectrum(white[rows], gram[rows], rhs[rows])
-    keep = _kept(lam[rows])
+    # A failed row's spectrum is zero, which cuts every lam_j: power 0 and a zero precoder.
+    lam, vecs, coords, energy = _by_row(_spectrum, (white, gram, rhs), failed)
+    keep = _kept(lam)
     with np.errstate(divide="ignore", invalid="ignore"):
-        power0 = np.sum(energy[rows] / lam[rows] ** 2, axis=-1, where=keep)
-        scaled = np.where(keep[..., np.newaxis], coords / lam[rows][..., np.newaxis], 0.0)
-    search = np.zeros(budget.size, dtype=bool)
-    search[rows] = ~(power0 <= budget[rows])  # a NaN power searches, as it fails the test
+        power0 = np.sum(energy / lam ** 2, axis=-1, where=keep)
+        scaled = np.where(keep[..., np.newaxis], coords / lam[..., np.newaxis], 0.0)
+    search = ~(power0 <= budget)  # a NaN power searches, as it fails the test
     # The mu -> 0+ limit L^-H V (c_j / lam_j, 0 where cut) of each row that fits, at any rank.
-    stay = np.flatnonzero(~search[rows])
-    matrices[rows[stay]] = _adjoint(white[rows[stay]]) @ (vecs[stay] @ scaled[stay])
+    stay = np.flatnonzero(~search)
+    matrices[stay] = _adjoint(white[stay]) @ (vecs[stay] @ scaled[stay])
 
     for row in np.flatnonzero(search):
         limit = budget[row].item()
@@ -606,15 +596,12 @@ def dual_search(
             failed[row] = exc
             search[row] = False
     rows = np.flatnonzero(search)
-    if rows.size:
-        matrices[rows] = _solve_rows(
-            gram[rows] + mu[rows][:, None, None] * inst.curvature[rows], rhs[rows], rows, failed
-        )
-    if not single:
-        return matrices, mu, failed
-    if failed:
-        raise failed[0]
-    return Precoder(matrices[0]), float(mu[0])
+    matrices[rows] = _solve_rows(
+        gram[rows] + mu[rows][:, None, None] * inst.curvature[rows], rhs[rows], rows, failed
+    )
+    if single:
+        return _one([failed.get(0, (Precoder(matrices[0]), float(mu[0])))])
+    return matrices, mu, failed
 
 
 def _cycle_terms(past_phi, past_b, phi, b):
@@ -658,21 +645,22 @@ def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = Non
     (position in ``inst``, Solution or error) as each row stops and ends when none runs.
     Each row counts its own evaluations, one per batch iteration, and takes its own alpha
     and accept test on Python scalars; its bits do not depend on its batch-mates.
-    Sequences ``inst`` and ``init`` are the queue of their pairs, a slot each, returned
-    in input order; one instance is a batch of one, whose error is raised.
+    A ``width`` that is not an int >= 1 raises SolverError.  Sequences ``inst`` and
+    ``init`` are the queue of their pairs, a slot each, returned in input order (an empty
+    one gives []); one instance is a batch of one (``model._one``).
     """
     if width is not None:
+        _check_count("width", width)
         return _queue(inst, settings, width)
-    single = isinstance(inst, SystemInstance)
-    insts, inits = ([inst], [init]) if single else (list(inst), list(init))
+    if isinstance(inst, SystemInstance):
+        return _one(bcd_solve([inst], settings, [init]))
+    insts, inits = list(inst), list(init)
     if len(insts) != len(inits):
         raise SolverError("a batch needs one initial point per instance")
     outcome = [None] * len(insts)
     for position, solved in _queue(zip(insts, inits), settings, max(len(insts), 1)):
         outcome[position] = solved
-    if single and isinstance(outcome[0], Exception):
-        raise outcome[0]
-    return outcome[0] if single else outcome
+    return outcome
 
 
 def _queue(items, settings: SolverSettings, width: int):
@@ -737,8 +725,6 @@ def _queue(items, settings: SolverSettings, width: int):
         past_phi[plain, steps], past_b[plain, steps] = phases[plain], precoders[plain]
         part = batch.take(rows)
         phi, b, h, g, ff, tt = (a[rows] for a in (phases, precoders, heff, gamma, f, total))
-        if not settings.freeze_phases:
-            channel, transfer = part.channel, part.transfer
         if ext:  # the map runs from x' = x0 - 2 alpha r + alpha^2 v
             r_phi, v_phi, r_b, v_b = diffs
             a = np.array([alpha[slot] for slot in at.tolist()])[:, np.newaxis, np.newaxis]
@@ -746,7 +732,7 @@ def _queue(items, settings: SolverSettings, width: int):
             if not settings.freeze_phases:
                 a = a[..., 0]
                 phi[ext] = past_phi[at, 0] - 2.0 * a * r_phi + a * a * v_phi
-                h[ext] = (channel[ext] * np.exp(1j * phi[ext])[:, np.newaxis, :]) @ transfer[ext]
+                h[ext] = _effective_channels([part.insts[j] for j in ext], phi[ext])
             g[ext], ff[ext], tt[ext] = _link_terms(part.take(ext), h[ext] @ b[ext])
         aux = _unchecked(AuxVariables, gamma=g, y=_y_update(part, g, ff, tt))
         pga_steps, phase_evals = [0] * rows.size, [0] * rows.size
@@ -754,7 +740,7 @@ def _queue(items, settings: SolverSettings, width: int):
             phi, pga_steps, phase_evals = _pga(
                 build_analog_subproblem(part, _unchecked(Precoder, matrix=b), aux), phi, settings
             )
-            h = (channel * np.exp(1j * phi)[:, np.newaxis, :]) @ transfer
+            h = _effective_channels(part.insts, phi)
         matrices, mu, failed = dual_search(part, None, aux, heff=h)
         terms = _link_terms(part, h @ matrices)
         new = _rates(part, terms[0])[1]

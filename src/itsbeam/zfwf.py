@@ -33,9 +33,11 @@ from .model import (
     PhaseConfig,
     Solution,
     SystemInstance,
+    _by_row,
     _check_phases,
     _dims,
     _effective_channels,
+    _one,
     _rows,
     constraint_value,
     effective_channel,
@@ -92,49 +94,41 @@ def zf_directions(heff: np.ndarray) -> np.ndarray:
 
     Column k is the unit-rate direction for user k: heff @ F = I_K exactly.
     Raises SolverError when heff is rank-deficient (condition number > 1e12).
-    A batch of one of the stacked ``_directions``.
+    A batch of one of the stacked ``_directions`` (``model._one``).
     """
     heff = np.asarray(heff, dtype=complex)
     if heff.ndim != 2:
         raise SolverError("effective channel must be (K, N) with K <= N")
     failed = {}
     directions = _directions(heff[np.newaxis], failed)
-    if failed:
-        raise failed[0]
-    return directions[0]
+    return _one([failed.get(0, directions[0])])
 
 
 def _directions(heff: np.ndarray, failed: dict) -> np.ndarray:
     """``zf_directions`` of each row of the stacked (B, K, N) ``heff``: one SVD per row for
-    the condition test, then one stacked gram solve over the rows that pass.  A row that
-    fails has its error in ``failed``, under its row, and zero directions; a LAPACK call
-    that one bad row fails for the whole stack is taken again row by row.
+    the condition test, then one stacked gram solve over the rows that pass, both through
+    the row-by-row fallback ``model._by_row``.  A row that fails has its error in
+    ``failed``, under its row, and zero directions.
     """
-    directions = np.zeros_like(np.swapaxes(heff, -1, -2))
     if heff.shape[1] > heff.shape[2]:
         failed.update({row: SolverError("effective channel must be (K, N) with K <= N")
                        for row in range(len(heff))})
-        return directions
-    try:
-        deficient = np.linalg.cond(heff) > _COND_LIMIT
-        rows = np.flatnonzero(~deficient)
-        part = heff[rows]
-        gram = part @ np.conj(part).swapaxes(-1, -2)
-        inverse = np.linalg.solve(gram, np.eye(heff.shape[1], dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        if len(heff) == 1:
-            failed[0] = exc
-            return directions
-        for row in range(len(heff)):
-            alone = {}
-            directions[row] = _directions(heff[row : row + 1], alone)[0]
-            if alone:
-                failed[row] = alone[0]
-        return directions
+        return np.zeros_like(np.swapaxes(heff, -1, -2))
+    deficient, directions = _by_row(_right_inverses, (heff,), failed)
     for row in np.flatnonzero(deficient):
         failed[row] = SolverError("effective channel is rank-deficient; zero-forcing unavailable")
-    directions[rows] = np.conj(part).swapaxes(-1, -2) @ inverse
     return directions
+
+
+def _right_inverses(heff: np.ndarray):
+    """The rows of the stacked ``heff`` whose condition number passes 1e12, as a mask of
+    those that do not, and their right pseudo-inverses, zero on the rows that do not."""
+    deficient = np.linalg.cond(heff) > _COND_LIMIT
+    rows = np.flatnonzero(~deficient)
+    part, directions = heff[rows], np.zeros_like(np.swapaxes(heff, -1, -2))
+    adjoint, eye = np.conj(part).swapaxes(-1, -2), np.eye(heff.shape[1], dtype=complex)
+    directions[rows] = adjoint @ np.linalg.solve(part @ adjoint, eye)
+    return deficient, directions
 
 
 def _sum(values: list) -> float:
@@ -200,9 +194,9 @@ def _zero_forcing(insts, phases):
     allocation: (stacked (B, N, K) directions, one PowerAllocation or error per row).
 
     The instances share K, N and M, and phases of the wrong length fail the call.  A row
-    whose phases are an error keeps it, and a failed row's directions are zero.  Effective channels, ``_directions`` and the chain
-    costs ||P f_k||^2 run on stacked rows, ``waterfill`` per row; each row gets the bits
-    it gets alone.
+    whose phases are an error keeps it, and a failed row's directions are zero.  Effective
+    channels, ``_directions`` and the chain costs ||P f_k||^2 run on stacked rows,
+    ``waterfill`` per row; each row gets the bits it gets alone.
     """
     k, n, _ = _dims(insts)
     outcomes, directions = list(phases), np.zeros((len(insts), n, k), dtype=complex)
@@ -238,12 +232,13 @@ def zfwf_solve(inst, phases: PhaseConfig | None = None):
     given surface state instead.  A sequence of instances that share K, N and M, with
     a sequence of phases or None, is solved in one stacked pass (``_zero_forcing``,
     then ``Solution.from_states``) and gives one Solution, or the error that ended its
-    solve, per instance, each with the bits it gets alone.  One instance is a batch of
-    one, whose error is raised.
+    solve, per instance, each with the bits it gets alone; an empty one gives [].  One
+    instance is a batch of one (``model._one``).
     """
-    single = isinstance(inst, SystemInstance)
-    insts = [inst] if single else list(inst)
-    given = [phases] if single else [None] * len(insts) if phases is None else list(phases)
+    if isinstance(inst, SystemInstance):
+        return _one(zfwf_solve([inst], [phases]))
+    insts = list(inst)
+    given = [None] * len(insts) if phases is None else list(phases)
     aligned = []
     for one, fixed in zip(insts, given):
         try:
@@ -260,16 +255,11 @@ def zfwf_solve(inst, phases: PhaseConfig | None = None):
             np.stack([aligned[row].phases for row in rows]),
             directions[rows] * np.sqrt(powers)[:, np.newaxis, :],
             details=[
-                {
-                    "water_level": alloc.water_level,
-                    "chain_costs": alloc.chain_costs.tolist(),
-                    "powers": alloc.powers.tolist(),
-                }
+                {"water_level": alloc.water_level, "chain_costs": alloc.chain_costs.tolist(),
+                 "powers": alloc.powers.tolist()}
                 for alloc in allocs
             ],
         )
         for row, solution in zip(rows, solved):
             outcomes[row] = solution
-    if single and isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0] if single else outcomes
+    return outcomes

@@ -247,3 +247,7 @@ def test_every_export_resolves():
         if not hasattr(module, name)
     ]
     assert len(modules) > 10 and missing == []
+    # The package exports each module's __all__, in import order, and no name twice.
+    order = ("errors", "model", "geometry", "channel", "wmmse", "zfwf", "harness", "config")
+    joined = [name for part in order for name in importlib.import_module(f"itsbeam.{part}").__all__]
+    assert itsbeam.__all__ == joined and len(set(joined)) == len(joined)

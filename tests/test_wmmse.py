@@ -42,9 +42,11 @@ from itsbeam.wmmse import (
     _pga,
     _power_curve,
     _precoder_system,
+    _solve_rows,
     _spectrum,
     _unchecked,
 )
+from itsbeam.zfwf import _directions
 from itsbeam.selfcheck import optimal_aux, oracle_phase_gradient
 from helpers import complex_normal, make_instance, random_aux, random_phases, random_precoder
 
@@ -829,6 +831,58 @@ def test_non_finite_row_fails_alone_in_dual_search():
             assert alone[1][0] == mu[row] and not alone[2]
 
 
+def fallback_site(site: str, rng):
+    """Three rows whose row 1 fails the stacked LAPACK call of ``site``, as the function
+    that runs the rows it is given and returns (their stacked output, {row: error}), and
+    the message of that row's error."""
+    if site == "solve":  # a singular matrix in the solve at the accepted mu
+        a, b = complex_normal(rng, 3, 4, 4), complex_normal(rng, 3, 4, 3)
+        a[1] = 0.0
+
+        def run(rows):
+            failed = {}
+            return _solve_rows(a[rows], b[rows], rows, failed), failed
+
+        return run, "Singular matrix"
+    if site == "directions":  # a NaN in the SVD of the condition test
+        heff = complex_normal(rng, 3, 3, 4)
+        heff[1, 0, 0] = np.nan
+
+        def run(rows):
+            failed = {}
+            out = _directions(heff[rows], failed)
+            return out, {rows[j]: exc for j, exc in failed.items()}
+
+        return run, "SVD did not converge"
+    insts = [make_instance(rng, m=6, n=4, k=3) for _ in range(3)]  # a NaN y in the spectrum
+    heff = np.stack([effective_channel(one, random_phases(rng, 6)) for one in insts])
+    gamma, y = rng.uniform(0.1, 2.0, (3, 3)), complex_normal(rng, 3, 3)
+    y[1, 0] = np.nan
+
+    def run(rows):
+        aux = _unchecked(AuxVariables, gamma=gamma[rows], y=y[rows])
+        batch = _Batch([insts[row] for row in rows])
+        matrices, _, failed = dual_search(batch, None, aux, heff=heff[rows])
+        return matrices, {rows[j]: exc for j, exc in failed.items()}
+
+    return run, "Eigenvalues did not converge"
+
+
+@pytest.mark.parametrize("site", ["solve", "directions", "spectrum"])
+def test_bad_row_fails_alone_at_each_fallback_site(site):
+    # One bad row fails a stacked LAPACK call for the whole stack, and the stack is taken
+    # again row by row (model._by_row): that row alone fails, with zero output, and the
+    # others keep the bits they get in batches of one.
+    run, message = fallback_site(site, np.random.default_rng(71))
+    out, failed = run([0, 1, 2])
+    assert list(failed) == [1] and isinstance(failed[1], np.linalg.LinAlgError)
+    assert str(failed[1]) == message and not np.any(out[1])
+    assert str(run([1])[1][1]) == message
+    for row in (0, 2):
+        alone, none = run([row])
+        assert np.array_equal(alone[0], out[row]) and not none
+
+
 def test_tp_dual_search_takes_one_eigendecomposition(monkeypatch):
     rng = np.random.default_rng(60)
     inst = make_instance(rng, m=6, n=3, k=3, power_budget=0.05)
@@ -1400,6 +1454,16 @@ def test_batch_rejects_mismatched_shapes():
     assert isinstance(failed, DimensionMismatchError)
     assert_same_solution(solved, bcd_solve(small, SolverSettings(), inits[0]))
     assert bcd_solve([], SolverSettings(), []) == []
+
+
+@pytest.mark.parametrize("width", [0, -2, 1.5, True])
+def test_queue_rejects_a_width_that_is_not_a_positive_int(width):
+    # A queue of no slots would admit nothing and drop every item without an error.
+    rng = np.random.default_rng(72)
+    inst = make_instance(rng, m=6, n=3, k=2)
+    items = iter([(inst, zfwf_solve(inst))] * 3)
+    with pytest.raises(SolverError, match="width"):
+        bcd_solve(items, SolverSettings(), width=width)
 
 
 def test_bcd_freeze_phases():

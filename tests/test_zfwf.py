@@ -412,3 +412,9 @@ def test_batched_zfwf_solve_equals_solves_alone():
         assert alone.detail == together.detail
     assert [row for row, sol in enumerate(batch) if isinstance(sol, Exception)] == [2]
     assert "rank-deficient" in str(batch[2])
+
+
+def test_empty_batch_gives_no_outcomes():
+    # An empty batch is no error, for either solver.
+    assert zfwf_solve([]) == [] and zfwf_solve([], []) == []
+    assert bcd_solve([], SolverSettings(), []) == []

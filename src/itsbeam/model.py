@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -233,23 +232,22 @@ class Solution:
         """``from_state`` of each row: its Solution, or the error of the check it fails.
 
         ``insts`` share K, N and M; ``phases`` (B, M) and ``precoders`` (B, N, K) are
-        stacked by row, ``traces`` and ``details`` listed by row.  The SINRs come from
-        stacked rows, each with the bits it gets alone.  An empty batch gives [].
+        stacked by row, ``traces`` and ``details`` listed by row, one entry per instance
+        each.  The SINRs come from stacked rows (``_Rows``), each with the bits it gets
+        alone.  An empty batch gives [].
         """
+        _check_rows(insts, phases=phases, precoders=precoders, traces=traces, details=details)
         if not insts:
             return []
-        (k, n, m), count = _dims(insts), len(insts)
+        rows = _Rows(insts)
+        (k, n, m), count = rows.dims, len(insts)
         if phases.shape[1:] != (m,):
             raise DimensionMismatchError(f"phases must have shape ({m},), got {phases.shape[1:]}")
         if precoders.shape[1:] != (n, k):
             raise DimensionMismatchError(
                 f"precoder must have shape ({n}, {k}), got {precoders.shape[1:]}"
             )
-        rows = SimpleNamespace(
-            weights=np.stack([one.weights for one in insts]),
-            noise_power=np.array([[one.noise_power] for one in insts]),
-        )
-        s = _link_terms(rows, _effective_channels(insts, phases) @ precoders)[0]
+        s = _link_terms(rows, rows.effective_channels(phases) @ precoders)[0]
         se, values = _rates(rows, s)
         traces, details = traces or [None] * count, details or [None] * count
         solutions = []
@@ -325,30 +323,60 @@ def _by_row(solve, stacks: tuple, failed: dict, rows=None):
     return tuple(whole) if isinstance(out, tuple) else whole[0]
 
 
-def _dims(insts) -> tuple:
-    """The (K, N, M) a batch's instances share, (0, 0, 0) for none; DimensionMismatchError
-    if they differ."""
-    dims = {(one.n_users, one.n_chains, one.n_elements) for one in insts} or {(0, 0, 0)}
-    if len(dims) != 1:
-        raise DimensionMismatchError("a batch's instances must share K, N and M")
-    return dims.pop()
-
-
 def _rows(arrays) -> np.ndarray:
     """``arrays`` stacked by row, or the first alone, to broadcast, when all are one array in
     memory: a transfer matrix that the rows share is not copied."""
     face = arrays[0].__array_interface__
     if all(a.__array_interface__ == face for a in arrays[1:]):
         return arrays[0]
-    return np.stack(arrays)
+    return np.array(arrays)
 
 
-def _effective_channels(insts, phases: np.ndarray) -> np.ndarray:
-    """``effective_channel`` of each instance at its row of the stacked (B, M) ``phases``,
-    stacked (B, K, N); each row has the bits it has alone."""
-    channels = np.stack([one.channel for one in insts])
-    channels *= np.exp(1j * phases)[:, np.newaxis, :]  # in place: one (B, K, M) array at a time
-    return channels @ _rows([one.transfer for one in insts])
+def _check_rows(insts, **given) -> None:
+    """DimensionMismatchError, with both counts, unless each of ``given`` has a row per instance."""
+    for name, values in given.items():
+        if values is not None and len(values) != len(insts):
+            raise DimensionMismatchError(f"{len(insts)} instances but {len(values)} {name}")
+
+
+def _stacked(read):
+    """A ``_Rows`` attribute stacked on first read: ``read(one)`` of each instance, a row each."""
+    return cached_property(lambda rows: np.array([read(one) for one in rows.insts]))
+
+
+class _Rows:
+    """A batch of instances that share K, N and M (``dims``; DimensionMismatchError if not),
+    read stacked by row.
+
+    The weights, noise powers (a column), budgets, curvatures R and whitenings L^-1 are
+    stacked on first read, so a singular R fails only where ``whitening`` is read; R
+    carries the constraint kind (I under TP), so TP and RP rows mix.  The channels and
+    transfer matrices are stacked on each read, as held they would add to peak memory, and
+    a transfer that the rows share is not copied (``_rows``).  The helpers that read only
+    these take a ``_Rows`` where they take one instance.
+    """
+
+    weights = _stacked(lambda one: one.weights)
+    noise_power = _stacked(lambda one: [one.noise_power])  # a column, to broadcast over users
+    power_budget = _stacked(lambda one: one.power_budget)
+    curvature = _stacked(lambda one: one.curvature)
+    whitening = _stacked(lambda one: one.curvature_whitening)
+    channel = property(lambda rows: np.array([one.channel for one in rows.insts]))
+    transfer = property(lambda rows: _rows([one.transfer for one in rows.insts]))
+
+    def __init__(self, insts: list):
+        # (K,) + (N, M) from the shapes: n_users and the like cost more, row by row
+        dims = {one.channel.shape[:1] + one.transfer.shape[::-1] for one in insts} or {(0, 0, 0)}
+        if len(dims) != 1:
+            raise DimensionMismatchError("a batch's instances must share K, N and M")
+        self.insts, (self.dims,) = insts, dims
+
+    def effective_channels(self, phases: np.ndarray) -> np.ndarray:
+        """``effective_channel`` of each row at its row of the stacked (B, M) ``phases``,
+        stacked (B, K, N); each row has the bits it has alone."""
+        channels = self.channel
+        channels *= np.exp(1j * phases)[:, np.newaxis, :]  # in place: one (B, K, M) array at a time
+        return channels @ self.transfer
 
 
 def _link_terms(inst: SystemInstance, cross: np.ndarray):

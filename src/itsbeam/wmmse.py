@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BeamformingError, DimensionMismatchError, SolverError
+from .errors import BeamformingError, SolverError
 # wsr stays a module attribute: call-site tracers wrap it here.
 from .model import (
     PhaseConfig,
@@ -55,11 +55,12 @@ from .model import (
     Solution,
     SystemInstance,
     _by_row,
-    _effective_channels,
+    _check_phases,
+    _check_rows,
     _link_terms,
     _one,
     _rates,
-    _rows,
+    _Rows,
     constraint_value,
     effective_channel,
     sinr,
@@ -175,53 +176,6 @@ def _unchecked(cls, **values):
     return obj
 
 
-class _Batch:
-    """Fixed slots for the rows of a solve: weights, noise powers, budgets, curvatures R and
-    whitenings L^-1 (R = L L^H) stacked by slot, each written when its row is admitted.
-
-    R carries the constraint kind (I under TP), so TP and RP rows mix in one batch and
-    nothing below reads the kind.  The helpers below that read only these attributes, or
-    the stacked channels and transfer matrices, take a batch (or the ``take`` of its
-    running rows) where they take one instance, so each formula is written once for both.
-    """
-
-    _STACKED = ("weights", "noise_power", "power_budget", "curvature", "whitening")
-
-    def __init__(self, insts, width=None):
-        """``width`` slots (by default one per instance) shaped like ``insts[0]``, which
-        ``insts`` fill from the first."""
-        one, width = insts[0], width or len(insts)
-        self.dims, self.insts = (one.n_users, one.n_chains, one.n_elements), [None] * width
-        self.weights, self.noise_power = np.zeros((width, one.n_users)), np.zeros((width, 1))
-        self.power_budget = np.zeros(width)
-        self.curvature, self.whitening = np.zeros((2, width, one.n_chains, one.n_chains), complex)
-        for slot, inst in enumerate(insts):
-            self.admit(slot, inst)
-
-    def admit(self, slot: int, one: SystemInstance) -> None:
-        """Write ``one`` into ``slot``, unless its shape is not the batch's or its R is singular."""
-        if (one.n_users, one.n_chains, one.n_elements) != self.dims:
-            raise DimensionMismatchError("a batch's instances must share K, N and M")
-        self.whitening[slot] = one.curvature_whitening  # the curvature SolverError
-        self.insts[slot], self.curvature[slot], self.weights[slot] = one, one.curvature, one.weights
-        self.noise_power[slot], self.power_budget[slot] = one.noise_power, one.power_budget
-
-    def take(self, rows: np.ndarray) -> _Batch:
-        part = object.__new__(_Batch)
-        part.insts = [self.insts[row] for row in rows]
-        for name in self._STACKED:
-            setattr(part, name, getattr(self, name)[rows])
-        return part
-
-    @property
-    def channel(self) -> np.ndarray:  # stacked on each use: held, it would add to peak memory
-        return np.stack([one.channel for one in self.insts])
-
-    @property
-    def transfer(self) -> np.ndarray:  # one (M, N) matrix, not a copy, when the rows share it
-        return _rows([one.transfer for one in self.insts])
-
-
 def _adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
@@ -282,7 +236,7 @@ def build_analog_subproblem(
         nu = sum_k sqrt(w_k (1 + gamma_k)) y_k conj(a_{k,k}),
         U  = sum_k |y_k|^2 sum_i conj(a_{k,i}) a_{k,i}^T = A^H A,
 
-    and A stacks the K^2 rows |y_k| a_{k,i}^T.  A batch (``inst`` a ``_Batch``,
+    and A stacks the K^2 rows |y_k| a_{k,i}^T.  A batch (``inst`` a ``model._Rows``,
     ``precoder.matrix`` and ``aux`` stacked by row) gives the stacked subproblems.
     """
     tb = inst.transfer @ precoder.matrix  # (..., M, K), column i = T b_i
@@ -561,7 +515,7 @@ def dual_search(
     An instance whose R is singular fails with the curvature ``SolverError`` whatever
     its budget.  ``heff`` is the effective channel at ``phases``, if known.
 
-    A batch (``inst`` a ``_Batch`` of rows whose R is not singular, ``aux`` and ``heff``
+    A batch (``inst`` a ``model._Rows`` of rows whose R is not singular, ``aux`` and ``heff``
     stacked by row; ``phases`` is not read) runs on stacked arrays, one whitening stack
     and one spectrum stack whatever the rows' constraints; the bisection runs row by row,
     and so does the spectrum of a stack that fails ``eigh`` (``model._by_row``).  It
@@ -571,7 +525,7 @@ def dual_search(
     single = isinstance(inst, SystemInstance)
     if single:
         heff = (effective_channel(inst, phases) if heff is None else heff)[np.newaxis]
-        inst = _Batch([inst])
+        inst = _Rows([inst])
         aux = _unchecked(AuxVariables, gamma=aux.gamma[np.newaxis], y=aux.y[np.newaxis])
     budget, white = inst.power_budget, inst.whitening
     gram, rhs = _precoder_system(inst, heff, aux)
@@ -634,29 +588,32 @@ def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = Non
     objective evaluations, and an extrapolation's ``alpha`` and whether it was ``kept``.
     The trace holds the accepted points only, as (evaluation, wsr) pairs from (0, wsr at
     the start), so it never drops; its last index, the evaluation that produced the
-    solution, is a sweep CSV's ``iterations``.  SINR, WSR, y and f1 come from one
-    heff @ B per evaluation, with heff formed once per phase state.
+    solution, is a sweep CSV's ``iterations``.  An evaluation forms heff @ B twice: at the
+    row's point, for gamma and y, and at the new point, for SINR, WSR and f1; it forms
+    heff once per phase state.
 
-    Given ``width`` >= 1, a solve queue: ``inst`` iterates over (instance, start) pairs
-    (a start has the ``phases`` and ``precoder`` of a point, as a Solution does), errors,
-    each its item's outcome, and None, which admits nothing at that iteration.  An item
-    takes a free one of ``width`` slots unless its K, N or M differ from the first row's,
-    its R is singular or its start is over budget by more than 1e-6.  The queue yields
-    (position in ``inst``, Solution or error) as each row stops and ends when none runs.
-    Each row counts its own evaluations, one per batch iteration, and takes its own alpha
-    and accept test on Python scalars; its bits do not depend on its batch-mates.
-    A ``width`` that is not an int >= 1 raises SolverError.  Sequences ``inst`` and
-    ``init`` are the queue of their pairs, a slot each, returned in input order (an empty
-    one gives []); one instance is a batch of one (``model._one``).
+    Given ``width`` >= 1, a solve queue: ``inst`` iterates over (instance, start) pairs (a
+    start has the ``phases`` and ``precoder`` of a point, as a Solution does), errors, each
+    its item's outcome, and None, which admits nothing at that iteration.  An item takes a
+    free one of ``width`` slots unless its K, N or M differ from the first row's, its R is
+    singular, its start is over budget by more than 1e-6 or its phases are not M long.  The
+    queue yields (position in ``inst``, Solution or error) as each row stops and ends when
+    none runs.  Each row counts its own evaluations, one per batch iteration, and takes its
+    own alpha and accept test on Python scalars; its bits do not depend on its batch-mates.
+    A ``width`` that is not an int >= 1 raises SolverError, as does a call with neither
+    ``width`` nor ``init``.  Sequences ``inst`` and ``init`` of one length
+    (DimensionMismatchError otherwise) are the queue of their pairs, a slot each, returned
+    in input order (an empty one gives []); one instance is a batch of one (``model._one``).
     """
     if width is not None:
         _check_count("width", width)
         return _queue(inst, settings, width)
+    if init is None:
+        raise SolverError("bcd_solve needs init, the start (phases and precoder) of each instance")
     if isinstance(inst, SystemInstance):
         return _one(bcd_solve([inst], settings, [init]))
     insts, inits = list(inst), list(init)
-    if len(insts) != len(inits):
-        raise SolverError("a batch needs one initial point per instance")
+    _check_rows(insts, init=inits)
     outcome = [None] * len(insts)
     for position, solved in _queue(zip(insts, inits), settings, max(len(insts), 1)):
         outcome[position] = solved
@@ -666,14 +623,17 @@ def bcd_solve(inst, settings: SolverSettings, init=None, width: int | None = Non
 def _queue(items, settings: SolverSettings, width: int):
     """``bcd_solve``'s one outer loop, over the rows in ``width`` fixed slots; see there.
 
-    The slots hold each row's last accepted point, ``past`` its cycle's x0 and x1, and
-    ``cycle`` its next evaluation's place: 0 and 1 plain steps, 2 on extrapolations.  A
-    failed plain step fails its row; a failed extrapolation is rejected.  The Solutions of
-    the rows that stop in one batch iteration are built together (``Solution.from_states``).
+    A slot holds its row's instance, last accepted point and that point's effective channel,
+    ``past`` its cycle's x0 and x1, and ``cycle`` its next evaluation's place: 0 and 1 plain
+    steps, 2 on extrapolations.  A batch iteration reads its rows as one ``model._Rows``,
+    forms the effective channels of new and (unless frozen) extrapolated rows, and the link
+    terms of all from their points.  A failed plain step fails its row; a failed
+    extrapolation is rejected.  The Solutions of the rows that stop in one batch iteration
+    are built together (``Solution.from_states``).
     """
-    items, batch, free, active, taken = iter(items), None, list(range(width))[::-1], [], 0
-    where, traces, details, alpha = ([None] * width for _ in range(4))
-    cycle = [0] * width
+    items, free, active, taken = iter(items), list(range(width))[::-1], [], 0
+    insts, where, traces, details, alpha = ([None] * width for _ in range(5))
+    cycle, first = [0] * width, None
     while True:
         while free and (item := next(items, None)) is not None:
             position, taken = taken, taken + 1
@@ -681,33 +641,31 @@ def _queue(items, settings: SolverSettings, width: int):
                 yield position, item
                 continue
             one, start = item
+            if first is None:  # the slots take the shape of the first row
+                first, (k, n, m) = one, _Rows([one]).dims
+                phases, past_phi = np.zeros((width, m)), np.zeros((width, 2, m))
+                heff, precoders, past_b = (
+                    np.zeros((width, *s), complex) for s in ((k, n), (n, k), (2, n, k))
+                )
             try:
-                if batch is None:  # the slots take the shape of the first row
-                    batch = _Batch([one], width)
-                    (k, n, m), c = batch.dims, complex
-                    phases, (gamma, total) = np.zeros((width, m)), np.zeros((2, width, k))
-                    f, heff, precoders = (np.zeros((width, *s), c) for s in ((k,), (k, n), (n, k)))
-                    past_phi, past_b = np.zeros((width, 2, m)), np.zeros((width, 2, n, k), c)
-                batch.admit(free[-1], one)
+                _Rows([first, one])  # the shape DimensionMismatchError
+                one.curvature_whitening  # the curvature SolverError
                 # Recompute slack against this instance rather than trusting the value
                 # stored on the init, which may have been produced for another budget.
                 slack = one.power_budget - constraint_value(one, start.precoder)
                 if slack < -1e-6 * one.power_budget:
                     raise SolverError("initial point violates the power constraint")
-                channel = effective_channel(one, start.phases)
+                _check_phases(one, start.phases)
             except _FAILURES as exc:
                 yield position, exc
                 continue
             slot = free.pop()
-            heff[slot], phases[slot] = channel, start.phases.phases
-            precoders[slot] = start.precoder.matrix
-            gamma[slot], f[slot], total[slot] = _link_terms(one, channel @ precoders[slot])
-            where[slot], details[slot], cycle[slot] = position, [], 0
-            traces[slot] = [(0, _rates(one, gamma[slot])[1])]
+            insts[slot], where[slot], traces[slot], cycle[slot] = one, position, [], 0
+            phases[slot], precoders[slot] = start.phases.phases, start.precoder.matrix
             active.append(slot)
         if not active:
             return
-        rows = np.array(active)
+        rows, part = np.array(active), _Rows([insts[slot] for slot in active])
         ext = [j for j, slot in enumerate(active) if cycle[slot] > 1]
         if ext:  # alpha for each fresh x2; a row whose x' would be x2 resumes from there
             at = rows[ext]
@@ -723,8 +681,7 @@ def _queue(items, settings: SolverSettings, width: int):
         plain = rows[[j for j, slot in enumerate(active) if cycle[slot] < 2]]
         steps = [cycle[slot] for slot in plain]  # a plain step's start is its cycle's x0 or x1
         past_phi[plain, steps], past_b[plain, steps] = phases[plain], precoders[plain]
-        part = batch.take(rows)
-        phi, b, h, g, ff, tt = (a[rows] for a in (phases, precoders, heff, gamma, f, total))
+        phi, b, h = (a[rows] for a in (phases, precoders, heff))
         if ext:  # the map runs from x' = x0 - 2 alpha r + alpha^2 v
             r_phi, v_phi, r_b, v_b = diffs
             a = np.array([alpha[slot] for slot in at.tolist()])[:, np.newaxis, np.newaxis]
@@ -732,15 +689,20 @@ def _queue(items, settings: SolverSettings, width: int):
             if not settings.freeze_phases:
                 a = a[..., 0]
                 phi[ext] = past_phi[at, 0] - 2.0 * a * r_phi + a * a * v_phi
-                h[ext] = _effective_channels([part.insts[j] for j in ext], phi[ext])
-            g[ext], ff[ext], tt[ext] = _link_terms(part.take(ext), h[ext] @ b[ext])
+        new_rows = [j for j, slot in enumerate(active) if not traces[slot]]
+        fresh = new_rows + ([] if settings.freeze_phases else ext)
+        if fresh:
+            h[fresh] = _Rows([part.insts[j] for j in fresh]).effective_channels(phi[fresh])
+        g, ff, tt = _link_terms(part, h @ b)
+        for j in new_rows:  # a trace opens at its start's WSR
+            traces[active[j]], details[active[j]] = [(0, _rates(part.insts[j], g[j])[1])], []
         aux = _unchecked(AuxVariables, gamma=g, y=_y_update(part, g, ff, tt))
         pga_steps, phase_evals = [0] * rows.size, [0] * rows.size
         if not settings.freeze_phases:
             phi, pga_steps, phase_evals = _pga(
                 build_analog_subproblem(part, _unchecked(Precoder, matrix=b), aux), phi, settings
             )
-            h = _effective_channels(part.insts, phi)
+            h = part.effective_channels(phi)
         matrices, mu, failed = dual_search(part, None, aux, heff=h)
         terms = _link_terms(part, h @ matrices)
         new = _rates(part, terms[0])[1]
@@ -776,12 +738,11 @@ def _queue(items, settings: SolverSettings, width: int):
             stopped.append((slot, None))
         at = rows[accepted]
         phases[at], precoders[at], heff[at] = phi[accepted], matrices[accepted], h[accepted]
-        gamma[at], f[at], total[at] = (t[accepted] for t in terms)
         active = going
         done = [slot for slot, outcome in stopped if outcome is None]
         if done:  # copies: a slot's rows are overwritten when it admits another
             solved = iter(Solution.from_states(
-                [batch.insts[slot] for slot in done], phases[done], precoders[done],
+                [insts[slot] for slot in done], phases[done], precoders[done],
                 [traces[slot] for slot in done], [details[slot] for slot in done],
             ))
         for slot, outcome in stopped:

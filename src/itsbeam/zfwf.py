@@ -35,9 +35,9 @@ from .model import (
     SystemInstance,
     _by_row,
     _check_phases,
-    _dims,
-    _effective_channels,
+    _check_rows,
     _one,
+    _Rows,
     _rows,
     constraint_value,
     effective_channel,
@@ -198,7 +198,7 @@ def _zero_forcing(insts, phases):
     channels, ``_directions`` and the chain costs ||P f_k||^2 run on stacked rows,
     ``waterfill`` per row; each row gets the bits it gets alone.
     """
-    k, n, _ = _dims(insts)
+    k, n, _ = _Rows(insts).dims
     outcomes, directions = list(phases), np.zeros((len(insts), n, k), dtype=complex)
     rows = [row for row, given in enumerate(phases) if not isinstance(given, Exception)]
     if not rows:
@@ -207,7 +207,7 @@ def _zero_forcing(insts, phases):
     for one, row in zip(part, rows):
         _check_phases(one, phases[row])
     directions[rows] = _directions(
-        _effective_channels(part, np.stack([phases[row].phases for row in rows])), failed
+        _Rows(part).effective_channels(np.stack([phases[row].phases for row in rows])), failed
     )
     costs, maps = np.zeros((len(rows), k)), [one.power_map for one in part]
     for shape in {p.shape for p in maps}:  # P is (N, N) under TP and (M, N) under RP
@@ -230,7 +230,7 @@ def zfwf_solve(inst, phases: PhaseConfig | None = None):
 
     Passing ``phases`` skips the alignment stage and zero-forces through the
     given surface state instead.  A sequence of instances that share K, N and M, with
-    a sequence of phases or None, is solved in one stacked pass (``_zero_forcing``,
+    a sequence of as many phases or None, is solved in one stacked pass (``_zero_forcing``,
     then ``Solution.from_states``) and gives one Solution, or the error that ended its
     solve, per instance, each with the bits it gets alone; an empty one gives [].  One
     instance is a batch of one (``model._one``).
@@ -239,6 +239,7 @@ def zfwf_solve(inst, phases: PhaseConfig | None = None):
         return _one(zfwf_solve([inst], [phases]))
     insts = list(inst)
     given = [None] * len(insts) if phases is None else list(phases)
+    _check_rows(insts, phases=given)
     aligned = []
     for one, fixed in zip(insts, given):
         try:

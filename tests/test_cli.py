@@ -1,8 +1,10 @@
 """Command line interface: sweep, solve, selfcheck."""
 
+import ast
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +253,28 @@ def test_every_export_resolves():
     order = ("errors", "model", "geometry", "channel", "wmmse", "zfwf", "harness", "config")
     joined = [name for part in order for name in importlib.import_module(f"itsbeam.{part}").__all__]
     assert itsbeam.__all__ == joined and len(set(joined)) == len(joined)
+
+
+# Names imported only so that the benchmark's call-site tracer can wrap them as module
+# attributes; they can go once it wraps them where they are defined (ROADMAP 12(b)).
+TRACED_IMPORTS = {
+    "harness": {"sinr", "constraint_value", "effective_channel"},
+    "zfwf": {"sinr", "constraint_value", "effective_channel"},
+    "wmmse": {"wsr"},
+}
+
+
+def test_modules_use_what_they_import():
+    unused = []
+    for path in sorted(Path(itsbeam.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if alias.name != "*" and getattr(node, "module", None) != "__future__"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        allowed = TRACED_IMPORTS.get(path.stem, set())
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used - allowed)]
+    assert unused == []

@@ -11,12 +11,15 @@ from itsbeam import (
     PhaseConfig,
     Precoder,
     Solution,
+    SolverSettings,
     SystemInstance,
+    bcd_solve,
     constraint_value,
     effective_channel,
     sinr,
     spectral_efficiency,
     wsr,
+    zfwf_solve,
 )
 from itsbeam.selfcheck import oracle_effective_channel
 from helpers import complex_normal, make_instance, random_phases, random_precoder
@@ -298,3 +301,31 @@ def test_solution_rate_check_is_the_allclose_rule():
     ):
         with pytest.raises(DimensionMismatchError, match="inconsistent with sinr"):
             solution(sinr_values, rates)
+
+
+@pytest.mark.parametrize("call, given", [
+    ("zfwf_solve", "phases"),
+    ("from_states", "phases"),
+    ("from_states", "precoders"),
+    ("from_states", "traces"),
+    ("from_states", "details"),
+    ("bcd_solve", "init"),
+])
+def test_batch_entry_points_reject_a_row_count_unlike_the_instances(call, given):
+    # Two instances and one entry of ``given``: zip would truncate and indexing fail.
+    rng = np.random.default_rng(23)
+    insts = [make_instance(rng, m=6, n=3, k=2) for _ in range(2)]
+    sols = zfwf_solve(insts)
+    rows = {
+        "phases": np.stack([sol.phases.phases for sol in sols]),
+        "precoders": np.stack([sol.precoder.matrix for sol in sols]),
+        "traces": [None, None],
+        "details": [None, None],
+    }
+    with pytest.raises(DimensionMismatchError, match=f"2 instances but 1 {given}"):
+        if call == "zfwf_solve":
+            zfwf_solve(insts, [sols[0].phases])
+        elif call == "bcd_solve":
+            bcd_solve(insts, SolverSettings(), sols[:1])
+        else:
+            Solution.from_states(insts, **{**rows, given: rows[given][:1]})

@@ -36,8 +36,8 @@ from itsbeam import (
 )
 from itsbeam import wmmse
 from itsbeam.harness import _bcd_init, trial
+from itsbeam.model import _Rows
 from itsbeam.wmmse import (
-    _Batch,
     _kept,
     _pga,
     _power_curve,
@@ -821,12 +821,12 @@ def test_non_finite_row_fails_alone_in_dual_search():
         gamma, y = rng.uniform(0.1, 2.0, (3, 3)), complex_normal(rng, 3, 3)
         y[1, 0] = np.nan
         aux = _unchecked(AuxVariables, gamma=gamma, y=y)
-        matrices, mu, failed = dual_search(_Batch(insts), None, aux, heff=heff)
+        matrices, mu, failed = dual_search(_Rows(insts), None, aux, heff=heff)
         assert list(failed) == [1] and isinstance(failed[1], np.linalg.LinAlgError)
         assert not np.any(matrices[1])
         for row in (0, 2):
             one = _unchecked(AuxVariables, gamma=gamma[[row]], y=y[[row]])
-            alone = dual_search(_Batch([insts[row]]), None, one, heff=heff[[row]])
+            alone = dual_search(_Rows([insts[row]]), None, one, heff=heff[[row]])
             assert np.array_equal(alone[0][0], matrices[row])
             assert alone[1][0] == mu[row] and not alone[2]
 
@@ -861,7 +861,7 @@ def fallback_site(site: str, rng):
 
     def run(rows):
         aux = _unchecked(AuxVariables, gamma=gamma[rows], y=y[rows])
-        batch = _Batch([insts[row] for row in rows])
+        batch = _Rows([insts[row] for row in rows])
         matrices, _, failed = dual_search(batch, None, aux, heff=heff[rows])
         return matrices, {rows[j]: exc for j, exc in failed.items()}
 
@@ -944,7 +944,7 @@ def test_mixed_batch_takes_one_eigendecomposition(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    matrices, mu, failed = dual_search(_Batch(insts), phases, batch_aux, heff=heff)
+    matrices, mu, failed = dual_search(_Rows(insts), phases, batch_aux, heff=heff)
     assert len(calls) == 1 and not failed
     for row, (prec, mu_alone) in enumerate(alone):
         assert mu[row] == mu_alone and np.array_equal(matrices[row], prec.matrix)
@@ -1031,7 +1031,7 @@ def test_zero_mu_limit_matches_lstsq_oracle():
         AuxVariables, gamma=np.stack([a.gamma for a in aux]), y=np.stack([a.y for a in aux])
     )
     heff = np.stack([effective_channel(i, p) for i, p in zip(insts, phases)])
-    matrices, mu, failed = dual_search(_Batch(insts), list(phases), batch_aux, heff=heff)
+    matrices, mu, failed = dual_search(_Rows(insts), list(phases), batch_aux, heff=heff)
     assert not failed and not np.any(mu)
     for row, matrix in enumerate(alone):
         assert np.array_equal(matrices[row], matrix)
@@ -1464,6 +1464,47 @@ def test_queue_rejects_a_width_that_is_not_a_positive_int(width):
     items = iter([(inst, zfwf_solve(inst))] * 3)
     with pytest.raises(SolverError, match="width"):
         bcd_solve(items, SolverSettings(), width=width)
+
+
+def test_queue_start_with_wrong_phase_length_fails_alone():
+    # The admission checks the start's phases: a ValueError from writing them into
+    # their slot would end the whole queue, not the one row.
+    rng = np.random.default_rng(74)
+    insts, inits = mixed_batch(rng)
+    short = replace(inits[2], phases=PhaseConfig(inits[2].phases.phases[:-1]))
+    items = list(zip(insts, inits))
+    items[2] = (insts[2], short)
+    settings = SolverSettings(bcd_epsilon=0.1, bcd_max_iters=20, pga_max_iters=5)
+    queued = dict(bcd_solve(iter(items), settings, width=2))
+    assert sorted(queued) == list(range(len(items)))
+    assert isinstance(queued[2], DimensionMismatchError)
+    assert str(queued[2]).startswith("phases must have shape")
+    for position, (inst, init) in enumerate(items):
+        if position != 2:
+            assert_same_solution(bcd_solve([inst], settings, [init])[0], queued[position])
+
+
+def test_queue_rows_admitted_mid_queue_open_at_their_start():
+    # A row's trace opens at the WSR of its start, formed on the stacked rows of the
+    # batch iteration that it joins, with the bits of the start's own Solution.  At
+    # width 2, the rows from position 2 on join a running queue.
+    rng = np.random.default_rng(75)
+    insts, inits = mixed_batch(rng)
+    for freeze in (False, True):
+        settings = SolverSettings(bcd_max_iters=15, pga_max_iters=5, freeze_phases=freeze)
+        queued = dict(bcd_solve(iter(zip(insts, inits)), settings, width=2))
+        for position, (inst, init) in enumerate(zip(insts, inits)):
+            start = Solution.from_state(inst, init.phases, init.precoder).wsr
+            assert queued[position].trace[0][0] == 0
+            assert queued[position].trace[0][1].hex() == start.hex()
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_bcd_solve_without_init_names_the_missing_start(batch):
+    rng = np.random.default_rng(76)
+    inst = make_instance(rng, m=6, n=3, k=2)
+    with pytest.raises(SolverError, match="needs init"):
+        bcd_solve([inst] if batch else inst, SolverSettings())
 
 
 def test_bcd_freeze_phases():

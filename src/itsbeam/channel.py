@@ -57,7 +57,6 @@ __all__ = [
 class ChannelParams:
     """Parameters of the stochastic channel model (angles in radians)."""
 
-    carrier_frequency: float = 28e9
     n_clusters_range: tuple = (1, 6)
     pathloss_intercept_db: float = 72.0
     pathloss_exponent: float = 2.92
@@ -82,8 +81,6 @@ class ChannelParams:
         ):
             if not (-0.5 * math.pi < a_lo <= a_hi < 0.5 * math.pi):
                 raise ChannelError(f"{name} must lie strictly inside (-pi/2, pi/2)")
-        if self.carrier_frequency <= 0:
-            raise ChannelError("carrier_frequency must be positive")
         if self.shadowing_std_db < 0 or self.cluster_angle_std < 0:
             raise ChannelError("spread parameters must be nonnegative")
         if self.direct_kappa is not None and self.direct_kappa < 0:

@@ -202,6 +202,8 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
 
     kind = _get(mapping, "sweep", "kind")
     carrier = _get(mapping, "system", "carrier_frequency_hz")
+    if not 0.0 < carrier < math.inf:  # NaN fails
+        raise ConfigError(f"system.carrier_frequency_hz must be finite and positive: {carrier!r}")
     wavelength = SPEED_OF_LIGHT / carrier
     n_active = _get(mapping, "geometry", "n_active")
     n_elements = _get(mapping, "geometry", "n_elements")
@@ -221,7 +223,6 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
     )
 
     channel = ChannelParams(
-        carrier_frequency=carrier,
         n_clusters_range=(
             _get(mapping, "channel", "n_clusters_min"),
             _get(mapping, "channel", "n_clusters_max"),

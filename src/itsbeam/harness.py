@@ -13,15 +13,15 @@ seed, byte-identical across runs and worker counts.  It holds no measured time.
 Two bounded LRU memos with read-only arrays change no draw: layout and transfer
 matrix per resolved :class:`GeometryConfig` and illumination (16 entries), and
 :func:`memo`, the :class:`Memo` of the last grid value (1 entry).  It builds each
-:class:`Trial` on first use, so a trial's cells share its drop, channel and ZF-WF
-solutions, and feeds one ``bcd_solve`` queue per BCD kind the trials in order: when a
-row stops, the next trial takes its slot, and its outcome is stored on its trial beside
-the ZF-WF solutions.  A queue's starts are built a block of trials at a time, in one
-``_bcd_init`` call, and a ZF-WF cell not yet solved is solved in one ``zfwf_solve``
-call with those of the trials the memo holds in the queue width from it on; no trial is
-drawn only to fill a batch.  The frozen-phase methods ignore the illumination, so one
-queue and one outcome each serve every illumination.  A solve's bits do not depend on
-its batch, and ``run_sweep`` gives workers contiguous ranges of trials.
+:class:`Trial` on first use, so a trial's cells share its drop and channel, and it alone
+batches trials: it feeds one ``bcd_solve`` queue per BCD kind the trials in order (when
+a row stops, the next trial takes its slot; a queue's starts are built a block of trials
+at a time, in one ``_bcd_init`` call), and solves a ZF-WF cell not yet solved in one
+``zfwf_solve`` call with those of the trials it holds in the queue width from it on; no
+trial is drawn only to fill a batch.  Every outcome, ZF-WF or BCD, is stored in its
+trial's ``solved``.  The frozen-phase methods ignore the illumination, so one queue and
+one outcome each serve every illumination.  A solve's bits do not depend on its batch,
+and ``run_sweep`` gives workers contiguous ranges of trials.
 
 The no-surface baseline (``Method.NO_ITS``) is a conventional N-antenna
 digital WMMSE system: the surface and its transfer matrix are replaced by
@@ -247,8 +247,8 @@ class Trial:
     Stream 0 draws the user drop, then the surface channel shared by every illumination
     (none moves an element); stream 1 the no-surface channel, stream 2 the random phases.
     All but the drop is drawn on first use: a failed surface draw spares no_its.
-    ``solved`` maps a BCD kind to its Solution or error, written by the kind's queue: the
-    kind is (method, illumination) for wmmse_bcd, (method, None) for a frozen-phase method.
+    ``solved`` maps a kind to its Solution or error, written by the memo: the kind is
+    (method, illumination) for zf_wf and wmmse_bcd, (method, None) for a frozen-phase method.
     """
 
     def __init__(self, spec: ExperimentSpec, sweep_value: float, trial_index: int):
@@ -257,7 +257,7 @@ class Trial:
         self.layout = _geometry(self.geometry, IlluminationMode.FULL)[0]
         self.streams = _trial_streams(spec.base_seed, trial_index)
         self.drop = sample_user_drop(spec.channel, spec.n_users, self.streams[0])
-        self._surface, self._zfwf, self.solved = {}, {}, {}
+        self._surface, self.solved = {}, {}
 
     def _build(self, transfer, channel, constraint) -> SystemInstance:
         inst = SystemInstance(
@@ -292,26 +292,6 @@ class Trial:
         phases = PhaseConfig(self.streams[2].uniform(0.0, 2.0 * np.pi, self.geometry.n_elements))
         _read_only(phases.phases)
         return phases
-
-    def zfwf(self, illumination: IlluminationMode, mates=()) -> Solution:
-        """The ZF-WF solution of ``instance(illumination)``; its error is raised.
-
-        Solved once, in one ``zfwf_solve`` call with those trials of ``mates`` that lack
-        theirs: a solution does not depend on its batch.
-        """
-        if illumination not in self._zfwf:
-            batch = [self] + [mate for mate in mates if illumination not in mate._zfwf]
-            drawn = []
-            for state in batch:
-                try:
-                    drawn.append((state, state.instance(illumination)))
-                except _FAILURES as exc:
-                    state._zfwf[illumination] = exc
-            for (state, _), sol in zip(drawn, zfwf_solve([inst for _, inst in drawn])):
-                if not isinstance(sol, Exception):
-                    _read_only(sol.phases.phases, sol.precoder.matrix)
-                state._zfwf[illumination] = sol
-        return _one([self._zfwf[illumination]])
 
 
 _REVIVAL_BLEND = 1e-2
@@ -378,7 +358,8 @@ class _Queue:
 
 
 class Memo:
-    """The trial states and solve queues of one grid value.
+    """The trial states and solve queues of one grid value, and the only code that chooses
+    which trials are solved together; each outcome goes to its trial's ``solved``.
 
     A :class:`Trial` is built on first use and dropped, with the outcomes it holds, once
     a later trial is asked for.  An earlier trial, or a BCD cell already served at the
@@ -396,15 +377,26 @@ class Memo:
         return self.states[trial_index]
 
     def zfwf(self, illumination: IlluminationMode, trial_index: int) -> Solution:
-        """The ZF-WF solution of one trial; if it is not held, it is solved in one call with
-        those of the trials this memo holds in the ``QUEUE_WIDTH`` from ``trial_index`` on.
-        No trial is drawn to fill the batch, and the width bounds its stacked arrays."""
-        state = self.trial(trial_index)
-        mates = () if illumination in state._zfwf else [
-            held for index, held in self.states.items()
-            if trial_index < index < trial_index + QUEUE_WIDTH
-        ]
-        return state.zfwf(illumination, mates)
+        """The ZF-WF solution of one trial, or its error raised; if its ``solved`` lacks it, it
+        is solved in one ``zfwf_solve`` call with those of the trials this memo holds in the
+        ``QUEUE_WIDTH`` from ``trial_index`` on that lack theirs.  No trial is drawn to fill
+        the batch, and the width bounds its stacked arrays."""
+        kind, state = (Method.ZF_WF, illumination), self.trial(trial_index)
+        if kind not in state.solved:
+            drawn, batch = [], [state] + [
+                held for index, held in self.states.items()
+                if trial_index < index < trial_index + QUEUE_WIDTH and kind not in held.solved
+            ]
+            for held in batch:
+                try:
+                    drawn.append((held, held.instance(illumination)))
+                except _FAILURES as exc:
+                    held.solved[kind] = exc
+            for (held, _), sol in zip(drawn, zfwf_solve([inst for _, inst in drawn])):
+                if not isinstance(sol, Exception):
+                    _read_only(sol.phases.phases, sol.precoder.matrix)
+                held.solved[kind] = sol
+        return _one([state.solved[kind]])
 
     def starts(self, method: Method, illumination: IlluminationMode, indices) -> list:
         """(instance, initial point), or the error, of the BCD cell of each trial of ``indices``,

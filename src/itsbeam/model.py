@@ -37,6 +37,8 @@ __all__ = [
     "constraint_value",
 ]
 
+_BUDGET_SLACK = 1e-6  # the share of its budget a point may spend over it, wherever checked
+
 
 class ConstraintKind(Enum):
     """Which quadratic power constraint applies to the digital precoder.
@@ -209,10 +211,10 @@ class Solution:
         rates = np.log2(1.0 + s)
         if not np.all(np.abs(se - rates) <= 1e-12 + 1e-9 * np.abs(rates)):  # NaN fails
             raise DimensionMismatchError("spectral_efficiency inconsistent with sinr")
-        if self.constraint_slack < -1e-6 * self.power_budget:
+        if self.constraint_slack < -_BUDGET_SLACK * self.power_budget:
             raise DimensionMismatchError(
                 f"constraint violated: slack {self.constraint_slack:.3e} "
-                f"below -1e-6 * {self.power_budget:.3e}"
+                f"below -{_BUDGET_SLACK:g} * {self.power_budget:.3e}"
             )
         object.__setattr__(self, "sinr", s)
         object.__setattr__(self, "spectral_efficiency", se)

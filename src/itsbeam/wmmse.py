@@ -54,6 +54,7 @@ from .model import (
     Precoder,
     Solution,
     SystemInstance,
+    _BUDGET_SLACK,
     _by_row,
     _check_phases,
     _check_rows,
@@ -653,7 +654,7 @@ def _queue(items, settings: SolverSettings, width: int):
                 # Recompute slack against this instance rather than trusting the value
                 # stored on the init, which may have been produced for another budget.
                 slack = one.power_budget - constraint_value(one, start.precoder)
-                if slack < -1e-6 * one.power_budget:
+                if slack < -_BUDGET_SLACK * one.power_budget:
                     raise SolverError("initial point violates the power constraint")
                 _check_phases(one, start.phases)
             except _FAILURES as exc:

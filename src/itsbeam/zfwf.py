@@ -33,6 +33,7 @@ from .model import (
     PhaseConfig,
     Solution,
     SystemInstance,
+    _BUDGET_SLACK,
     _by_row,
     _check_phases,
     _check_rows,
@@ -153,7 +154,9 @@ def waterfill(
     level mu = (sum_active w_k) / (budget + sigma^2 sum_active a_k); users whose
     allocation goes negative are dropped and the level recomputed.  When
     sigma^2 sum a dwarfs the budget, w_k / (mu a_k) - sigma^2 cancels; powers that
-    then spend more than the budget's 1e-6 tolerance are scaled back onto it.
+    then spend more than a Solution's slack over the budget are scaled back onto it.
+    A level mu that is not finite and positive, or a level mu a_k that underflows
+    to zero, fails; a mu a_k that overflows drops user k, whose p_k is then -sigma^2.
     Runs on Python floats, in numpy's order of operations, so it gives the bits of
     the same formulas on arrays; only the spent budget a @ p is a numpy dot.
     """
@@ -176,11 +179,14 @@ def waterfill(
             raise SolverError("water-filling dropped every user; budget degenerate")
         on = [k for k, is_on in enumerate(active) if is_on]
         mu = _sum([w[k] for k in on]) / (budget + noise * _sum([costs[k] for k in on]))
-        p = [w[k] / (mu * costs[k]) - noise if active[k] else 0.0 for k in range(len(w))]
+        levels = [mu * cost for cost in costs]
+        if not 0.0 < mu < math.inf or any(levels[k] == 0.0 for k in on):  # NaN fails
+            raise SolverError(f"water level {mu!r} is not finite and positive or mu * a_k is 0")
+        p = [w[k] / levels[k] - noise if active[k] else 0.0 for k in range(len(w))]
         negative = [k for k in on if p[k] < 0]
         if not negative:
             spent = float(a @ p)  # BLAS's dot, whose order a loop does not reproduce
-            if spent > budget * (1.0 + 1e-6):  # the tolerance a Solution allows
+            if spent > budget * (1.0 + _BUDGET_SLACK):
                 scale = budget / spent
                 p = [power * scale for power in p]
             return PowerAllocation(powers=np.array(p), water_level=mu, chain_costs=a)

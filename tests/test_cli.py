@@ -130,6 +130,13 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     bad.write_text("sweep: [1]\n")
     assert main(["sweep", "--config", str(bad), "--trials", "2", "--out", str(out)]) == 2
     assert not out.exists()
+    # A zero carrier, for solve too: an error line naming the key, not a traceback.
+    bad.write_text(TINY_CONFIG.replace("system:\n", "system:\n  carrier_frequency_hz: 0\n"))
+    for command in (["sweep", "--out", str(out)], ["solve", "--dump-solution", str(out)]):
+        capsys.readouterr()
+        assert main([*command, "--config", str(bad)]) == 2
+        assert "system.carrier_frequency_hz" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_rejects_negative_seed(tmp_path, config_path):

@@ -178,8 +178,8 @@ def test_memoised_cell_matches_cold_cell():
 
 def test_memoised_arrays_are_read_only():
     spec = tiny_spec()
-    state = trial(spec, 30.0, 0)
-    inst, zf = state.instance(IlluminationMode.FULL), state.zfwf(IlluminationMode.FULL)
+    state, zf = trial(spec, 30.0, 0), memo(spec, 30.0).zfwf(IlluminationMode.FULL, 0)
+    inst = state.instance(IlluminationMode.FULL)
     layout, transfer = harness._geometry(spec.geometry, IlluminationMode.FULL)
     arrays = (
         inst.transfer, inst.channel, inst.weights, zf.phases.phases, zf.precoder.matrix,
@@ -570,6 +570,20 @@ def test_failed_trial_becomes_nan_record(tmp_path):
     assert row[7] == "0" and row[8] == "1"
 
 
+def test_overflowing_water_level_gives_nan_records():
+    # At noise power 1e308, sigma^2 sum a overflows and water-filling fails in every
+    # start, the ZF-WF cells' and the BCD kinds': the sweep writes NaN records.
+    spec = spec_from_mapping({
+        "system": {"n_users": 2, "weights": [1.0, 1.0], "noise_power": 1.0e308},
+        "geometry": {"n_active": 2, "n_elements": 8, "grid_rows": 4, "grid_cols": 2},
+        "sweep": {"grid": [30.0], "trials": 2, "methods": [m.value for m in Method],
+                  "illuminations": [i.value for i in IlluminationMode]},
+    })
+    records = run_sweep(spec)
+    assert len(records) == 2 * len(Method) * len(IlluminationMode)
+    assert all(math.isnan(r.wsr) and r.iterations == 0 for r in records)
+
+
 @pytest.mark.parametrize(
     "error",
     [np.linalg.LinAlgError("singular matrix"), DimensionMismatchError("constraint violated")],
@@ -650,6 +664,7 @@ def test_cold_zf_wf_cell_holds_one_trial():
     memo.cache_clear()
     record = run_trial(spec, 30.0, 0, Method.ZF_WF, IlluminationMode.FULL)
     assert math.isfinite(record.wsr) and list(memo(spec, 30.0).states) == [0]
+    assert list(memo(spec, 30.0).trial(0).solved) == [(Method.ZF_WF, IlluminationMode.FULL)]
 
 def reference_spec(sweep, constraint):
     """The reference configuration built by hand, independent of the config table."""
@@ -810,6 +825,10 @@ def test_config_rejects_malformed_values():
         ("geometry", "kappa", True),
         ("sweep", "methods", []),
         ("sweep", "illuminations", []),
+        ("system", "carrier_frequency_hz", 0),
+        ("system", "carrier_frequency_hz", -28e9),
+        ("system", "carrier_frequency_hz", float("nan")),
+        ("system", "carrier_frequency_hz", float("inf")),
     ):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             spec_from_mapping({section: {key: value}})

@@ -329,3 +329,27 @@ def test_batch_entry_points_reject_a_row_count_unlike_the_instances(call, given)
             bcd_solve(insts, SolverSettings(), sols[:1])
         else:
             Solution.from_states(insts, **{**rows, given: rows[given][:1]})
+
+
+def test_from_states_row_over_budget_fails_alone():
+    # One row spends twice its budget: it holds the error of its Solution's check, as its
+    # batch of one raises, and the other rows equal their batches of one bit for bit.
+    rng = np.random.default_rng(24)
+    kinds = (*ConstraintKind, ConstraintKind.RADIATED_POWER)
+    insts = [make_instance(rng, m=6, n=3, k=2, constraint=kind) for kind in kinds]
+    sols = zfwf_solve(insts)
+    phases = np.stack([sol.phases.phases for sol in sols])
+    precoders = np.stack([sol.precoder.matrix for sol in sols])
+    precoders[1] *= np.sqrt(2.0)
+    batch = Solution.from_states(insts, phases, precoders)
+    assert type(batch[1]) is DimensionMismatchError
+    with pytest.raises(DimensionMismatchError) as alone:
+        Solution.from_state(insts[1], PhaseConfig(phases[1]), Precoder(precoders[1]))
+    assert str(batch[1]) == str(alone.value) and str(alone.value).startswith("constraint violated")
+    for row in (0, 2):
+        one = Solution.from_state(insts[row], PhaseConfig(phases[row]), Precoder(precoders[row]))
+        assert np.array_equal(one.sinr, batch[row].sinr)
+        assert np.array_equal(one.spectral_efficiency, batch[row].spectral_efficiency)
+        assert (one.wsr, one.constraint_slack, one.trace) == (
+            batch[row].wsr, batch[row].constraint_slack, batch[row].trace
+        )

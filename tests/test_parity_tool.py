@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from itsbeam import ConstraintKind, SweepKind, default_experiment_spec
+from itsbeam import (
+    ConstraintKind,
+    IlluminationMode,
+    Method,
+    SweepKind,
+    default_experiment_spec,
+    spec_from_mapping,
+)
 from itsbeam.harness import run_sweep, write_results
 
 _PATH = Path(__file__).parents[1] / "tools" / "parity.py"
@@ -136,3 +143,31 @@ def test_reference_writes_the_default_power_sweep_cut_to_n_trials(tmp_path, caps
         write_results(run_sweep(replace(spec, trials=2, base_seed=3)), tmp_path / name)
         assert (tmp_path / name).read_bytes() == (ref / name).read_bytes()
     assert parity.main(["compare", str(ref), str(ref)]) == 0
+
+
+def test_illuminations_writes_every_method_and_illumination(tmp_path, capsys):
+    lit = tmp_path / "lit"
+    assert parity.main(["illuminations", str(lit), "--seeds", "3", "--trials", "2"]) == 0
+    assert sorted(path.name for path in lit.iterdir()) == [
+        "illuminations-rp-3.csv", "illuminations-tp-3.csv"
+    ]
+    out = capsys.readouterr().out
+    for constraint in ConstraintKind:
+        name = f"illuminations-{constraint.value}-3.csv"
+        sha = hashlib.sha256((lit / name).read_bytes()).hexdigest()
+        assert any(line.startswith(f"{sha}  {name}  cpu ") for line in out.splitlines())
+        rows = [line.split(",") for line in (lit / name).read_text().splitlines()[1:]]
+        assert {(row[1], row[3], row[4]) for row in rows} == {
+            (value, method.value, illumination.value)
+            for value in ("20.0", "40.0") for method in Method for illumination in IlluminationMode
+        }
+        # The rows of the same sweep written as a configuration file would give it.
+        spec = spec_from_mapping({
+            "solver": {"bcd_max_iters": 30},
+            "sweep": {"grid": [20, 40], "trials": 2, "base_seed": 3, "constraint": constraint.value,
+                      "methods": ["wmmse_bcd", "zf_wf", "random_phases", "no_its"],
+                      "illuminations": ["full", "partial", "separate"]},
+        })
+        write_results(run_sweep(spec), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (lit / name).read_bytes()
+    assert parity.main(["compare", str(lit), str(lit)]) == 0

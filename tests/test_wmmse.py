@@ -35,7 +35,7 @@ from itsbeam import (
     zfwf_solve,
 )
 from itsbeam import wmmse
-from itsbeam.harness import _bcd_init, trial
+from itsbeam.harness import _bcd_init, memo, trial
 from itsbeam.model import _Rows
 from itsbeam.wmmse import (
     _kept,
@@ -401,9 +401,9 @@ def reference_subproblems(trials):
     settings = SolverSettings(pga_max_iters=20)
     subs, starts = [], []
     for index in range(trials):
-        state = trial(spec, 40.0, index)
-        inst = state.instance(IlluminationMode.FULL)
-        (start,) = _bcd_init([inst], [state.zfwf(IlluminationMode.FULL).phases])
+        inst = trial(spec, 40.0, index).instance(IlluminationMode.FULL)
+        zf = memo(spec, 40.0).zfwf(IlluminationMode.FULL, index)
+        (start,) = _bcd_init([inst], [zf.phases])
         phases, precoder = start.phases, start.precoder
         for _ in range(3):
             aux = optimal_aux(inst, phases, precoder)
@@ -428,9 +428,8 @@ def test_default_phase_cap_binds_at_the_reference_point():
     # A default solve of a reference RP trial at 30 dBm: no phase block runs past
     # the cap and some block stops at it; with the phases frozen none runs.
     spec = default_experiment_spec(SweepKind.POWER, ConstraintKind.RADIATED_POWER)
-    state = trial(spec, 30.0, 0)
-    inst = state.instance(IlluminationMode.FULL)
-    (start,) = _bcd_init([inst], [state.zfwf(IlluminationMode.FULL).phases])
+    inst = trial(spec, 30.0, 0).instance(IlluminationMode.FULL)
+    (start,) = _bcd_init([inst], [memo(spec, 30.0).zfwf(IlluminationMode.FULL, 0).phases])
     cap = SolverSettings().pga_max_iters
     steps = [row["pga_steps"] for row in bcd_solve(inst, SolverSettings(), start).detail]
     assert max(steps) == cap
@@ -1577,3 +1576,27 @@ def test_settings_reject_caps_that_are_not_positive_ints(name, value):
     # A fractional cap would otherwise fail later, inside range(), mid-sweep.
     with pytest.raises(SolverError, match=name):
         SolverSettings(**{name: value})
+
+
+def test_queue_row_whose_plain_step_fails_stops_alone(monkeypatch):
+    # A dual bisection that fails in a plain step (recorded by dual_search under its row)
+    # stops that row with its error; the other rows equal their batches of one bit for bit.
+    rng = np.random.default_rng(77)
+    insts, inits = mixed_batch(rng)
+    root, doomed = wmmse._dual_root, insts[2].power_budget
+
+    def failing_root(power_at, budget):
+        if budget == doomed:
+            raise SolverError("dual bisection failed for this row")
+        return root(power_at, budget)
+
+    monkeypatch.setattr(wmmse, "_dual_root", failing_root)
+    for freeze in (False, True):
+        settings = SolverSettings(bcd_max_iters=20, pga_max_iters=5, freeze_phases=freeze)
+        queued = dict(bcd_solve(iter(zip(insts, inits)), settings, width=3))
+        assert sorted(queued) == list(range(len(insts)))
+        assert type(queued[2]) is SolverError
+        assert str(queued[2]) == "dual bisection failed for this row"
+        for position, (inst, init) in enumerate(zip(insts, inits)):
+            if position != 2:
+                assert_same_solution(bcd_solve([inst], settings, [init])[0], queued[position])

@@ -382,10 +382,26 @@ def test_float_waterfill_raises_the_numpy_routine_errors():
             waterfill(*case)
 
 
+def test_waterfill_level_of_zero_is_a_solver_error():
+    # sigma^2 sum a overflows, so mu = 0; or mu a_k underflows to 0.  Either would divide
+    # by zero in w_k / (mu a_k).
+    for case in (([1, 1], [1e300, 1], 1e10, 1.0), ([1, 1], [1e-300, 1e-300], 1e-7, 1e300)):
+        with pytest.raises(SolverError, match="not finite and positive or mu \\* a_k is 0"):
+            waterfill(*case)
+
+
+def test_waterfill_drops_a_user_whose_level_overflows():
+    # mu = 1e9 is finite but mu a_0 = 1e309 overflows: p_0 = w_0 / inf - sigma^2 < 0, so
+    # user 0 is dropped and the budget goes to user 1, as any negative allocation is.
+    alloc = waterfill([1e9, 1e9], [1e300, 1.0], 1e-300, 1.0)
+    assert alloc.powers.tolist() == [0.0, 1.0] and alloc.water_level == 1e9
+
+
 def test_batched_zfwf_solve_equals_solves_alone():
-    # One stacked call over both constraints, given and aligned phases and a rank-deficient
-    # row (two users on one channel): each row's Solution equals its solve alone bit for
-    # bit, and the failed row holds the error that its solve alone raises.
+    # One stacked call over both constraints, given and aligned phases, a rank-deficient
+    # row (two users on one channel) and a row whose water level is zero (noise power
+    # 1e308): each row's Solution equals its solve alone bit for bit, and each failed row
+    # holds the error that its solve alone raises.
     rng = np.random.default_rng(78)
     insts = [
         make_instance(rng, m=10, n=4, k=3, constraint=list(ConstraintKind)[index % 2])
@@ -396,6 +412,8 @@ def test_batched_zfwf_solve_equals_solves_alone():
     insts[2] = replace(insts[2], channel=channel)
     phases = [None, PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, 10)), None,
               None, PhaseConfig(np.zeros(10)), PhaseConfig(rng.uniform(0.0, 2.0 * np.pi, 10))]
+    insts.append(make_instance(rng, m=10, n=4, k=3, noise_power=1e308))
+    phases.append(None)
     batch = zfwf_solve(insts, phases)
     for inst, given, together in zip(insts, phases, batch):
         try:
@@ -410,8 +428,9 @@ def test_batched_zfwf_solve_equals_solves_alone():
         assert alone.wsr == together.wsr and alone.trace == together.trace
         assert alone.constraint_slack == together.constraint_slack
         assert alone.detail == together.detail
-    assert [row for row, sol in enumerate(batch) if isinstance(sol, Exception)] == [2]
+    assert [row for row, sol in enumerate(batch) if isinstance(sol, Exception)] == [2, 6]
     assert "rank-deficient" in str(batch[2])
+    assert type(batch[6]) is SolverError and str(batch[6]).startswith("water level 0.0 is not")
 
 
 def test_empty_batch_gives_no_outcomes():

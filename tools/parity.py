@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python tools/parity.py write DIR --seeds 300 500-519
     python tools/parity.py reference DIR --seeds 0-3 --trials 32
+    python tools/parity.py illuminations DIR --seeds 300-309 --trials 16
     python tools/parity.py compare A B
 
 ``write`` builds each workload of ``perfbench/bench.py`` at each seed, runs it
@@ -18,6 +19,12 @@ base seed ``seed``, cut to ``--trials`` trials.  Each grid value runs as a
 sweep of its own, which gives the rows that the whole sweep gives, so that the
 CPU seconds of each can be printed after the file's sha256.  ``compare`` then
 reports the converged-point means and iterations of a numerical change.
+
+``illuminations`` writes ``illuminations-<constraint>-<seed>.csv`` the same
+way: that power sweep at 20 and 40 dBm only, over every method and every
+illumination (full, partial, separate), with ``bcd_max_iters: 30``.  The
+workloads run the full illumination only, so these files are the ones that
+cover the ZF-WF and BCD batches of partial and separate illumination.
 
 ``compare`` pairs the files of A and B by name and their columns by header
 name.  Per file it prints the number of rows whose shared columns differ, the
@@ -78,29 +85,50 @@ def write(directory: str, seeds) -> dict:
     return digests
 
 
-def reference(directory: str, seeds, trials: int) -> None:
-    """Write the default power sweep, rp and tp, cut to ``trials`` at every seed into
-    ``directory``, printing each file's sha256 and CPU seconds."""
+def _reference_spec(constraint, seed: int, trials: int):
+    """The default power sweep under ``constraint``, cut to ``trials`` at base seed ``seed``."""
+    from itsbeam import SweepKind, default_experiment_spec
+
+    return replace(default_experiment_spec(SweepKind.POWER, constraint),
+                   trials=trials, base_seed=seed)
+
+
+def _illuminations_spec(constraint, seed: int, trials: int):
+    """The reference power sweep at 20 and 40 dBm over every method and illumination,
+    with a BCD cap of 30."""
+    from itsbeam import IlluminationMode, Method
+
+    spec = _reference_spec(constraint, seed, trials)
+    return replace(spec, grid=(20.0, 40.0), methods=tuple(Method),
+                   illuminations=tuple(IlluminationMode),
+                   solver=replace(spec.solver, bcd_max_iters=30))
+
+
+SWEEPS = {"reference": _reference_spec, "illuminations": _illuminations_spec}
+
+
+def sweeps(name: str, directory: str, seeds, trials: int) -> None:
+    """Write ``<name>-<constraint>-<seed>.csv``, the spec of ``SWEEPS[name]``, for rp and
+    tp at every seed into ``directory``, printing each file's sha256 and CPU seconds."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from itsbeam import ConstraintKind, SweepKind, default_experiment_spec
+    from itsbeam import ConstraintKind
     from itsbeam.harness import run_sweep, write_results
 
     os.makedirs(directory, exist_ok=True)
     for constraint in ConstraintKind:  # rp, then tp
         for seed in seeds:
-            spec = replace(default_experiment_spec(SweepKind.POWER, constraint),
-                           trials=trials, base_seed=seed)
+            spec = SWEEPS[name](constraint, seed, trials)
             records, cpu = [], {}
             for value in spec.grid:
                 start = time.process_time()
                 records += run_sweep(replace(spec, grid=(value,)), workers=1)
                 cpu[value] = time.process_time() - start
-            name = f"reference-{constraint.value}-{seed}.csv"
-            path = os.path.join(directory, name)
+            file_name = f"{name}-{constraint.value}-{seed}.csv"
+            path = os.path.join(directory, file_name)
             write_results(records, path)
             per_value = ", ".join(f"{value:g}: {seconds:.2f}" for value, seconds in cpu.items())
-            print(f"{_sha256(path)}  {name}  cpu {math.fsum(cpu.values()):.2f} s ({per_value})",
-                  flush=True)
+            print(f"{_sha256(path)}  {file_name}  cpu {math.fsum(cpu.values()):.2f} s "
+                  f"({per_value})", flush=True)
 
 
 def _read(path: str):
@@ -219,9 +247,12 @@ def main(argv=None) -> int:
     writer.add_argument("--seeds", nargs="+", required=True, help='seeds or ranges, e.g. 300 500-519')
     ref = sub.add_parser("reference", help="write reference-<constraint>-<seed>.csv, the default "
                          "power sweep cut to --trials, for rp and tp at every seed")
-    ref.add_argument("directory")
-    ref.add_argument("--seeds", nargs="+", required=True, help="base seeds or ranges, e.g. 0-3")
-    ref.add_argument("--trials", type=int, required=True)
+    lit = sub.add_parser("illuminations", help="write illuminations-<constraint>-<seed>.csv, "
+                         "every method and illumination at 20 and 40 dBm, for rp and tp")
+    for sweep in (ref, lit):
+        sweep.add_argument("directory")
+        sweep.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 0-3")
+        sweep.add_argument("--trials", type=int, required=True)
     comparer = sub.add_parser("compare", help="compare the CSV files of two directories")
     comparer.add_argument("a")
     comparer.add_argument("b")
@@ -229,8 +260,8 @@ def main(argv=None) -> int:
     if args.command == "write":
         write(args.directory, parse_seeds(args.seeds))
         return 0
-    if args.command == "reference":
-        reference(args.directory, parse_seeds(args.seeds), args.trials)
+    if args.command in SWEEPS:
+        sweeps(args.command, args.directory, parse_seeds(args.seeds), args.trials)
         return 0
     return 0 if compare(args.a, args.b) else 1
 

@@ -81,6 +81,12 @@ class ChannelParams:
         ):
             if not (-0.5 * math.pi < a_lo <= a_hi < 0.5 * math.pi):
                 raise ChannelError(f"{name} must lie strictly inside (-pi/2, pi/2)")
+        for name in ("pathloss_intercept_db", "pathloss_exponent", "shadowing_std_db",
+                     "user_distance_range", "cluster_angle_std", "gain_normalization_db",
+                     "direct_kappa"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):  # None: an optional field
+                raise ChannelError(f"{name} must be finite, got {value!r}")
         if self.shadowing_std_db < 0 or self.cluster_angle_std < 0:
             raise ChannelError("spread parameters must be nonnegative")
         if self.direct_kappa is not None and self.direct_kappa < 0:

@@ -93,6 +93,9 @@ class GeometryConfig:
             raise GeometryError(
                 f"grid_shape {self.grid_shape} incompatible with n_elements {self.n_elements}"
             )
+        for name in ("wavelength", "active_radius", "separation", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.wavelength > 0:
             raise GeometryError("wavelength must be positive")
         if not self.separation > 0:

@@ -302,14 +302,18 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
     r = S^T y; an empty slot is zeros and an identity row of R^-1.  A row whose g^T d is not
     positive steps along g and clears its memory.  A row stops at ``settings.pga_max_iters``
     iterations, on a flat accept (zero gradient) or when no step passes.  ``evals`` counts
-    every objective evaluation; a non-finite trial never passes, so the phases are finite.
+    the objective evaluations a row searches with; a non-finite trial never passes, so the
+    phases are finite.
 
     ``sub`` may hold stacked subproblems, with ``phases_init`` the (B, M) start phases: memories
-    and directions are stacked, each row backtracks on Python scalars, and a trial point costs
-    one stacked rotation, factor product and pair of dots over the rows still searching.  Stacked
-    products make each row's own BLAS call, so a row gets the bits it gets alone.  A row that
-    moved returns the angles of its last psi, one that took no step its start phases, mod 2 pi.
-    A batch returns (B, M) phases and lists of steps and evals; one PhaseConfig is a batch of one.
+    and directions are stacked, each row backtracks on Python scalars, and every row of the call
+    stays in place.  A search round costs one stacked rotation, factor product and pair of dots
+    over every row, each at its own ladder step; only the rows still searching are tested and
+    counted in ``evals``.  A row that passed keeps its step, so the last round holds its point,
+    and a row that stopped keeps its psi.  Stacked products make each row's own BLAS call, so a
+    row gets the bits it gets alone.  A row that moved returns the angles of its last psi, one
+    that took no step its start phases, mod 2 pi.  A batch returns (B, M) phases and lists of
+    steps and evals; one PhaseConfig is a batch of one.
     """
     single = isinstance(phases_init, PhaseConfig)
     nu, factor = sub.linear_term, sub.factor
@@ -317,18 +321,17 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
     if single:
         nu, factor, phases = nu[np.newaxis], factor[np.newaxis], phases[np.newaxis]
     m, psi = _MEMORY, np.exp(1j * phases)
-    out = np.empty_like(psi)  # each row's last psi
     value, a_psi = _objective_terms(nu, factor, psi)
-    steps, evals = [0] * len(value), [1] * len(value)
-    going = list(range(len(value)))  # the batch row of each row of psi, a_psi, nu, factor
+    n = len(value)
+    steps, evals, going = [0] * n, [1] * n, list(range(n))
     # pairs [S; Y], R^-1, Y^T Y, diag(S^T Y), gamma and the next slot; reset as ``empty``
-    n, empty = len(going), (0.0, np.eye(m), 0.0, 0.0, 1.0, 0)
+    empty = (0.0, np.eye(m), 0.0, 0.0, 1.0, 0)
     memory = [np.zeros((n, 2 * m, psi.shape[-1])), np.tile(np.eye(m), (n, 1, 1)),
               np.zeros((n, m, m)), np.zeros((n, m)), np.ones(n), np.zeros(n, dtype=int)]
     for iteration in range(settings.pga_max_iters):
         grad = _gradient(nu, factor, psi, a_psi)
         pairs, r_inv, yty, sy, gamma, slot = memory
-        if iteration:  # every row moved: remember (s, y) where s^T y > 0
+        if iteration:  # every going row moved: remember (s, y) where s^T y > 0
             y = grad_old - grad
             dots = np.vecdot(step, y)
             good = np.flatnonzero(dots > 0.0)  # the rows whose pair is kept
@@ -352,58 +355,36 @@ def _pga(sub: AnalogSubproblem, phases_init, settings: SolverSettings):
             for part, value_at_reset in zip(memory, empty):
                 part[reset] = value_at_reset
             slope = np.vecdot(grad, direction).tolist()
-        k = [0] * len(going)
-        accepted = [None] * len(going)  # the value of each row's passing trial
-        new = (np.empty_like(psi), np.empty_like(a_psi))  # and its point
-        searching = list(range(len(going)))
+        k, searching, moved = [0] * n, going, []
         while searching:
-            # A[rows] is a copy, taken only when a subset of the rows is still searching
-            rows = slice(None) if len(searching) == len(going) else searching
-            turn = np.array([_LADDER[k[j]] for j in searching])[:, np.newaxis] * direction[rows]
+            turn = np.array([_LADDER[j] for j in k])[:, np.newaxis] * direction
             scale = 1.0 / np.sqrt(turn * turn + 1.0)  # u = turn, d = scale
             trial_psi = scale.astype(complex)
             np.multiply(turn, scale, out=trial_psi.imag)
-            np.multiply(psi[rows], trial_psi, out=trial_psi)  # psi (d + j u d)
-            trial_value, trial_a_psi = _objective_terms(nu[rows], factor[rows], trial_psi)
-            passed, still = [], []
-            for i, (j, cand) in enumerate(zip(searching, trial_value)):
-                evals[going[j]] += 1
-                if cand - value[j] >= _ARMIJO_ZETA * _LADDER[k[j]] * slope[j]:
-                    passed.append(i)
-                    accepted[j] = cand
+            np.multiply(psi, trial_psi, out=trial_psi)  # psi (d + j u d)
+            trial_value, trial_a_psi = _objective_terms(nu, factor, trial_psi)
+            still = []
+            for j in searching:
+                evals[j] += 1
+                if trial_value[j] - value[j] >= _ARMIJO_ZETA * _LADDER[k[j]] * slope[j]:
+                    moved.append(j)
                 elif k[j] + 1 < len(_LADDER):
                     k[j] += 1
                     still.append(j)
-            if len(passed) == len(going):
-                new = (trial_psi, trial_a_psi)
-            elif passed:
-                dest = [searching[i] for i in passed]
-                new[0][dest], new[1][dest] = trial_psi[passed], trial_a_psi[passed]
             searching = still
-        moved, keep = [j for j in range(len(going)) if accepted[j] is not None], []
+        psi[moved], a_psi[moved] = trial_psi[moved], trial_a_psi[moved]
+        going = []
         for j in moved:
-            steps[going[j]] += 1
-            if accepted[j] - value[j] > 0.0:
-                keep.append(j)  # a flat accept (zero gradient) has nothing left to gain
-            value[j] = accepted[j]
-        if len(moved) == len(going):
-            psi, a_psi = new
-        elif moved:
-            psi[moved], a_psi[moved] = (part[moved] for part in new)
-        if len(keep) < len(going):
-            stop = sorted(set(range(len(going))) - set(keep))
-            out[[going[j] for j in stop]] = psi[stop]
-            psi, a_psi, nu, factor, grad, direction, *memory = (
-                part[keep] for part in (psi, a_psi, nu, factor, grad, direction, *memory)
-            )
-            value, going, k = ([part[j] for j in keep] for part in (value, going, k))
-            if not going:
-                break
+            steps[j] += 1
+            if trial_value[j] - value[j] > 0.0:
+                going.append(j)  # a flat accept (zero gradient) has nothing left to gain
+            value[j] = trial_value[j]
+        if not going:
+            break
         step = np.arctan(np.array([_LADDER[j] for j in k])[:, np.newaxis] * direction)
         grad_old = grad
-    out[going] = psi
     moved = [row for row, count in enumerate(steps) if count]
-    phases[moved] = np.mod(np.angle(out[moved]), 2.0 * np.pi)
+    phases[moved] = np.mod(np.angle(psi[moved]), 2.0 * np.pi)
     if single:
         return PhaseConfig(phases[0]), steps[0], evals[0]
     return phases, steps, evals

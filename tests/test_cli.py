@@ -137,6 +137,12 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
         assert main([*command, "--config", str(bad)]) == 2
         assert "system.carrier_frequency_hz" in capsys.readouterr().err
         assert not out.exists()
+    # An infinite distance, from which no user can be drawn.
+    bad.write_text(TINY_CONFIG.replace("system:\n", "channel:\n  distance_max_m: .inf\nsystem:\n"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: user_distance_range must be finite")
+    assert not out.exists()
 
 
 def test_sweep_rejects_negative_seed(tmp_path, config_path):

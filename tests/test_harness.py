@@ -15,12 +15,14 @@ import yaml
 
 from itsbeam import (
     CSV_HEADER,
+    ChannelError,
     ChannelParams,
     ConfigError,
     ConstraintKind,
     DimensionMismatchError,
     ExperimentSpec,
     GeometryConfig,
+    GeometryError,
     IlluminationMode,
     Method,
     PhaseConfig,
@@ -832,6 +834,26 @@ def test_config_rejects_malformed_values():
     ):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             spec_from_mapping({section: {key: value}})
+
+
+@pytest.mark.parametrize("section, key, value, error, field", [
+    ("geometry", "kappa", math.nan, GeometryError, "kappa"),
+    ("geometry", "kappa", math.inf, GeometryError, "kappa"),
+    ("geometry", "active_radius_wavelengths", math.nan, GeometryError, "active_radius"),
+    ("geometry", "separation_m", math.inf, GeometryError, "separation"),
+    ("channel", "distance_max_m", math.inf, ChannelError, "user_distance_range"),
+    ("channel", "shadowing_std_db", math.nan, ChannelError, "shadowing_std_db"),
+    ("channel", "cluster_angle_std_deg", math.nan, ChannelError, "cluster_angle_std"),
+    ("channel", "pathloss_exponent", math.nan, ChannelError, "pathloss_exponent"),
+    ("channel", "pathloss_intercept_db", math.inf, ChannelError, "pathloss_intercept_db"),
+    ("channel", "median_element_gain_db", math.nan, ChannelError, "gain_normalization_db"),
+    ("channel", "direct_kappa", math.nan, ChannelError, "direct_kappa"),
+])
+def test_config_rejects_non_finite_parameters(section, key, value, error, field):
+    # Accepted, such a value would end the sweep on an exception, turn every cell
+    # into NaN or silently drop the shadowing.
+    with pytest.raises(error, match=f"^{field} must be finite"):
+        spec_from_mapping({section: {key: value}})
 
 
 def test_config_solver_keys_come_from_settings():

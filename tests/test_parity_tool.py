@@ -171,3 +171,26 @@ def test_illuminations_writes_every_method_and_illumination(tmp_path, capsys):
         write_results(run_sweep(spec), tmp_path / name)
         assert (tmp_path / name).read_bytes() == (lit / name).read_bytes()
     assert parity.main(["compare", str(lit), str(lit)]) == 0
+
+
+def test_scale_writes_the_rp_40dbm_sweep_at_each_surface_size(tmp_path, capsys):
+    out = tmp_path / "scale"
+    assert parity.main(["scale", str(out), "--m", "8,32", "--trials", "2", "--seeds", "3"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["scale-32-3.csv", "scale-8-3.csv"]
+    lines = capsys.readouterr().out.splitlines()
+    for m, rows, cols in ((8, 4, 2), (32, 8, 4)):
+        name = f"scale-{m}-3.csv"
+        sha = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{sha}  {name}  cpu "))
+        assert "ms/trial" in lines[at + 1] and "peak rss" in lines[at + 1]
+        assert "mean wsr wmmse_bcd" in lines[at + 1] and "OPENBLAS_NUM_THREADS=" in lines[at + 1]
+        spec = spec_from_mapping({
+            "geometry": {"n_elements": m, "grid_rows": rows, "grid_cols": cols},
+            "solver": {"bcd_max_iters": 50},
+            "sweep": {"grid": [40], "trials": 2, "base_seed": 3, "constraint": "rp",
+                      "methods": ["wmmse_bcd", "zf_wf", "random_phases"]},
+        })
+        write_results(run_sweep(spec), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+    with pytest.raises(SystemExit):  # M = 100 is not 2 c^2
+        parity.main(["scale", str(out), "--m", "32,100", "--trials", "2", "--seeds", "3"])

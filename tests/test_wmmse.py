@@ -437,9 +437,9 @@ def test_default_phase_cap_binds_at_the_reference_point():
     assert [row["pga_steps"] for row in frozen.detail] == [0] * len(frozen.detail)
 
 
-def test_stacked_pga_rows_stop_alone():
-    # One batch whose rows stop at different iterations: at the cap, on a flat
-    # accept, with no passing step, and a non-finite row that takes no step.
+def stopping_batch():
+    """Subproblems whose rows stop at different iterations: at the cap, on a flat accept,
+    with no passing step, and a non-finite row that takes no step; with their starts."""
     rng = np.random.default_rng(68)
     m, r = 8, 4
     settings = SolverSettings(pga_max_iters=20)  # at the default cap no row walks the whole ladder
@@ -457,7 +457,11 @@ def test_stacked_pga_rows_stop_alone():
     rows.append((nu, complex_normal(rng, r, m)))
     starts.append(rng.uniform(0.0, 2.0 * np.pi, m))
     subs = [AnalogSubproblem(linear_term=nu, factor=a) for nu, a in rows]
-    starts = [PhaseConfig(start) for start in starts]
+    return subs, [PhaseConfig(start) for start in starts], settings
+
+
+def test_stacked_pga_rows_stop_alone():
+    subs, starts, settings = stopping_batch()
     with np.errstate(invalid="ignore"):
         oracle = assert_stacked_pga_matches_per_instance(subs, starts, settings)
     stops = [stop for _, _, _, stop in oracle]
@@ -465,6 +469,29 @@ def test_stacked_pga_rows_stop_alone():
     assert len({steps for _, steps, _, _ in oracle}) >= 4
     assert oracle[-1][1:] == (0, 1 + len(wmmse._LADDER), "no_step")
     assert np.array_equal(oracle[-1][0].phases, starts[-1].phases)
+
+
+def test_stacked_pga_evaluates_every_row_in_place(monkeypatch):
+    # Rows that pass at different rounds and stop at different iterations stay in the
+    # stack: every evaluation reads the batch's factor A itself, never a gathered or
+    # compacted copy, and evals count only the evaluations of the rows still searching.
+    subs, starts, settings = stopping_batch()
+    sub = stack(subs)
+    with np.errstate(invalid="ignore"):
+        oracle = [per_instance_pga(one, start, settings) for one, start in zip(subs, starts)]
+    factors = []
+
+    def spy(nu, factor, psi):
+        factors.append(factor)
+        return objective_terms_of_block(nu, factor, psi)
+
+    objective_terms_of_block = wmmse._objective_terms
+    monkeypatch.setattr(wmmse, "_objective_terms", spy)
+    with np.errstate(invalid="ignore"):
+        _, steps, evals = _pga(sub, np.stack([start.phases for start in starts]), settings)
+    assert len(factors) > 1 and all(factor is sub.factor for factor in factors)
+    assert steps == [expected[1] for expected in oracle]
+    assert evals == [expected[2] for expected in oracle]
 
 
 def test_accepted_steps_pass_armijo_and_never_descend():

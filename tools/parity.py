@@ -5,6 +5,7 @@ Usage, from the root of a checkout:
     python tools/parity.py write DIR --seeds 300 500-519
     python tools/parity.py reference DIR --seeds 0-3 --trials 32
     python tools/parity.py illuminations DIR --seeds 300-309 --trials 16
+    python tools/parity.py scale DIR --m 128,512,2048,8192 --trials 8 --seeds 300
     python tools/parity.py compare A B
 
 ``write`` builds each workload of ``perfbench/bench.py`` at each seed, runs it
@@ -26,6 +27,13 @@ illumination (full, partial, separate), with ``bcd_max_iters: 30``.  The
 workloads run the full illumination only, so these files are the ones that
 cover the ZF-WF and BCD batches of partial and separate illumination.
 
+``scale`` writes ``scale-<M>-<seed>.csv``: the ``rp_40dbm`` workload (RP at 40
+dBm, BCD cap 50, methods wmmse_bcd, zf_wf and random_phases) cut to
+``--trials``, on a 2c x c surface of M = 2 c^2 elements, for each M of ``--m``
+(any other M is refused).  Each M runs in a fresh child process, which prints
+after each file's sha256 line its wall and CPU ms per trial, the child's own
+peak RSS, the mean WSR per method and the BLAS thread variables.
+
 ``compare`` pairs the files of A and B by name and their columns by header
 name.  Per file it prints the number of rows whose shared columns differ, the
 rows whose ``iterations`` changed, the largest relative WSR change and the
@@ -46,6 +54,8 @@ import csv
 import hashlib
 import math
 import os
+import resource
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -104,31 +114,87 @@ def _illuminations_spec(constraint, seed: int, trials: int):
                    solver=replace(spec.solver, bcd_max_iters=30))
 
 
-SWEEPS = {"reference": _reference_spec, "illuminations": _illuminations_spec}
+def _scale_spec(m: int, seed: int, trials: int):
+    """The rp_40dbm workload cut to ``trials``, on a 2c x c surface of M = 2 c^2 elements."""
+    import bench
+    from itsbeam import spec_from_mapping
+
+    c = math.isqrt(m // 2)
+    geometry = {"n_elements": m, "grid_rows": 2 * c, "grid_cols": c}
+    return spec_from_mapping(dict(bench.mapping("rp_40dbm", seed, trials=trials),
+                                  geometry=geometry))
 
 
-def sweeps(name: str, directory: str, seeds, trials: int) -> None:
-    """Write ``<name>-<constraint>-<seed>.csv``, the spec of ``SWEEPS[name]``, for rp and
-    tp at every seed into ``directory``, printing each file's sha256 and CPU seconds."""
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+SWEEPS = {"reference": _reference_spec, "illuminations": _illuminations_spec, "scale": _scale_spec}
+
+
+def sweeps(name: str, directory: str, seeds, trials: int, variants=None) -> list:
+    """Write ``<name>-<label>-<seed>.csv``, the spec of ``SWEEPS[name]`` at each variant of
+    ``variants`` ({label: variant}; rp and tp by default) and every seed, into ``directory``;
+    print each file's sha256 and CPU seconds, and return its path, wall and CPU seconds."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     from itsbeam import ConstraintKind
     from itsbeam.harness import run_sweep, write_results
 
     os.makedirs(directory, exist_ok=True)
-    for constraint in ConstraintKind:  # rp, then tp
+    written = []
+    for label, variant in (variants or {c.value: c for c in ConstraintKind}).items():
         for seed in seeds:
-            spec = SWEEPS[name](constraint, seed, trials)
-            records, cpu = [], {}
+            spec = SWEEPS[name](variant, seed, trials)
+            records, cpu, wall = [], {}, time.perf_counter()
             for value in spec.grid:
                 start = time.process_time()
                 records += run_sweep(replace(spec, grid=(value,)), workers=1)
                 cpu[value] = time.process_time() - start
-            file_name = f"{name}-{constraint.value}-{seed}.csv"
+            wall = time.perf_counter() - wall
+            file_name = f"{name}-{label}-{seed}.csv"
             path = os.path.join(directory, file_name)
             write_results(records, path)
             per_value = ", ".join(f"{value:g}: {seconds:.2f}" for value, seconds in cpu.items())
-            print(f"{_sha256(path)}  {file_name}  cpu {math.fsum(cpu.values()):.2f} s "
-                  f"({per_value})", flush=True)
+            total = math.fsum(cpu.values())
+            print(f"{_sha256(path)}  {file_name}  cpu {total:.2f} s ({per_value})", flush=True)
+            written.append((path, wall, total))
+    return written
+
+
+def parse_sizes(text: str) -> list:
+    """Surface sizes from "128,512"; each must be M = 2 c^2, a 2c x c grid."""
+    sizes = [int(part) for part in text.split(",")]
+    bad = [m for m in sizes if m < 2 or 2 * math.isqrt(m // 2) ** 2 != m]
+    if bad:
+        raise argparse.ArgumentTypeError(f"M must be 2 c^2 for a whole c, not {bad}")
+    return sizes
+
+
+def scale_size(directory: str, m: str, trials: str, *seeds: str) -> None:
+    """``scale`` at one M, in this process: each file's sha256 line, then its wall and CPU ms
+    per trial, this process's peak RSS, the mean WSR per method and the BLAS thread variables."""
+    trials = int(trials)
+    files = sweeps("scale", directory, [int(seed) for seed in seeds], trials, {m: int(m)})
+    import bench
+
+    blas = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in bench.BLAS_ENV)
+    for path, wall, cpu in files:
+        methods = {}
+        for row in _read(path)[0]:
+            methods.setdefault(row["method"], []).append(row)
+        wsr = ", ".join(f"{method} {_mean(rows):.4f}" for method, rows in methods.items())
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+        print(f"  wall {1e3 * wall / trials:.1f} ms/trial, cpu {1e3 * cpu / trials:.1f} ms/trial, "
+              f"peak rss {peak:.1f} MB; mean wsr {wsr}; {blas}", flush=True)
+
+
+def scale(directory: str, sizes, seeds, trials: int) -> None:
+    """Run ``scale_size`` at each M in a fresh child process and print what it prints."""
+    child = ("import sys; sys.path.insert(0, sys.argv[1]); import parity; "
+             "parity.scale_size(*sys.argv[2:])")
+    for m in sizes:
+        out = subprocess.run(
+            [sys.executable, "-c", child, os.path.dirname(os.path.abspath(__file__)), directory,
+             str(m), str(trials), *map(str, seeds)],
+            stdout=subprocess.PIPE, text=True, check=True,
+        ).stdout
+        print(out, end="", flush=True)
 
 
 def _read(path: str):
@@ -249,7 +315,10 @@ def main(argv=None) -> int:
                          "power sweep cut to --trials, for rp and tp at every seed")
     lit = sub.add_parser("illuminations", help="write illuminations-<constraint>-<seed>.csv, "
                          "every method and illumination at 20 and 40 dBm, for rp and tp")
-    for sweep in (ref, lit):
+    sizes = sub.add_parser("scale", help="write scale-<M>-<seed>.csv, rp_40dbm on a 2c x c "
+                           "surface, each M in a fresh process")
+    sizes.add_argument("--m", type=parse_sizes, required=True, help="sizes M = 2 c^2, e.g. 128,512")
+    for sweep in (ref, lit, sizes):
         sweep.add_argument("directory")
         sweep.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 0-3")
         sweep.add_argument("--trials", type=int, required=True)
@@ -259,6 +328,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "write":
         write(args.directory, parse_seeds(args.seeds))
+        return 0
+    if args.command == "scale":
+        scale(args.directory, args.m, parse_seeds(args.seeds), args.trials)
         return 0
     if args.command in SWEEPS:
         sweeps(args.command, args.directory, parse_seeds(args.seeds), args.trials)

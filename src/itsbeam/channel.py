@@ -27,6 +27,8 @@ element gain toward every arrival.  The gain pattern sits outside the
 calibration: the propagation medium is calibrated, the pattern is hardware.
 ``direct_kappa`` selects the baseline's pattern exponent; the default (None)
 keeps the layout's feed horns, which pay a heavy penalty toward off-axis users.
+Both draw each user in one order: the shadowing normal (if its spread is not 0),
+the cluster count L, then one block of 4L normals.
 """
 
 from __future__ import annotations
@@ -87,10 +89,11 @@ class ChannelParams:
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):  # None: an optional field
                 raise ChannelError(f"{name} must be finite, got {value!r}")
+        kappa = self.direct_kappa
+        if kappa is not None and not (kappa >= 0 and math.isfinite(2.0 * (1.0 + kappa))):
+            raise ChannelError(f"direct_kappa must be finite in 2 (1 + kappa) and >= 0, got {kappa!r}")
         if self.shadowing_std_db < 0 or self.cluster_angle_std < 0:
             raise ChannelError("spread parameters must be nonnegative")
-        if self.direct_kappa is not None and self.direct_kappa < 0:
-            raise ChannelError("direct_kappa must be nonnegative")
         object.__setattr__(self, "n_clusters_range", (int(lo), int(hi)))
 
 
@@ -132,13 +135,14 @@ def sample_user_drop(params: ChannelParams, n_users: int, rng: np.random.Generat
 
 
 def aperture_response(layout: ArrayLayout, direction) -> np.ndarray:
-    """Surface response exp(j 2 pi / lambda * <p_m, direction>), shape (M,).
+    """Surface response exp(j 2 pi / lambda * <p_m, direction>), (M,) or stacked (..., M).
 
-    ``direction`` is a unit vector pointing from the surface toward the source;
-    broadside (0, 0, 1) gives the all-ones vector because the grid lies in z = 0.
+    ``direction`` is a unit vector of shape (3,), or a stack of them of shape (..., 3),
+    pointing from the surface toward the source; broadside (0, 0, 1) gives the all-ones
+    vector because the grid lies in z = 0.  Each direction gets its own product.
     """
     d = np.asarray(direction, dtype=float)
-    phase = (2.0 * np.pi / layout.wavelength) * (layout.element_positions @ d)
+    phase = (2.0 * np.pi / layout.wavelength) * np.matvec(layout.element_positions, d)
     return np.exp(1j * phase)
 
 
@@ -189,8 +193,7 @@ def cluster_channel_row(
     elevations: np.ndarray,
 ) -> np.ndarray:
     """Compose one channel row sqrt(beta) * sum_l g_l * a(omega_l) from given clusters."""
-    directions = direction_from_angles(azimuths, elevations)  # (L, 3)
-    steering = np.stack([aperture_response(layout, d) for d in directions])  # (L, M)
+    steering = aperture_response(layout, direction_from_angles(azimuths, elevations))  # (L, M)
     return math.sqrt(beta) * (np.asarray(gains, dtype=complex) @ steering)
 
 
@@ -203,24 +206,22 @@ def _check_far_field(layout_diagonal: float, drop: UserDrop) -> None:
         )
 
 
-def _sample_clusters(params: ChannelParams, azimuth, elevation, rng):
-    """Cluster count, complex gains and perturbed angles for one user."""
-    lo, hi = params.n_clusters_range
-    n_clusters = int(rng.integers(lo, hi + 1))
-    # E[sum |g_l|^2] = 1: each gain is CN(0, 1/L).
-    gains = (rng.standard_normal(n_clusters) + 1j * rng.standard_normal(n_clusters)) * math.sqrt(
-        0.5 / n_clusters
-    )
-    az = azimuth + params.cluster_angle_std * rng.standard_normal(n_clusters)
-    el = elevation + params.cluster_angle_std * rng.standard_normal(n_clusters)
-    az[0], el[0] = azimuth, elevation  # cluster 1 is the true direction
-    return gains, az, el
-
-
-def _sample_beta(params: ChannelParams, distance: float, rng) -> float:
+def _draw_user(params: ChannelParams, drop: UserDrop, k: int, rng):
+    """User k's (beta, gains, azimuths, elevations), drawn as the shadowing normal, the cluster
+    count L, then 4L normals: gains' real and imaginary parts, azimuth and elevation offsets."""
     shadow = params.shadowing_std_db * rng.standard_normal() if params.shadowing_std_db > 0 else 0.0
-    pl_db = float(pathloss_db(params, distance, shadow))
-    return 10.0 ** (-pl_db / 10.0)
+    pl_db = float(pathloss_db(params, float(drop.distances[k]), shadow))
+    try:
+        beta = 10.0 ** (-pl_db / 10.0)
+    except OverflowError:
+        raise ChannelError(f"path loss {pl_db:.4g} dB overflows the channel gain") from None
+    n_clusters = int(rng.integers(*params.n_clusters_range, endpoint=True))
+    re, im, d_az, d_el = rng.standard_normal(4 * n_clusters).reshape(4, n_clusters)
+    gains = (re + 1j * im) * math.sqrt(0.5 / n_clusters)  # E[sum |g_l|^2] = 1: CN(0, 1/L) each
+    az = drop.azimuths[k] + params.cluster_angle_std * d_az
+    el = drop.elevations[k] + params.cluster_angle_std * d_el
+    az[0], el[0] = drop.azimuths[k], drop.elevations[k]  # cluster 1 is the true direction
+    return beta, gains, az, el
 
 
 def sample_channel(
@@ -231,12 +232,9 @@ def sample_channel(
 ) -> np.ndarray:
     """Draw the (K, M) surface-to-user channel matrix for one drop."""
     _check_far_field(layout.aperture_diagonal(), drop)
-    rows = []
-    for k in range(drop.n_users):
-        beta = _sample_beta(params, float(drop.distances[k]), rng)
-        gains, az, el = _sample_clusters(params, drop.azimuths[k], drop.elevations[k], rng)
-        rows.append(cluster_channel_row(layout, beta, gains, az, el))
-    return calibrate_rows(np.stack(rows), params)
+    rows = [cluster_channel_row(layout, *_draw_user(params, drop, k, rng))
+            for k in range(drop.n_users)]
+    return calibrate_rows(np.array(rows), params)
 
 
 def sample_direct_channel(
@@ -256,16 +254,15 @@ def sample_direct_channel(
     kappa = layout.kappa if params.direct_kappa is None else params.direct_kappa
     bare_rows, rows = [], []
     for k in range(drop.n_users):
-        beta = _sample_beta(params, float(drop.distances[k]), rng)
-        gains, az, el = _sample_clusters(params, drop.azimuths[k], drop.elevations[k], rng)
+        beta, gains, az, el = _draw_user(params, drop, k, rng)
         directions = direction_from_angles(az, el)
         phases = np.exp(
             1j * (2.0 * np.pi / layout.wavelength) * (directions @ layout.active_positions.T)
         )  # (L, N)
         cos_theta = np.clip(directions @ layout.active_boresights.T, -1.0, 1.0)
         pattern = np.sqrt(antenna_gain(np.arccos(cos_theta), kappa))
-        g = math.sqrt(beta) * np.asarray(gains, dtype=complex)
+        g = math.sqrt(beta) * gains
         bare_rows.append(g @ phases)
         rows.append(g @ (pattern * phases))
-    return calibrate_rows(np.stack(rows), params, reference=np.stack(bare_rows))
+    return calibrate_rows(np.array(rows), params, reference=np.array(bare_rows))
 

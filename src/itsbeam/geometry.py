@@ -96,14 +96,14 @@ class GeometryConfig:
         for name in ("wavelength", "active_radius", "separation", "kappa"):
             if not math.isfinite(getattr(self, name)):
                 raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not (self.kappa >= 0 and math.isfinite(2.0 * (1.0 + self.kappa))):
+            raise GeometryError(f"kappa must be finite in 2 (1 + kappa) and >= 0, got {self.kappa!r}")
         if not self.wavelength > 0:
             raise GeometryError("wavelength must be positive")
         if not self.separation > 0:
             raise GeometryError("separation must be positive")
         if self.active_radius < 0:
             raise GeometryError("active_radius must be nonnegative")
-        if self.kappa < 0:
-            raise GeometryError("kappa must be nonnegative")
         if not 0 < self.surface_efficiency <= 1:
             raise GeometryError("surface_efficiency must lie in (0, 1]")
         object.__setattr__(self, "grid_shape", (int(rows), int(cols)))

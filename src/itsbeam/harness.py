@@ -534,6 +534,13 @@ def _range_records(spec: ExperimentSpec, sweep_value: float, first: int, stop: i
     ]
 
 
+def _ranges(spec: ExperimentSpec, workers: int) -> list:
+    """``run_sweep``'s work units: (spec, grid value, first trial, stop) for each range."""
+    parts = max(1, min(workers, spec.trials // QUEUE_WIDTH))
+    return [(spec, value, spec.trials * part // parts, spec.trials * (part + 1) // parts)
+            for value in spec.grid for part in range(parts)]
+
+
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     """Run the full cross product grid x trials x methods x illuminations.
 
@@ -543,12 +550,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     batch: a worker runs whole ranges, and a sweep of one range runs in this process
     and never imports the process pool.
     """
-    parts = max(1, min(workers, spec.trials // QUEUE_WIDTH))
-    ranges = [
-        (spec, value, spec.trials * part // parts, spec.trials * (part + 1) // parts)
-        for value in spec.grid
-        for part in range(parts)
-    ]
+    ranges = _ranges(spec, workers)
     if workers <= 1 or len(ranges) == 1:
         records = [_range_records(*task) for task in ranges]
     else:

@@ -13,6 +13,7 @@ from itsbeam import (
     antenna_gain,
     aperture_response,
     build_layout,
+    direction_from_angles,
     sample_channel,
     sample_direct_channel,
     sample_user_drop,
@@ -274,6 +275,73 @@ def test_direct_isotropic_column_norms_follow_pathloss():
     )
     expected = 10.0 ** ((pathloss_db(params, 80.0) - pathloss_db(params, 40.0)) / 10.0)
     assert abs((e_near / e_far) / expected - 1.0) < 0.03
+
+
+def _per_cluster_user(params, distance, azimuth, elevation, rng):
+    """One user's draw as separate generator calls: beta, then the cluster count and
+    four normal vectors of length L."""
+    shadow = params.shadowing_std_db * rng.standard_normal() if params.shadowing_std_db > 0 else 0.0
+    beta = 10.0 ** (-float(pathloss_db(params, distance, shadow)) / 10.0)
+    lo, hi = params.n_clusters_range
+    n = int(rng.integers(lo, hi + 1))
+    gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(0.5 / n)
+    az = azimuth + params.cluster_angle_std * rng.standard_normal(n)
+    el = elevation + params.cluster_angle_std * rng.standard_normal(n)
+    az[0], el[0] = azimuth, elevation
+    return beta, gains, az, el
+
+
+def _per_cluster_channels(layout, drop, params, rng):
+    """The surface and direct channels with one steering product per cluster, stacked."""
+    surface = []
+    for k in range(drop.n_users):
+        beta, gains, az, el = _per_cluster_user(
+            params, float(drop.distances[k]), drop.azimuths[k], drop.elevations[k], rng)
+        steering = np.stack([
+            np.exp(1j * ((2.0 * np.pi / layout.wavelength) * (layout.element_positions @ d)))
+            for d in direction_from_angles(az, el)
+        ])
+        surface.append(math.sqrt(beta) * (np.asarray(gains, dtype=complex) @ steering))
+    surface, state = calibrate_rows(np.stack(surface), params), rng.bit_generator.state
+    bare, direct = [], []
+    for k in range(drop.n_users):
+        beta, gains, az, el = _per_cluster_user(
+            params, float(drop.distances[k]), drop.azimuths[k], drop.elevations[k], rng)
+        directions = direction_from_angles(az, el)
+        phases = np.exp(
+            1j * (2.0 * np.pi / layout.wavelength) * (directions @ layout.active_positions.T)
+        )
+        cos_theta = np.clip(directions @ layout.active_boresights.T, -1.0, 1.0)
+        pattern = np.sqrt(antenna_gain(np.arccos(cos_theta), layout.kappa))
+        g = math.sqrt(beta) * np.asarray(gains, dtype=complex)
+        bare.append(g @ phases)
+        direct.append(g @ (pattern * phases))
+    direct = calibrate_rows(np.stack(direct), params, reference=np.stack(bare))
+    return surface, state, direct, rng.bit_generator.state
+
+
+def test_draws_equal_the_per_cluster_draw_bit_for_bit():
+    # One normal block per user and one steering product per user give the bits, and
+    # leave the generator in the state, of four normal calls and one product per cluster.
+    layout = layout_for(wavelength=WAVELENGTH, active_radius=3 * WAVELENGTH)
+    directions = direction_from_angles(np.array([0.3, -0.7, 0.0]), np.array([0.1, 0.0, -0.4]))
+    stacked = aperture_response(layout, directions)
+    assert stacked.shape == (3, layout.n_elements)
+    assert np.array_equal(stacked, np.stack([aperture_response(layout, d) for d in directions]))
+    assert aperture_response(layout, directions[0]).shape == (layout.n_elements,)
+    configs = [
+        ChannelParams(n_clusters_range=(1, 6), shadowing_std_db=shadowing, gain_normalization_db=gain)
+        for shadowing in (8.7, 0.0) for gain in (-70.0, None)
+    ]
+    for index in range(512):
+        params = configs[index % len(configs)]
+        drop = sample_user_drop(params, 4, np.random.default_rng(index))
+        rng, ref = np.random.default_rng(1000 + index), np.random.default_rng(1000 + index)
+        surface, state, direct, end = _per_cluster_channels(layout, drop, params, ref)
+        assert np.array_equal(sample_channel(layout, drop, params, rng), surface)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(sample_direct_channel(layout, drop, params, rng), direct)
+        assert rng.bit_generator.state == end
 
 
 def test_params_validation():

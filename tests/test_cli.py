@@ -143,6 +143,12 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: user_distance_range must be finite")
     assert not out.exists()
+    # A kappa whose peak gain 2 (1 + kappa) overflows.
+    bad.write_text(TINY_CONFIG.replace("geometry:\n", "geometry:\n  kappa: 1.0e308\n"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: kappa must be finite")
+    assert not out.exists()
 
 
 def test_sweep_rejects_negative_seed(tmp_path, config_path):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -586,6 +587,22 @@ def test_overflowing_water_level_gives_nan_records():
     assert all(math.isnan(r.wsr) and r.iterations == 0 for r in records)
 
 
+@pytest.mark.parametrize("key, value", [("pathloss_intercept_db", -1.0e4),
+                                        ("shadowing_std_db", 1.0e300)])
+def test_overflowing_channel_gain_gives_nan_records(key, value):
+    # A path loss of -1e4 dB, or a shadowing draw of that order, overflows the gain
+    # 10 ** (-PL / 10): the draw raises ChannelError and the trial writes NaN records.
+    spec = spec_from_mapping({
+        "channel": {key: value},
+        "sweep": {"grid": [30.0], "trials": 1, "methods": ["zf_wf", "random_phases", "no_its"]},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_sweep(spec)
+    assert [r.method for r in records] == ["zf_wf", "random_phases", "no_its"]
+    assert all(math.isnan(r.wsr) and r.iterations == 0 for r in records)
+
+
 @pytest.mark.parametrize(
     "error",
     [np.linalg.LinAlgError("singular matrix"), DimensionMismatchError("constraint violated")],
@@ -839,6 +856,7 @@ def test_config_rejects_malformed_values():
 @pytest.mark.parametrize("section, key, value, error, field", [
     ("geometry", "kappa", math.nan, GeometryError, "kappa"),
     ("geometry", "kappa", math.inf, GeometryError, "kappa"),
+    ("geometry", "kappa", 1.0e308, GeometryError, "kappa"),  # 2 (1 + kappa) overflows
     ("geometry", "active_radius_wavelengths", math.nan, GeometryError, "active_radius"),
     ("geometry", "separation_m", math.inf, GeometryError, "separation"),
     ("channel", "distance_max_m", math.inf, ChannelError, "user_distance_range"),
@@ -848,10 +866,12 @@ def test_config_rejects_malformed_values():
     ("channel", "pathloss_intercept_db", math.inf, ChannelError, "pathloss_intercept_db"),
     ("channel", "median_element_gain_db", math.nan, ChannelError, "gain_normalization_db"),
     ("channel", "direct_kappa", math.nan, ChannelError, "direct_kappa"),
+    ("channel", "direct_kappa", 1.0e308, ChannelError, "direct_kappa"),
 ])
 def test_config_rejects_non_finite_parameters(section, key, value, error, field):
     # Accepted, such a value would end the sweep on an exception, turn every cell
-    # into NaN or silently drop the shadowing.
+    # into NaN (a kappa of 1e308 with a warning: inf * 0 in the antenna gain) or
+    # silently drop the shadowing.
     with pytest.raises(error, match=f"^{field} must be finite"):
         spec_from_mapping({section: {key: value}})
 

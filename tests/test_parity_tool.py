@@ -194,3 +194,22 @@ def test_scale_writes_the_rp_40dbm_sweep_at_each_surface_size(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
     with pytest.raises(SystemExit):  # M = 100 is not 2 c^2
         parity.main(["scale", str(out), "--m", "32,100", "--trials", "2", "--seeds", "3"])
+
+
+def test_scale_runs_each_worker_count_in_its_own_child(tmp_path, capsys):
+    # 64 trials make two ranges of a queue's width, so two workers start a pool.
+    out = tmp_path / "scale"
+    assert parity.main(["scale", str(out), "--m", "8", "--trials", "64", "--seeds", "3",
+                        "--workers", "1,2"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["scale-8-3.csv", "scale-8-w2-3.csv"]
+    assert (out / "scale-8-3.csv").read_bytes() == (out / "scale-8-w2-3.csv").read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    sha = hashlib.sha256((out / "scale-8-w2-3.csv").read_bytes()).hexdigest()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{sha}  scale-8-w2-3.csv  cpu "))
+    assert "; 2 workers, 2 ranges, largest worker's peak rss " in lines[at + 1]
+    assert not any("workers" in line for line in lines[:at])  # the 1-worker lines as before
+    assert lines[-1].startswith("M 8: wall at 1 worker / 2 workers ")
+    assert lines[-1].endswith(", sha256 same")
+    with pytest.raises(SystemExit):
+        parity.main(["scale", str(out), "--m", "8", "--trials", "2", "--seeds", "3",
+                     "--workers", "0"])

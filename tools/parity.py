@@ -6,6 +6,7 @@ Usage, from the root of a checkout:
     python tools/parity.py reference DIR --seeds 0-3 --trials 32
     python tools/parity.py illuminations DIR --seeds 300-309 --trials 16
     python tools/parity.py scale DIR --m 128,512,2048,8192 --trials 8 --seeds 300
+    python tools/parity.py scale DIR --m 128,2048 --trials 64 --seeds 300 --workers 1,2
     python tools/parity.py compare A B
 
 ``write`` builds each workload of ``perfbench/bench.py`` at each seed, runs it
@@ -32,7 +33,13 @@ dBm, BCD cap 50, methods wmmse_bcd, zf_wf and random_phases) cut to
 ``--trials``, on a 2c x c surface of M = 2 c^2 elements, for each M of ``--m``
 (any other M is refused).  Each M runs in a fresh child process, which prints
 after each file's sha256 line its wall and CPU ms per trial, the child's own
-peak RSS, the mean WSR per method and the BLAS thread variables.
+peak RSS, the mean WSR per method and the BLAS thread variables.  With
+``--workers 1,2`` each M runs once per worker count, each in its own child,
+through ``run_sweep(spec, workers=N)``; a run at N > 1 workers writes
+``scale-<M>-w<N>-<seed>.csv``, counts its pool's CPU in the CPU figure and adds
+the number of trial ranges and the largest worker's peak RSS to its line.  After
+the children of an M, one line gives the wall-time ratio of 1 worker over N
+workers and whether the files' sha256s agree.
 
 ``compare`` pairs the files of A and B by name and their columns by header
 name.  Per file it prints the number of rows whose shared columns differ, the
@@ -128,10 +135,17 @@ def _scale_spec(m: int, seed: int, trials: int):
 SWEEPS = {"reference": _reference_spec, "illuminations": _illuminations_spec, "scale": _scale_spec}
 
 
-def sweeps(name: str, directory: str, seeds, trials: int, variants=None) -> list:
+def _cpu() -> float:
+    """CPU seconds of this process and of its children that have ended (a pool's workers)."""
+    times = os.times()
+    return time.process_time() + times.children_user + times.children_system
+
+
+def sweeps(name: str, directory: str, seeds, trials: int, variants=None, workers: int = 1) -> list:
     """Write ``<name>-<label>-<seed>.csv``, the spec of ``SWEEPS[name]`` at each variant of
-    ``variants`` ({label: variant}; rp and tp by default) and every seed, into ``directory``;
-    print each file's sha256 and CPU seconds, and return its path, wall and CPU seconds."""
+    ``variants`` ({label: variant}; rp and tp by default) and every seed, into ``directory``,
+    through ``run_sweep(spec, workers)``; print each file's sha256 and CPU seconds, and
+    return its path, wall and CPU seconds."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     from itsbeam import ConstraintKind
     from itsbeam.harness import run_sweep, write_results
@@ -143,9 +157,9 @@ def sweeps(name: str, directory: str, seeds, trials: int, variants=None) -> list
             spec = SWEEPS[name](variant, seed, trials)
             records, cpu, wall = [], {}, time.perf_counter()
             for value in spec.grid:
-                start = time.process_time()
-                records += run_sweep(replace(spec, grid=(value,)), workers=1)
-                cpu[value] = time.process_time() - start
+                start = _cpu()
+                records += run_sweep(replace(spec, grid=(value,)), workers=workers)
+                cpu[value] = _cpu() - start
             wall = time.perf_counter() - wall
             file_name = f"{name}-{label}-{seed}.csv"
             path = os.path.join(directory, file_name)
@@ -166,11 +180,22 @@ def parse_sizes(text: str) -> list:
     return sizes
 
 
-def scale_size(directory: str, m: str, trials: str, *seeds: str) -> None:
-    """``scale`` at one M, in this process: each file's sha256 line, then its wall and CPU ms
-    per trial, this process's peak RSS, the mean WSR per method and the BLAS thread variables."""
-    trials = int(trials)
-    files = sweeps("scale", directory, [int(seed) for seed in seeds], trials, {m: int(m)})
+def parse_workers(text: str) -> list:
+    """Worker counts from "1,2"; each at least 1."""
+    counts = [int(part) for part in text.split(",")]
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"worker counts must be at least 1, not {counts}")
+    return counts
+
+
+def scale_size(directory: str, m: str, trials: str, workers: str, *seeds: str) -> None:
+    """``scale`` at one M and worker count, in this process: each file's sha256 line, then its
+    wall and CPU ms per trial, this process's peak RSS, the mean WSR per method and the BLAS
+    thread variables; at more than one worker, the trial ranges and the largest worker's RSS."""
+    trials, workers = int(trials), int(workers)
+    label = m if workers == 1 else f"{m}-w{workers}"
+    files = sweeps("scale", directory, [int(seed) for seed in seeds], trials, {label: int(m)},
+                   workers)
     import bench
 
     blas = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in bench.BLAS_ENV)
@@ -180,21 +205,40 @@ def scale_size(directory: str, m: str, trials: str, *seeds: str) -> None:
             methods.setdefault(row["method"], []).append(row)
         wsr = ", ".join(f"{method} {_mean(rows):.4f}" for method, rows in methods.items())
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+        pool = ""
+        if workers > 1:  # an older checkout's harness lacks _ranges
+            from itsbeam.harness import _ranges
+
+            ranges = len(_ranges(_scale_spec(int(m), 0, trials), workers))
+            largest = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+            pool = f"; {workers} workers, {ranges} ranges, largest worker's peak rss {largest:.1f} MB"
         print(f"  wall {1e3 * wall / trials:.1f} ms/trial, cpu {1e3 * cpu / trials:.1f} ms/trial, "
-              f"peak rss {peak:.1f} MB; mean wsr {wsr}; {blas}", flush=True)
+              f"peak rss {peak:.1f} MB; mean wsr {wsr}; {blas}{pool}", flush=True)
 
 
-def scale(directory: str, sizes, seeds, trials: int) -> None:
-    """Run ``scale_size`` at each M in a fresh child process and print what it prints."""
+def scale(directory: str, sizes, seeds, trials: int, workers=(1,)) -> None:
+    """Run ``scale_size`` at each M and worker count in a fresh child process and print what
+    it prints; then, per M and worker count N > 1, the wall-time ratio of 1 worker over N and
+    whether the files at N workers have the sha256s of those at 1 worker."""
     child = ("import sys; sys.path.insert(0, sys.argv[1]); import parity; "
              "parity.scale_size(*sys.argv[2:])")
     for m in sizes:
-        out = subprocess.run(
-            [sys.executable, "-c", child, os.path.dirname(os.path.abspath(__file__)), directory,
-             str(m), str(trials), *map(str, seeds)],
-            stdout=subprocess.PIPE, text=True, check=True,
-        ).stdout
-        print(out, end="", flush=True)
+        wall = {}
+        for count in workers:
+            out = subprocess.run(
+                [sys.executable, "-c", child, os.path.dirname(os.path.abspath(__file__)),
+                 directory, str(m), str(trials), str(count), *map(str, seeds)],
+                stdout=subprocess.PIPE, text=True, check=True,
+            ).stdout
+            print(out, end="", flush=True)
+            wall[count] = math.fsum(float(line.split()[1]) for line in out.splitlines()
+                                    if line.startswith("  wall "))
+        for count in (c for c in workers if c > 1 and 1 in wall):
+            agree = all(_sha256(os.path.join(directory, f"scale-{m}-{seed}.csv"))
+                        == _sha256(os.path.join(directory, f"scale-{m}-w{count}-{seed}.csv"))
+                        for seed in seeds)
+            print(f"M {m}: wall at 1 worker / {count} workers {wall[1] / wall[count]:.2f}, "
+                  f"sha256 {'same' if agree else 'DIFFERENT'}", flush=True)
 
 
 def _read(path: str):
@@ -318,6 +362,8 @@ def main(argv=None) -> int:
     sizes = sub.add_parser("scale", help="write scale-<M>-<seed>.csv, rp_40dbm on a 2c x c "
                            "surface, each M in a fresh process")
     sizes.add_argument("--m", type=parse_sizes, required=True, help="sizes M = 2 c^2, e.g. 128,512")
+    sizes.add_argument("--workers", type=parse_workers, default=[1],
+                       help="worker counts of run_sweep, each M in a child per count, e.g. 1,2")
     for sweep in (ref, lit, sizes):
         sweep.add_argument("directory")
         sweep.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges, e.g. 0-3")
@@ -330,7 +376,7 @@ def main(argv=None) -> int:
         write(args.directory, parse_seeds(args.seeds))
         return 0
     if args.command == "scale":
-        scale(args.directory, args.m, parse_seeds(args.seeds), args.trials)
+        scale(args.directory, args.m, parse_seeds(args.seeds), args.trials, args.workers)
         return 0
     if args.command in SWEEPS:
         sweeps(args.command, args.directory, parse_seeds(args.seeds), args.trials)

@@ -6,8 +6,11 @@ the spec of an empty file (:func:`default_experiment_spec`).  An omitted or
 null key takes its default; only ``median_element_gain_db: null`` means
 something else (no calibration).  Unknown keys are rejected so typos fail
 loudly, and a value must fit its default's type: no boolean for a number, no
-fraction for an integer.  Decibel and degree units appear only here; everything
-is converted to linear/radian/metre units when the spec is built.
+fraction for an integer.  Each section is converted in one pass over its keys
+in table order, so every given key is checked, even one that another key
+overrides, and the first bad key is the one reported.  Decibel and degree
+units appear only here; everything is converted to linear/radian/metre units
+when the spec is built.
 
 Schema (values shown are the defaults)::
 
@@ -159,37 +162,41 @@ def _check_keys(mapping: dict) -> None:
             raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
 
 
-def _get(mapping: dict, section: str, key: str, convert=None):
-    """``section.key`` (or its default) converted; ConfigError naming the key if it fails."""
-    default = _DEFAULTS[section][key]
-    value = (mapping.get(section) or {}).get(key, default)
-    if value is None and key != "median_element_gain_db":
-        value = default
-    if convert is None:
-        convert = _CONVERTERS.get(type(default), type(default))
-    try:
-        return None if value is None else convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value {value!r} for {section}.{key}: {exc}") from None
-
-
-def _tuple_of(convert):
-    """Converter of a list; a bare string is rejected, not split into characters."""
+def _tuple_of(convert, nonempty: bool = False):
+    """Converter of a list, which must name at least one item if ``nonempty``; a bare string
+    is rejected, not split into characters."""
     def converted(values):
         if isinstance(values, str):
             raise TypeError("expected a list")
-        return tuple(convert(v) for v in values)
-    return converted
-
-
-def _nonempty(convert):
-    """Converter of a list that must name at least one item."""
-    def converted(values):
-        items = convert(values)
-        if not items:
+        items = tuple(convert(v) for v in values)
+        if nonempty and not items:
             raise ValueError("expected at least one item")
         return items
     return converted
+
+
+# The list keys, whose converters no default's type gives.
+_LISTS = {
+    "weights": _tuple_of(_real),
+    "grid": _tuple_of(_real),
+    "methods": _tuple_of(Method, nonempty=True),
+    "illuminations": _tuple_of(IlluminationMode, nonempty=True),
+}
+
+
+def _section(mapping: dict, section: str) -> dict:
+    """Every key of ``section``, given or defaulted, converted in ``_DEFAULTS`` order."""
+    given, values = mapping.get(section) or {}, {}
+    for key, default in _DEFAULTS[section].items():
+        value = given.get(key, default)
+        if value is None and key != "median_element_gain_db":
+            value = default
+        convert = _LISTS.get(key) or _CONVERTERS.get(type(default), type(default))
+        try:
+            values[key] = None if value is None else convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid value {value!r} for {section}.{key}: {exc}") from None
+    return values
 
 
 def spec_from_mapping(mapping: dict) -> ExperimentSpec:
@@ -200,69 +207,43 @@ def spec_from_mapping(mapping: dict) -> ExperimentSpec:
         raise ConfigError("configuration root must be a mapping")
     _check_keys(mapping)
 
-    kind = _get(mapping, "sweep", "kind")
-    carrier = _get(mapping, "system", "carrier_frequency_hz")
+    system = _section(mapping, "system")
+    carrier = system["carrier_frequency_hz"]
     if not 0.0 < carrier < math.inf:  # NaN fails
         raise ConfigError(f"system.carrier_frequency_hz must be finite and positive: {carrier!r}")
     wavelength = SPEED_OF_LIGHT / carrier
-    n_active = _get(mapping, "geometry", "n_active")
-    n_elements = _get(mapping, "geometry", "n_elements")
-    r0 = characteristic_distance(n_elements, n_active, wavelength)
-    separation = _get(mapping, "geometry", "separation_m")
-    if separation is None:
-        separation = _get(mapping, "geometry", "separation_r0") * r0
+    geo = _section(mapping, "geometry")
+    r0 = characteristic_distance(geo["n_elements"], geo["n_active"], wavelength)
+    separation = geo["separation_r0"] * r0 if geo["separation_m"] is None else geo["separation_m"]
     geometry = GeometryConfig(
-        n_active=n_active,
-        n_elements=n_elements,
-        wavelength=wavelength,
-        active_radius=_get(mapping, "geometry", "active_radius_wavelengths") * wavelength,
-        separation=separation,
-        kappa=_get(mapping, "geometry", "kappa"),
-        surface_efficiency=10.0 ** (-_get(mapping, "geometry", "surface_loss_db") / 10.0),
-        grid_shape=(_get(mapping, "geometry", "grid_rows"), _get(mapping, "geometry", "grid_cols")),
+        n_active=geo["n_active"], n_elements=geo["n_elements"], wavelength=wavelength,
+        active_radius=geo["active_radius_wavelengths"] * wavelength, separation=separation,
+        kappa=geo["kappa"], surface_efficiency=10.0 ** (-geo["surface_loss_db"] / 10.0),
+        grid_shape=(geo["grid_rows"], geo["grid_cols"]),
     )
-
+    ch = _section(mapping, "channel")
     channel = ChannelParams(
-        n_clusters_range=(
-            _get(mapping, "channel", "n_clusters_min"),
-            _get(mapping, "channel", "n_clusters_max"),
-        ),
-        pathloss_intercept_db=_get(mapping, "channel", "pathloss_intercept_db"),
-        pathloss_exponent=_get(mapping, "channel", "pathloss_exponent"),
-        shadowing_std_db=_get(mapping, "channel", "shadowing_std_db"),
-        user_distance_range=(
-            _get(mapping, "channel", "distance_min_m"),
-            _get(mapping, "channel", "distance_max_m"),
-        ),
-        azimuth_range=_symmetric_range(_get(mapping, "channel", "azimuth_deg")),
-        elevation_range=_symmetric_range(_get(mapping, "channel", "elevation_deg")),
-        cluster_angle_std=math.radians(_get(mapping, "channel", "cluster_angle_std_deg")),
-        gain_normalization_db=_get(mapping, "channel", "median_element_gain_db"),
-        direct_kappa=_get(mapping, "channel", "direct_kappa"),
+        n_clusters_range=(ch["n_clusters_min"], ch["n_clusters_max"]),
+        pathloss_intercept_db=ch["pathloss_intercept_db"],
+        pathloss_exponent=ch["pathloss_exponent"], shadowing_std_db=ch["shadowing_std_db"],
+        user_distance_range=(ch["distance_min_m"], ch["distance_max_m"]),
+        azimuth_range=_symmetric_range(ch["azimuth_deg"]),
+        elevation_range=_symmetric_range(ch["elevation_deg"]),
+        cluster_angle_std=math.radians(ch["cluster_angle_std_deg"]),
+        gain_normalization_db=ch["median_element_gain_db"], direct_kappa=ch["direct_kappa"],
     )
-
-    solver = SolverSettings(**{key: _get(mapping, "solver", key) for key in _DEFAULTS["solver"]})
-
-    n_users = _get(mapping, "system", "n_users")
-    weights = _get(mapping, "system", "weights", _tuple_of(_real))
-    grid = _get(mapping, "sweep", "grid", _tuple_of(_real))
-    methods = _get(mapping, "sweep", "methods", _nonempty(_tuple_of(Method)))
-    illuminations = _get(mapping, "sweep", "illuminations", _nonempty(_tuple_of(IlluminationMode)))
+    solver = SolverSettings(**_section(mapping, "solver"))
+    sweep = _section(mapping, "sweep")
+    kind, n_users = sweep["kind"], system["n_users"]
     return ExperimentSpec(
-        sweep=kind,
-        grid=_DEFAULT_GRIDS[kind] if grid is None else grid,
-        trials=_get(mapping, "sweep", "trials"),
-        base_seed=_get(mapping, "sweep", "base_seed"),
-        methods=_DEFAULT_METHODS[kind] if methods is None else methods,
-        illuminations=illuminations,
-        constraint=_get(mapping, "sweep", "constraint"),
-        n_users=n_users,
-        weights=(1.0,) * n_users if weights is None else weights,
-        noise_power=_get(mapping, "system", "noise_power"),
-        power_budget_dbm=_get(mapping, "system", "power_budget_dbm"),
-        geometry=geometry,
-        channel=channel,
-        solver=solver,
+        sweep=kind, trials=sweep["trials"], base_seed=sweep["base_seed"],
+        grid=_DEFAULT_GRIDS[kind] if sweep["grid"] is None else sweep["grid"],
+        methods=_DEFAULT_METHODS[kind] if sweep["methods"] is None else sweep["methods"],
+        illuminations=sweep["illuminations"], constraint=sweep["constraint"],
+        n_users=n_users, noise_power=system["noise_power"],
+        weights=(1.0,) * n_users if system["weights"] is None else system["weights"],
+        power_budget_dbm=system["power_budget_dbm"],
+        geometry=geometry, channel=channel, solver=solver,
     )
 
 

@@ -93,6 +93,7 @@ class GeometryConfig:
             raise GeometryError(
                 f"grid_shape {self.grid_shape} incompatible with n_elements {self.n_elements}"
             )
+        _sector_partition((rows, cols), self.n_active)  # every layout splits the grid by N
         for name in ("wavelength", "active_radius", "separation", "kappa"):
             if not math.isfinite(getattr(self, name)):
                 raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -183,7 +184,7 @@ def _sector_partition(grid_shape: tuple, n_active: int) -> tuple:
     rows, cols = grid_shape
     best = None
     best_score = None
-    for block_rows in range(1, n_active + 1):
+    for block_rows in range(1, min(n_active, rows) + 1):  # block_rows divides rows
         if n_active % block_rows:
             continue
         block_cols = n_active // block_rows

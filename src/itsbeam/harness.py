@@ -33,9 +33,9 @@ maps are I, so the two constraint kinds coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,11 +89,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0
-
-CSV_HEADER = (
-    "sweep,sweep_value,trial,method,illumination,constraint,"
-    "wsr,iterations,seed"
-)
 
 SUMMARY_HEADER = (
     "sweep,sweep_value,method,illumination,constraint,mean_wsr,std_wsr,trials,failed"
@@ -180,19 +175,16 @@ class ResultRecord:
     seed: int
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                self.sweep,
-                repr(float(self.sweep_value)),
-                str(self.trial),
-                self.method,
-                self.illumination,
-                self.constraint,
-                repr(float(self.wsr)),
-                str(self.iterations),
-                str(self.seed),
-            ]
-        )
+        return _csv_row(getattr(self, field.name) for field in fields(self))
+
+
+CSV_HEADER = ",".join(field.name for field in fields(ResultRecord))
+
+
+def _csv_row(values) -> str:
+    """One CSV line: a float by ``repr(float(v))`` (a numpy float's own repr names its type),
+    anything else by ``str(v)``."""
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -241,12 +233,26 @@ def _geometry(geometry: GeometryConfig, illumination: IlluminationMode):
     return layout, transfer
 
 
+def _kept(draw):
+    """A property drawn on first read and kept, its error too: a draw that failed raises
+    that error again on every read, and is never drawn again from the advanced stream."""
+    def read(state):
+        if draw not in state.draws:
+            try:
+                state.draws[draw] = draw(state)
+            except _FAILURES as exc:
+                state.draws[draw] = exc
+        return _one([state.draws[draw]])
+    return property(read, doc=draw.__doc__)
+
+
 class Trial:
     """Shared state of one (grid value, trial), read by all its cells; arrays read-only.
 
     Stream 0 draws the user drop, then the surface channel shared by every illumination
     (none moves an element); stream 1 the no-surface channel, stream 2 the random phases.
-    All but the drop is drawn on first use: a failed surface draw spares no_its.
+    All but the drop is drawn on first use and kept in ``draws``, a failed draw as its
+    error, so every cell of a trial reads one draw: a failed surface draw spares no_its.
     ``solved`` maps a kind to its Solution or error, written by the memo: the kind is
     (method, illumination) for zf_wf and wmmse_bcd, (method, None) for a frozen-phase method.
     """
@@ -257,7 +263,7 @@ class Trial:
         self.layout = _geometry(self.geometry, IlluminationMode.FULL)[0]
         self.streams = _trial_streams(spec.base_seed, trial_index)
         self.drop = sample_user_drop(spec.channel, spec.n_users, self.streams[0])
-        self._surface, self.solved = {}, {}
+        self._surface, self.draws, self.solved = {}, {}, {}
 
     def _build(self, transfer, channel, constraint) -> SystemInstance:
         inst = SystemInstance(
@@ -267,7 +273,7 @@ class Trial:
         _read_only(inst.transfer, inst.channel, inst.weights)
         return inst
 
-    @cached_property
+    @_kept
     def channel(self) -> np.ndarray:
         """The (K, M) surface channel, drawn from stream 0 after the drop."""
         return sample_channel(self.layout, self.drop, self.spec.channel, self.streams[0])
@@ -279,14 +285,14 @@ class Trial:
             self._surface[illumination] = self._build(transfer, self.channel, self.spec.constraint)
         return self._surface[illumination]
 
-    @cached_property
+    @_kept
     def no_surface(self) -> SystemInstance:
         """The no-surface baseline: identity transfer, direct channel, always TP."""
         direct = sample_direct_channel(self.layout, self.drop, self.spec.channel, self.streams[1])
         constraint = _applied_constraint(self.spec, Method.NO_ITS)
         return self._build(np.eye(self.geometry.n_active), direct, constraint)
 
-    @cached_property
+    @_kept
     def random_phases(self) -> PhaseConfig:
         """Uniform phases for the random-phase baseline, drawn from stream 2."""
         phases = PhaseConfig(self.streams[2].uniform(0.0, 2.0 * np.pi, self.geometry.n_elements))
@@ -541,21 +547,40 @@ def _ranges(spec: ExperimentSpec, workers: int) -> list:
             for value in spec.grid for part in range(parts)]
 
 
+def _openblas(name: str):
+    """The function ``scipy_openblas_<name>64_`` of the OpenBLAS bundled with numpy, or None
+    where numpy bundles none."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas64_*"))
+    return getattr(ctypes.CDLL(paths[0]), f"scipy_openblas_{name}64_", None) if paths else None
+
+
+def _one_blas_thread() -> None:
+    """``run_sweep``'s pool initializer: this worker's BLAS runs on one thread, as the
+    workers share the cores; without numpy's bundled OpenBLAS it does nothing."""
+    if (set_threads := _openblas("set_num_threads")) is not None:
+        set_threads(1)
+
+
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list:
     """Run the full cross product grid x trials x methods x illuminations.
 
     Record order is deterministic (grid-major, then trial, then method, then
     illumination) regardless of ``workers``.  Contiguous ranges of trials are the
     work units, up to ``workers`` per grid value and none narrower than a queue's
-    batch: a worker runs whole ranges, and a sweep of one range runs in this process
-    and never imports the process pool.
+    batch: a worker runs whole ranges, on one BLAS thread, and a sweep of one range runs
+    in this process and never imports the process pool.
     """
     ranges = _ranges(spec, workers)
     if workers <= 1 or len(ranges) == 1:
         records = [_range_records(*task) for task in ranges]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
+        with ProcessPoolExecutor(min(workers, len(ranges)), initializer=_one_blas_thread) as pool:
             records = list(pool.map(_range_records, *zip(*ranges)))
     return [record for part in records for record in part]
 
@@ -584,26 +609,9 @@ def write_summary(records, path) -> None:
         for key, wsrs in groups.items():
             values = np.asarray(wsrs, dtype=float)
             ok = values[np.isfinite(values)]
-            failed = values.size - ok.size
             mean = float(np.mean(ok)) if ok.size else math.nan
             std = float(np.std(ok, ddof=1)) if ok.size > 1 else math.nan
-            sweep, value, method, illumination, constraint = key
-            fh.write(
-                ",".join(
-                    [
-                        sweep,
-                        repr(float(value)),
-                        method,
-                        illumination,
-                        constraint,
-                        repr(mean),
-                        repr(std),
-                        str(ok.size),
-                        str(failed),
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(_csv_row((*key, mean, std, ok.size, values.size - ok.size)) + "\n")
 
 
 _SWEEP_LABELS = {

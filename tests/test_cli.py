@@ -149,6 +149,13 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: kappa must be finite")
     assert not out.exists()
+    # Five antennas, which no layout can give equal rectangular sectors of the 4x2 grid.
+    bad.write_text(TINY_CONFIG.replace("n_active: 2", "n_active: 5"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot partition a 4x2 grid into 5 equal rectangular sectors")
+    assert not out.exists()
 
 
 def test_sweep_rejects_negative_seed(tmp_path, config_path):

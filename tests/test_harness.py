@@ -240,6 +240,33 @@ def test_failed_surface_draw_fails_only_its_trial(monkeypatch):
     assert all(math.isfinite(r.wsr) for r in clean)
 
 
+def test_failed_draw_raises_its_error_on_every_read():
+    # At a shadowing deviation of 2500 dB a fifth of the draws overflow.  A failed draw
+    # is kept: read again, it raises the same error and draws nothing from its stream.
+    spec = spec_from_mapping({
+        "channel": {"shadowing_std_db": 2500, "median_element_gain_db": None},
+        "sweep": {"grid": [30.0], "trials": 100},
+    })
+    memo.cache_clear()
+    failed = 0
+    for index in range(100):
+        state = trial(spec, 30.0, index)
+        for read in (lambda: state.instance(IlluminationMode.FULL), lambda: state.no_surface):
+            outcomes = []
+            for _ in range(2):
+                try:
+                    outcomes.append(read().channel)
+                except harness._FAILURES as exc:
+                    outcomes.append(exc)
+            first, second = outcomes
+            if isinstance(first, Exception):
+                failed += 1
+                assert type(second) is type(first) and str(second) == str(first)
+            else:
+                assert np.array_equal(first, second)
+    assert failed
+
+
 def test_selfcheck_determinism_draws_twice(monkeypatch):
     draws = []
 
@@ -367,6 +394,22 @@ def test_one_block_sweep_starts_no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     spec = tiny_spec(trials=QUEUE_WIDTH, grid=[30.0])
     assert run_sweep(spec, workers=4) == run_sweep(spec)
+
+
+def _blas_threads() -> int:
+    """The OpenBLAS thread count of the process that runs this (a pool's worker, or this)."""
+    return harness._openblas("get_num_threads")()
+
+
+def test_pool_worker_runs_one_blas_thread():
+    # Each of run_sweep's workers runs its BLAS on one thread, so that two workers do
+    # not run a BLAS thread per core each; the caller's own count is left alone.
+    if harness._openblas("get_num_threads") is None:
+        pytest.skip("numpy bundles no OpenBLAS with a get_num_threads call")
+    before = _blas_threads()
+    with concurrent.futures.ProcessPoolExecutor(1, initializer=harness._one_blas_thread) as pool:
+        assert pool.submit(_blas_threads).result() == 1
+    assert _blas_threads() == before
 
 
 COLD_RUN = """
@@ -532,6 +575,36 @@ def test_csv_empty_records(tmp_path):
     path = tmp_path / "empty.csv"
     write_results([], path)
     assert path.read_text() == CSV_HEADER + "\n"
+
+
+def test_csv_bytes_of_fixed_records(tmp_path):
+    # The header is the record's fields.  A numpy float is written as a plain number; a
+    # failed row counts in `failed`, and a group with one finite value has a nan std_wsr.
+    assert CSV_HEADER == "sweep,sweep_value,trial,method,illumination,constraint,wsr,iterations,seed"
+    def record(value, index, method, wsr):
+        return harness.ResultRecord("power", value, index, method, "full", "rp", wsr, 3, 7)
+
+    records = [
+        record(20.0, 0, "zf_wf", 1.5), record(20.0, 0, "wmmse_bcd", np.float64(2.25)),
+        record(20.0, 1, "zf_wf", 2.5), record(20.0, 1, "wmmse_bcd", math.nan),
+        record(np.float64(40.0), 0, "zf_wf", math.nan),
+    ]
+    write_results(records, tmp_path / "detail.csv")
+    assert (tmp_path / "detail.csv").read_bytes() == (
+        CSV_HEADER.encode() + b"\n"
+        b"power,20.0,0,zf_wf,full,rp,1.5,3,7\n"
+        b"power,20.0,0,wmmse_bcd,full,rp,2.25,3,7\n"
+        b"power,20.0,1,zf_wf,full,rp,2.5,3,7\n"
+        b"power,20.0,1,wmmse_bcd,full,rp,nan,3,7\n"
+        b"power,40.0,0,zf_wf,full,rp,nan,3,7\n"
+    )
+    write_summary(records, tmp_path / "summary.csv")
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"sweep,sweep_value,method,illumination,constraint,mean_wsr,std_wsr,trials,failed\n"
+        b"power,20.0,zf_wf,full,rp,2.0,0.7071067811865476,2,0\n"
+        b"power,20.0,wmmse_bcd,full,rp,2.25,nan,1,1\n"
+        b"power,40.0,zf_wf,full,rp,nan,nan,0,1\n"
+    )
 
 
 def test_summary_statistics(tmp_path):
@@ -851,6 +924,23 @@ def test_config_rejects_malformed_values():
     ):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             spec_from_mapping({section: {key: value}})
+
+
+def test_config_checks_every_given_key():
+    # separation_m overrides separation_r0, whose value is still checked; of two bad
+    # keys, the first in the table's order is reported.
+    with pytest.raises(ConfigError, match=r"for geometry\.separation_r0: "):
+        spec_from_mapping({"geometry": {"separation_m": 1.0, "separation_r0": "abc"}})
+    with pytest.raises(ConfigError, match=r"for geometry\.grid_rows: "):
+        spec_from_mapping({"geometry": {"kappa": "wide", "grid_rows": "many"}})
+
+
+@pytest.mark.parametrize("n_active", [3, 5, 6, 7])
+def test_config_rejects_a_grid_no_layout_splits(n_active):
+    # Every illumination, full included, splits the 16x8 grid into n_active equal
+    # rectangular sectors; without one, every trial of the sweep would fail.
+    with pytest.raises(GeometryError, match=f"^cannot partition a 16x8 grid into {n_active} "):
+        spec_from_mapping({"geometry": {"n_active": n_active}})
 
 
 @pytest.mark.parametrize("section, key, value, error, field", [

@@ -15,7 +15,7 @@ from itsbeam import (
     default_experiment_spec,
     spec_from_mapping,
 )
-from itsbeam.harness import run_sweep, write_results
+from itsbeam.harness import run_sweep, write_results, write_summary
 
 _PATH = Path(__file__).parents[1] / "tools" / "parity.py"
 _SPEC = importlib.util.spec_from_file_location("parity", _PATH)
@@ -119,6 +119,42 @@ def test_compare_lists_a_change_below_the_old_percent_resolution(tmp_path, capsy
     out = capsys.readouterr().out
     assert "1 down, largest rise +0.00e+00, largest drop -5.00e-07, 0 iterations changed" in out
     assert "  trial 0 wmmse_bcd full: wsr 20.0 / 19.99999 (-5.00e-07), iterations 50 / 50\n" in out
+
+
+def test_write_adds_each_workload_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(_PATH.parents[1] / "perfbench"))
+    import bench
+
+    workloads = {name: dict(workload, sweep=dict(workload["sweep"], trials=2))
+                 for name, workload in bench.WORKLOADS.items()}
+    monkeypatch.setattr(bench, "WORKLOADS", workloads)
+    out = tmp_path / "write"
+    assert parity.main(["write", str(out), "--seeds", "3"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "rp_40dbm-3-summary.csv", "rp_40dbm-3.csv", "tp_frozen-3-summary.csv", "tp_frozen-3.csv"
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    for path in out.iterdir():
+        assert f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}" in lines
+    for name in workloads:
+        records = run_sweep(bench.build_spec(bench.mapping(name, 3)))
+        write_summary(records, tmp_path / "summary.csv")
+        assert (out / f"{name}-3-summary.csv").read_bytes() == (tmp_path / "summary.csv").read_bytes()
+    # A summary has no wsr or iterations column: compare matches it by its shared columns.
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    summary = (out / "tp_frozen-3-summary.csv").read_text().splitlines()
+    (copy / "tp_frozen-3-summary.csv").write_text("\n".join(summary) + "\n")
+    assert parity.main(["compare", str(out), str(copy)]) == 1  # three files only in A
+    for path in out.iterdir():
+        if path.name != "tp_frozen-3-summary.csv":
+            path.unlink()
+    assert parity.main(["compare", str(out), str(copy)]) == 0
+    summary[1] = summary[1].replace(",2,0", ",1,1")  # one trial failed
+    (copy / "tp_frozen-3-summary.csv").write_text("\n".join(summary) + "\n")
+    report = parity.compare_files(out / "tp_frozen-3-summary.csv", copy / "tp_frozen-3-summary.csv")
+    assert report["differing_rows"] == 1 and report["max_rel_wsr"] == 0.0
+    assert parity.main(["compare", str(out), str(copy)]) == 1
 
 
 def test_seed_ranges():

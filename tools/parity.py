@@ -11,8 +11,9 @@ Usage, from the root of a checkout:
 
 ``write`` builds each workload of ``perfbench/bench.py`` at each seed, runs it
 with ``run_sweep(spec, workers=1)`` on the ``src`` of the checkout this file
-sits in, writes ``<workload>-<seed>.csv`` into DIR and prints each file's
-sha256.  To get a parent commit's files, run a copy of this file from the root
+sits in, writes ``<workload>-<seed>.csv`` and, from the same records through
+``write_summary``, ``<workload>-<seed>-summary.csv`` into DIR, and prints each
+file's sha256.  To get a parent commit's files, run a copy of this file from the root
 of that commit's checkout.
 
 ``reference`` writes ``reference-<constraint>-<seed>.csv`` for rp and tp: the
@@ -42,7 +43,8 @@ the children of an M, one line gives the wall-time ratio of 1 worker over N
 workers and whether the files' sha256s agree.
 
 ``compare`` pairs the files of A and B by name and their columns by header
-name.  Per file it prints the number of rows whose shared columns differ, the
+name; a summary, which has no ``wsr`` or ``iterations`` column, is compared by
+its shared columns, and its WSR and iterations figures read nan.  Per file it prints the number of rows whose shared columns differ, the
 rows whose ``iterations`` changed, the largest relative WSR change and the
 mean finite WSR on each side, and names any column that only one side has.
 Under each file it prints one line per method: the mean finite WSR and the
@@ -88,17 +90,18 @@ def write(directory: str, seeds) -> dict:
     """Write every workload at every seed into ``directory``; return {file name: sha256}."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import bench
-    from itsbeam.harness import run_sweep, write_results
+    from itsbeam.harness import run_sweep, write_results, write_summary
 
     os.makedirs(directory, exist_ok=True)
     digests = {}
     for workload in bench.WORKLOADS:
         for seed in seeds:
-            name = f"{workload}-{seed}.csv"
-            path = os.path.join(directory, name)
-            write_results(run_sweep(bench.build_spec(bench.mapping(workload, seed)), workers=1), path)
-            digests[name] = _sha256(path)
-            print(f"{digests[name]}  {name}", flush=True)
+            records = run_sweep(bench.build_spec(bench.mapping(workload, seed)), workers=1)
+            for name, writer in ((f"{workload}-{seed}.csv", write_results),
+                                 (f"{workload}-{seed}-summary.csv", write_summary)):
+                writer(records, os.path.join(directory, name))
+                digests[name] = _sha256(os.path.join(directory, name))
+                print(f"{digests[name]}  {name}", flush=True)
     return digests
 
 
@@ -352,7 +355,8 @@ def compare(dir_a: str, dir_b: str) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="parity", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    writer = sub.add_parser("write", help="write <workload>-<seed>.csv for every workload and seed")
+    writer = sub.add_parser("write", help="write <workload>-<seed>.csv and its -summary.csv for "
+                            "every workload and seed")
     writer.add_argument("directory")
     writer.add_argument("--seeds", nargs="+", required=True, help='seeds or ranges, e.g. 300 500-519')
     ref = sub.add_parser("reference", help="write reference-<constraint>-<seed>.csv, the default "
